@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/strings.h"
 #include "storage/shredder.h"
 #include "storage/store_serializer.h"
 #include "xpath/evaluator.h"
@@ -274,10 +275,15 @@ StatusOr<std::string> Database::Serialize(PreId root, bool pretty) {
 StatusOr<xupdate::ApplyStats> Database::Update(std::string_view xupdate_doc,
                                                int retries) {
   Status last = Status::OK();
+  // A retry first waits for the page the failed attempt lost on, so it
+  // queues behind that commit instead of racing the next writer to the
+  // same page with an already stale snapshot.
+  PageId contested = -1;
   for (int attempt = 0; attempt <= retries; ++attempt) {
     PXQ_ASSIGN_OR_RETURN(std::unique_ptr<txn::Transaction> t,
-                         txns_->Begin());
+                         txns_->Begin(contested));
     auto stats = xupdate::ApplyXUpdate(t->store(), xupdate_doc);
+    contested = t->contested_page();
     if (!stats.ok()) {
       t->Abort().ok();
       if (stats.status().IsConflict()) {
@@ -291,7 +297,8 @@ StatusOr<xupdate::ApplyStats> Database::Update(std::string_view xupdate_doc,
     last = c;
     if (!c.IsAborted() && !c.IsConflict()) return c;
   }
-  return Status::Aborted("update failed after retries: " + last.ToString());
+  return Status::Aborted(StrFormat("update failed after %d attempts: %s",
+                                   retries + 1, last.ToString().c_str()));
 }
 
 StatusOr<std::unique_ptr<DbTransaction>> Database::Begin() {

@@ -99,7 +99,9 @@ class Database {
 
   // --- updates ----------------------------------------------------------
   /// Parse and apply an XUpdate document in one transaction; retries
-  /// `retries` times on conflict.
+  /// `retries` times on conflict, each retry queued behind the commit
+  /// it lost to (TransactionManager::Begin). Gives up with Aborted,
+  /// stating the number of attempts.
   StatusOr<xupdate::ApplyStats> Update(std::string_view xupdate_doc,
                                        int retries = 5);
 

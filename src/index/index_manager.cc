@@ -30,6 +30,28 @@ void SidecarErase(std::multimap<double, NodeId>* m, double key, NodeId n) {
   }
 }
 
+// Postings-bucket maintenance shared by the qname and path maps: every
+// touch stamps a fresh generation (memo validation), and a bucket that
+// empties drops its key.
+template <typename Map, typename Key>
+void PostingsInsert(Map* m, const Key& key, NodeId n, uint64_t gen) {
+  auto& p = (*m)[key];
+  SortedInsert(&p.nodes, n);
+  p.gen = gen;
+}
+
+template <typename Map, typename Key>
+void PostingsErase(Map* m, const Key& key, NodeId n, uint64_t gen) {
+  auto it = m->find(key);
+  if (it == m->end()) return;
+  SortedErase(&it->second.nodes, n);
+  if (it->second.nodes.empty()) {
+    m->erase(it);
+  } else {
+    it->second.gen = gen;
+  }
+}
+
 int RoundShards(int requested) {
   int n = 1;
   while (n < requested && n < 256) n <<= 1;
@@ -75,12 +97,6 @@ IndexManager::IndexManager(IndexConfig config)
   config_.path_chain_depth =
       std::clamp(config_.path_chain_depth, 2, kMaxChainDepth);
   shards_ = std::make_unique<Shard[]>(static_cast<size_t>(nshards_));
-  owned_snaps_.resize(static_cast<size_t>(nshards_));
-  for (int i = 0; i < nshards_; ++i) {
-    owned_snaps_[static_cast<size_t>(i)] = std::make_shared<ShardSnapshot>();
-    shards_[i].snap.store(owned_snaps_[static_cast<size_t>(i)].get(),
-                          std::memory_order_release);
-  }
 }
 
 IndexManager::~IndexManager() {
@@ -95,77 +111,8 @@ IndexManager::~IndexManager() {
 }
 
 // ---------------------------------------------------------------------------
-// Writer side: copy-on-write staging + publication
+// Writer side: in-place maintenance inside the exclusive window
 // ---------------------------------------------------------------------------
-
-IndexManager::ShardBuilder& IndexManager::BuilderFor(
-    std::vector<ShardBuilder>& bs, QnameId qn) {
-  ShardBuilder& b = bs[static_cast<size_t>(ShardOf(qn))];
-  if (!b.next) {
-    // Copy the outer maps; every bucket stays shared until touched.
-    b.next = std::make_shared<ShardSnapshot>(*Snap(ShardOf(qn)));
-  }
-  b.touched = true;
-  return b;
-}
-
-IndexManager::Postings* IndexManager::MutablePostings(
-    std::vector<ShardBuilder>& bs, QnameId qn) {
-  ShardBuilder& b = BuilderFor(bs, qn);
-  auto it = b.post.find(qn);
-  if (it == b.post.end()) {
-    auto cur = b.next->postings.find(qn);
-    auto fresh = cur == b.next->postings.end()
-                     ? std::make_shared<Postings>()
-                     : std::make_shared<Postings>(*cur->second);
-    fresh->gen = ++next_gen_;  // new bucket identity for memo validation
-    it = b.post.emplace(qn, std::move(fresh)).first;
-  }
-  return it->second.get();
-}
-
-IndexManager::ValueBucket* IndexManager::MutableValues(
-    std::vector<ShardBuilder>& bs, QnameId qn) {
-  ShardBuilder& b = BuilderFor(bs, qn);
-  auto it = b.val.find(qn);
-  if (it == b.val.end()) {
-    auto cur = b.next->values.find(qn);
-    auto fresh = cur == b.next->values.end()
-                     ? std::make_shared<ValueBucket>()
-                     : std::make_shared<ValueBucket>(*cur->second);
-    it = b.val.emplace(qn, std::move(fresh)).first;
-  }
-  return it->second.get();
-}
-
-IndexManager::AttrBucket* IndexManager::MutableAttrs(
-    std::vector<ShardBuilder>& bs, QnameId qn) {
-  ShardBuilder& b = BuilderFor(bs, qn);
-  auto it = b.attr.find(qn);
-  if (it == b.attr.end()) {
-    auto cur = b.next->attrs.find(qn);
-    auto fresh = cur == b.next->attrs.end()
-                     ? std::make_shared<AttrBucket>()
-                     : std::make_shared<AttrBucket>(*cur->second);
-    it = b.attr.emplace(qn, std::move(fresh)).first;
-  }
-  return it->second.get();
-}
-
-IndexManager::Postings* IndexManager::MutablePaths(
-    std::vector<ShardBuilder>& bs, const ChainKey& key) {
-  ShardBuilder& b = BuilderFor(bs, key.qn[0]);  // chains shard by self qname
-  auto it = b.path.find(key);
-  if (it == b.path.end()) {
-    auto cur = b.next->paths.find(key);
-    auto fresh = cur == b.next->paths.end()
-                     ? std::make_shared<Postings>()
-                     : std::make_shared<Postings>(*cur->second);
-    fresh->gen = ++next_gen_;
-    it = b.path.emplace(key, std::move(fresh)).first;
-  }
-  return it->second.get();
-}
 
 std::array<QnameId, IndexManager::kMaxChainDepth - 1> IndexManager::AncTagsOf(
     const storage::PagedStore& store, PreId pre) const {
@@ -182,25 +129,25 @@ std::array<QnameId, IndexManager::kMaxChainDepth - 1> IndexManager::AncTagsOf(
   return anc;
 }
 
-void IndexManager::AddChainEntries(std::vector<ShardBuilder>& bs, NodeId node,
-                                   const NodeState& st) {
+void IndexManager::AddChainEntries(NodeId node, const NodeState& st) {
+  auto& paths = DataOf(st.qn).paths;  // chains shard by self qname
   ChainKey key;
   key.qn[0] = st.qn;
   for (int len = 2; len <= config_.path_chain_depth; ++len) {
     key.qn[static_cast<size_t>(len - 1)] = st.anc[static_cast<size_t>(len - 2)];
     key.len = static_cast<uint8_t>(len);
-    SortedInsert(&MutablePaths(bs, key)->nodes, node);
+    PostingsInsert(&paths, key, node, ++next_gen_);
   }
 }
 
-void IndexManager::RemoveChainEntries(std::vector<ShardBuilder>& bs,
-                                      NodeId node, const NodeState& st) {
+void IndexManager::RemoveChainEntries(NodeId node, const NodeState& st) {
+  auto& paths = DataOf(st.qn).paths;
   ChainKey key;
   key.qn[0] = st.qn;
   for (int len = 2; len <= config_.path_chain_depth; ++len) {
     key.qn[static_cast<size_t>(len - 1)] = st.anc[static_cast<size_t>(len - 2)];
     key.len = static_cast<uint8_t>(len);
-    SortedErase(&MutablePaths(bs, key)->nodes, node);
+    PostingsErase(&paths, key, node, ++next_gen_);
   }
 }
 
@@ -258,8 +205,7 @@ void IndexManager::RemoveValueEntry(ValueBucket* vb, NodeId node,
   }
 }
 
-void IndexManager::AddAttrEntries(std::vector<ShardBuilder>& bs,
-                                  const storage::PagedStore& store,
+void IndexManager::AddAttrEntries(const storage::PagedStore& store,
                                   NodeId node, NodeState* st) {
   std::vector<int32_t> rows;
   store.attrs().Lookup(node, &rows);
@@ -269,7 +215,7 @@ void IndexManager::AddAttrEntries(std::vector<ShardBuilder>& bs,
     as.qn = row.qname;
     as.value = store.pools().Prop(row.prop);
     as.numeric = xpath::detail::ParseNumber(as.value, &as.num);
-    AttrBucket* ab = MutableAttrs(bs, as.qn);
+    AttrBucket* ab = &DataOf(as.qn).attrs[as.qn];
     const uint64_t g = ++next_gen_;
     SortedInsert(&ab->owners, node);
     ab->owners_gen = g;
@@ -287,10 +233,12 @@ void IndexManager::AddAttrEntries(std::vector<ShardBuilder>& bs,
   }
 }
 
-void IndexManager::RemoveAttrEntries(std::vector<ShardBuilder>& bs,
-                                     NodeId node, const NodeState& st) {
+void IndexManager::RemoveAttrEntries(NodeId node, const NodeState& st) {
   for (const AttrState& as : st.attrs) {
-    AttrBucket* ab = MutableAttrs(bs, as.qn);
+    auto& attrs = DataOf(as.qn).attrs;
+    auto ait = attrs.find(as.qn);
+    if (ait == attrs.end()) continue;
+    AttrBucket* ab = &ait->second;
     const uint64_t g = ++next_gen_;
     SortedErase(&ab->owners, node);
     ab->owners_gen = g;
@@ -310,6 +258,7 @@ void IndexManager::RemoveAttrEntries(std::vector<ShardBuilder>& bs,
       ab->range_gen = g;
       HistRemove(&ab->hist, as.num);
     }
+    if (ab->empty()) attrs.erase(ait);
   }
 }
 
@@ -350,29 +299,33 @@ void IndexManager::HistRemove(NumericHistogram* h, double v) {
   if (h->total == 0) *h = NumericHistogram();  // re-seed bounds next insert
 }
 
-void IndexManager::AddNode(std::vector<ShardBuilder>& bs,
-                           const storage::PagedStore& store, NodeId node,
+void IndexManager::AddNode(const storage::PagedStore& store, NodeId node,
                            PreId pre,
                            const std::array<QnameId, kMaxChainDepth - 1>& anc) {
   NodeState st;
   st.qn = store.RefAt(pre);
   st.anc = anc;
-  SortedInsert(&MutablePostings(bs, st.qn)->nodes, node);
-  AddChainEntries(bs, node, st);
-  AddValueEntry(MutableValues(bs, st.qn), store, node, pre, &st);
-  AddAttrEntries(bs, store, node, &st);
+  ShardData& d = DataOf(st.qn);
+  PostingsInsert(&d.postings, st.qn, node, ++next_gen_);
+  AddChainEntries(node, st);
+  AddValueEntry(&d.values[st.qn], store, node, pre, &st);
+  AddAttrEntries(store, node, &st);
   node_state_[node] = std::move(st);
 }
 
-void IndexManager::RemoveNode(std::vector<ShardBuilder>& bs, NodeId node) {
+void IndexManager::RemoveNode(NodeId node) {
   auto it = node_state_.find(node);
   if (it == node_state_.end()) return;
   const NodeState& st = it->second;
 
-  SortedErase(&MutablePostings(bs, st.qn)->nodes, node);
-  RemoveChainEntries(bs, node, st);
-  RemoveValueEntry(MutableValues(bs, st.qn), node, st);
-  RemoveAttrEntries(bs, node, st);
+  ShardData& d = DataOf(st.qn);
+  PostingsErase(&d.postings, st.qn, node, ++next_gen_);
+  RemoveChainEntries(node, st);
+  if (auto vit = d.values.find(st.qn); vit != d.values.end()) {
+    RemoveValueEntry(&vit->second, node, st);
+    if (vit->second.empty()) d.values.erase(vit);
+  }
+  RemoveAttrEntries(node, st);
   node_state_.erase(it);
 }
 
@@ -400,33 +353,7 @@ void IndexManager::PruneMemos() {
   }
 }
 
-void IndexManager::Publish(std::vector<ShardBuilder>& bs, bool structural) {
-  for (int i = 0; i < nshards_; ++i) {
-    ShardBuilder& b = bs[static_cast<size_t>(i)];
-    if (!b.touched) continue;
-    // Install privatized buckets; empty buckets drop their key so probe
-    // misses stay O(1) map lookups and memory is reclaimed.
-    for (auto& [qn, p] : b.post) {
-      if (p->nodes.empty()) b.next->postings.erase(qn);
-      else b.next->postings[qn] = std::move(p);
-    }
-    for (auto& [qn, v] : b.val) {
-      if (v->empty()) b.next->values.erase(qn);
-      else b.next->values[qn] = std::move(v);
-    }
-    for (auto& [qn, a] : b.attr) {
-      if (a->empty()) b.next->attrs.erase(qn);
-      else b.next->attrs[qn] = std::move(a);
-    }
-    for (auto& [key, p] : b.path) {
-      if (p->nodes.empty()) b.next->paths.erase(key);
-      else b.next->paths[key] = std::move(p);
-    }
-    shards_[i].snap.store(b.next.get(), std::memory_order_release);
-    // Reclaim the previous snapshot: the exclusive window guarantees no
-    // probe still reads it.
-    owned_snaps_[static_cast<size_t>(i)] = std::move(b.next);
-  }
+void IndexManager::Publish(bool structural) {
   PruneMemos();
   if (structural) {
     // Pre ranks shifted: every memoized materialization is stale. Memo
@@ -440,12 +367,7 @@ void IndexManager::Rebuild(const storage::PagedStore& store) {
   const auto t0 = std::chrono::steady_clock::now();
   MutexLock lock(&writer_mu_);
   node_state_.clear();
-  std::vector<ShardBuilder> bs(static_cast<size_t>(nshards_));
-  for (int i = 0; i < nshards_; ++i) {
-    // Start every shard from scratch (not from the current snapshot).
-    bs[static_cast<size_t>(i)].next = std::make_shared<ShardSnapshot>();
-    bs[static_cast<size_t>(i)].touched = true;
-  }
+  for (int i = 0; i < nshards_; ++i) shards_[i].data = ShardData();
   if (config_.enabled) {
     // Pre-order walk tracking the enclosing element chain, so each
     // element's parent qname is O(1) instead of an ancestor descent.
@@ -467,11 +389,11 @@ void IndexManager::Rebuild(const storage::PagedStore& store) {
         anc[static_cast<size_t>(i)] =
             stack[stack.size() - 1 - static_cast<size_t>(i)].qn;
       }
-      AddNode(bs, store, store.NodeAt(p), p, anc);
+      AddNode(store, store.NodeAt(p), p, anc);
       stack.push_back({p + store.SizeAt(p), store.RefAt(p)});
     }
   }
-  Publish(bs, /*structural=*/true);
+  Publish(/*structural=*/true);
   maintenance_ops_ = 0;
   applied_commits_ = 0;
   build_micros_ = std::chrono::duration_cast<std::chrono::microseconds>(
@@ -488,7 +410,6 @@ void IndexManager::ApplyDirty(const storage::PagedStore& store,
   if (delta.empty()) return;
   const auto t0 = std::chrono::steady_clock::now();
   MutexLock lock(&writer_mu_);
-  std::vector<ShardBuilder> bs(static_cast<size_t>(nshards_));
   std::vector<NodeId> work = delta.dirty();
   std::vector<uint8_t> kinds;
   kinds.reserve(work.size());
@@ -518,13 +439,13 @@ void IndexManager::ApplyDirty(const storage::PagedStore& store,
           // generations and shoot down warm chain memos for nothing.
           auto anc = AncTagsOf(store, gpre.value());
           if (anc != st->second.anc) {
-            RemoveChainEntries(bs, n, st->second);
+            RemoveChainEntries(n, st->second);
             st->second.anc = anc;
-            AddChainEntries(bs, n, st->second);
+            AddChainEntries(n, st->second);
           }
         }
         if ((kind & DeltaIndex::kValue) != 0) {
-          ValueBucket* vb = MutableValues(bs, st->second.qn);
+          ValueBucket* vb = &DataOf(st->second.qn).values[st->second.qn];
           RemoveValueEntry(vb, n, st->second);
           AddValueEntry(vb, store, n, gpre.value(), &st->second);
         }
@@ -537,11 +458,11 @@ void IndexManager::ApplyDirty(const storage::PagedStore& store,
           prior_owner_gens.reserve(st->second.attrs.size());
           for (const AttrState& as : st->second.attrs) {
             prior_owner_gens.emplace_back(
-                as.qn, MutableAttrs(bs, as.qn)->owners_gen);
+                as.qn, DataOf(as.qn).attrs[as.qn].owners_gen);
           }
-          RemoveAttrEntries(bs, n, st->second);
+          RemoveAttrEntries(n, st->second);
           st->second.attrs.clear();
-          AddAttrEntries(bs, store, n, &st->second);
+          AddAttrEntries(store, n, &st->second);
           // An attribute the node owns both before and after (a value
           // replacement, not an add/remove) leaves the owner LIST
           // byte-identical — the remove/re-insert pair cancels out.
@@ -551,7 +472,7 @@ void IndexManager::ApplyDirty(const storage::PagedStore& store,
           for (const auto& [qn, gen] : prior_owner_gens) {
             for (const AttrState& na : st->second.attrs) {
               if (na.qn == qn) {
-                MutableAttrs(bs, qn)->owners_gen = gen;
+                DataOf(qn).attrs[qn].owners_gen = gen;
                 break;
               }
             }
@@ -570,7 +491,7 @@ void IndexManager::ApplyDirty(const storage::PagedStore& store,
     // though the renamer's clone never saw it.
     QnameId old_qn = -1;
     if (known) old_qn = st->second.qn;
-    RemoveNode(bs, n);
+    RemoveNode(n);
     if (store.PosOfNode(n) == kNullPos) continue;  // deleted (or aborted id)
     auto pre = store.PreOfNode(n);
     if (!pre.ok()) continue;
@@ -605,9 +526,9 @@ void IndexManager::ApplyDirty(const storage::PagedStore& store,
         }
       }
     }
-    AddNode(bs, store, n, pre.value(), AncTagsOf(store, pre.value()));
+    AddNode(store, n, pre.value(), AncTagsOf(store, pre.value()));
   }
-  Publish(bs, delta.structural());
+  Publish(delta.structural());
   maintenance_ops_ += static_cast<int64_t>(work.size());
   applied_commits_ += 1;
   apply_dirty_ns_.Record(
@@ -617,7 +538,7 @@ void IndexManager::ApplyDirty(const storage::PagedStore& store,
 }
 
 // ---------------------------------------------------------------------------
-// Reader side: lock-free probes over published snapshots
+// Reader side: probes under the database's shared lock
 // ---------------------------------------------------------------------------
 
 bool IndexManager::Gate(int64_t candidates, int64_t scan_cost) const {
@@ -746,11 +667,11 @@ uint64_t IndexManager::SourceGenFor(const Bucket& b, const MemoKey& key) {
 
 int64_t IndexManager::PostingsCount(QnameId qn) const {
   if (!config_.enabled || qn < 0) return 0;
-  const ShardSnapshot* snap = Snap(ShardOf(qn));
-  auto it = snap->postings.find(qn);
-  return it == snap->postings.end()
+  const ShardData& d = DataOf(qn);
+  auto it = d.postings.find(qn);
+  return it == d.postings.end()
              ? 0
-             : static_cast<int64_t>(it->second->nodes.size());
+             : static_cast<int64_t>(it->second.nodes.size());
 }
 
 const std::vector<PreId>* IndexManager::ElementsByQname(
@@ -758,20 +679,20 @@ const std::vector<PreId>* IndexManager::ElementsByQname(
   if (!config_.enabled || qn < 0) return nullptr;
   probes_.Inc();
   const Shard& shard = shards_[ShardOf(qn)];
-  const ShardSnapshot* snap = shard.snap.load(std::memory_order_acquire);
-  auto it = snap->postings.find(qn);
-  const int64_t k = it == snap->postings.end()
+  const ShardData& d = shard.data;
+  auto it = d.postings.find(qn);
+  const int64_t k = it == d.postings.end()
                         ? 0
-                        : static_cast<int64_t>(it->second->nodes.size());
+                        : static_cast<int64_t>(it->second.nodes.size());
   if (!Gate(k, scan_cost)) {
     probe_declines_.Inc();
     return nullptr;
   }
-  if (it == snap->postings.end()) return &kEmptyPres;
+  if (it == d.postings.end()) return &kEmptyPres;
   MemoKey mk;
   mk.ns = MemoNs::kQname;
   mk.key = static_cast<uint64_t>(static_cast<uint32_t>(qn));
-  return MemoizedPres(shard, store, mk, *it->second);
+  return MemoizedPres(shard, store, mk, it->second);
 }
 
 const std::vector<PreId>* IndexManager::PathPairProbe(
@@ -799,16 +720,16 @@ const std::vector<PreId>* IndexManager::PathChainProbe(
   key.len = static_cast<uint8_t>(len);
   for (size_t i = 0; i < len; ++i) key.qn[i] = chain[len - 1 - i];
   const Shard& shard = shards_[ShardOf(key.qn[0])];
-  const ShardSnapshot* snap = shard.snap.load(std::memory_order_acquire);
-  auto it = snap->paths.find(key);
-  const int64_t k = it == snap->paths.end()
+  const ShardData& d = shard.data;
+  auto it = d.paths.find(key);
+  const int64_t k = it == d.paths.end()
                         ? 0
-                        : static_cast<int64_t>(it->second->nodes.size());
+                        : static_cast<int64_t>(it->second.nodes.size());
   if (!Gate(k, scan_cost)) {
     declines.Inc();
     return nullptr;
   }
-  if (it == snap->paths.end()) return &kEmptyPres;
+  if (it == d.paths.end()) return &kEmptyPres;
   MemoKey mk;
   if (len == 2) {
     mk.ns = MemoNs::kPath;
@@ -823,7 +744,7 @@ const std::vector<PreId>* IndexManager::PathChainProbe(
     mk.operand.assign(reinterpret_cast<const char*>(key.qn.data()),
                       len * sizeof(QnameId));
   }
-  return MemoizedPres(shard, store, mk, *it->second);
+  return MemoizedPres(shard, store, mk, it->second);
 }
 
 void IndexManager::CollectMatches(
@@ -914,13 +835,13 @@ bool IndexManager::ChildValueProbe(const storage::PagedStore& store,
   simple->clear();
   complex_rest->clear();
   const Shard& shard = shards_[ShardOf(qn)];
-  const ShardSnapshot* snap = shard.snap.load(std::memory_order_acquire);
-  auto vit = snap->values.find(qn);
-  if (vit == snap->values.end()) {
+  const ShardData& d = shard.data;
+  auto vit = d.values.find(qn);
+  if (vit == d.values.end()) {
     // No element carries this tag: the empty result is exact.
     return true;
   }
-  const ValueBucket& vb = *vit->second;
+  const ValueBucket& vb = vit->second;
   const uint64_t sepoch = structure_epoch_.load(std::memory_order_acquire);
   MemoKey mk;
   if (config_.memo_values) {
@@ -992,10 +913,10 @@ std::optional<std::vector<PreId>> IndexManager::AttrOwners(
   if (!config_.enabled || qn < 0) return std::nullopt;
   probes_.Inc();
   const Shard& shard = shards_[ShardOf(qn)];
-  const ShardSnapshot* snap = shard.snap.load(std::memory_order_acquire);
-  auto it = snap->attrs.find(qn);
-  if (it == snap->attrs.end()) return std::vector<PreId>{};
-  const AttrBucket& ab = *it->second;
+  const ShardData& d = shard.data;
+  auto it = d.attrs.find(qn);
+  if (it == d.attrs.end()) return std::vector<PreId>{};
+  const AttrBucket& ab = it->second;
   const int64_t k = static_cast<int64_t>(ab.owners.size());
   if (!Gate(k, scan_cost)) {
     probe_declines_.Inc();
@@ -1034,10 +955,10 @@ std::optional<std::vector<PreId>> IndexManager::AttrValueProbe(
   }
   probes_.Inc();
   const Shard& shard = shards_[ShardOf(qn)];
-  const ShardSnapshot* snap = shard.snap.load(std::memory_order_acquire);
-  auto it = snap->attrs.find(qn);
-  if (it == snap->attrs.end()) return std::vector<PreId>{};
-  const AttrBucket& ab = *it->second;
+  const ShardData& d = shard.data;
+  auto it = d.attrs.find(qn);
+  if (it == d.attrs.end()) return std::vector<PreId>{};
+  const AttrBucket& ab = it->second;
   const uint64_t sepoch = structure_epoch_.load(std::memory_order_acquire);
   MemoKey mk;
   if (config_.memo_values) {
@@ -1091,7 +1012,7 @@ void IndexManager::NoteCrossCheckMismatch() const {
 }
 
 // ---------------------------------------------------------------------------
-// Cardinality statistics: lock-free stat reads off published snapshots
+// Cardinality statistics: stat reads off the shard buckets
 // ---------------------------------------------------------------------------
 
 int64_t IndexManager::HistEstimate(const NumericHistogram& h, xpath::CmpOp op,
@@ -1182,11 +1103,11 @@ IndexManager::KeyStats IndexManager::ChainStats(
   if (len == 1) {
     // Single tag: the qname posting length (degree-constraint input).
     const QnameId qn = chain[0];
-    const ShardSnapshot* snap = Snap(ShardOf(qn));
-    auto it = snap->postings.find(qn);
-    ks.count = it == snap->postings.end()
+    const ShardData& d = DataOf(qn);
+    auto it = d.postings.find(qn);
+    ks.count = it == d.postings.end()
                    ? 0
-                   : static_cast<int64_t>(it->second->nodes.size());
+                   : static_cast<int64_t>(it->second.nodes.size());
     ks.exact = true;
     ks.known = true;
     return ks;
@@ -1196,11 +1117,11 @@ IndexManager::KeyStats IndexManager::ChainStats(
   ChainKey key;
   key.len = static_cast<uint8_t>(len);
   for (size_t i = 0; i < len; ++i) key.qn[i] = chain[len - 1 - i];
-  const ShardSnapshot* snap = Snap(ShardOf(key.qn[0]));
-  auto it = snap->paths.find(key);
-  ks.count = it == snap->paths.end()
+  const ShardData& d = DataOf(key.qn[0]);
+  auto it = d.paths.find(key);
+  ks.count = it == d.paths.end()
                  ? 0
-                 : static_cast<int64_t>(it->second->nodes.size());
+                 : static_cast<int64_t>(it->second.nodes.size());
   ks.exact = true;
   ks.known = true;
   return ks;
@@ -1211,15 +1132,15 @@ IndexManager::KeyStats IndexManager::ValueStats(
   KeyStats ks;
   if (!config_.enabled || qn < 0) return ks;
   estimator_probes_.Inc();
-  const ShardSnapshot* snap = Snap(ShardOf(qn));
-  auto it = snap->values.find(qn);
-  if (it == snap->values.end()) {
+  const ShardData& d = DataOf(qn);
+  auto it = d.values.find(qn);
+  if (it == d.values.end()) {
     // No element carries this tag: zero, exactly.
     ks.known = true;
     ks.exact = true;
     return ks;
   }
-  const ValueBucket& vb = *it->second;
+  const ValueBucket& vb = it->second;
   ks = DictStats(vb.by_string, vb.by_number, vb.hist, op, literal);
   if (ks.known && !vb.complex_elems.empty()) {
     // Complex elements ride every candidate set (evaluated per node
@@ -1236,14 +1157,14 @@ IndexManager::KeyStats IndexManager::AttrStats(
   KeyStats ks;
   if (!config_.enabled || qn < 0) return ks;
   estimator_probes_.Inc();
-  const ShardSnapshot* snap = Snap(ShardOf(qn));
-  auto it = snap->attrs.find(qn);
-  if (it == snap->attrs.end()) {
+  const ShardData& d = DataOf(qn);
+  auto it = d.attrs.find(qn);
+  if (it == d.attrs.end()) {
     ks.known = true;
     ks.exact = true;
     return ks;
   }
-  const AttrBucket& ab = *it->second;
+  const AttrBucket& ab = it->second;
   if (any_value) {
     ks.count = static_cast<int64_t>(ab.owners.size());
     ks.exact = true;
@@ -1292,9 +1213,8 @@ IndexStats IndexManager::Stats() const {
       static_cast<int64_t>(publish_epoch_.load(std::memory_order_acquire));
   s.structure_epoch =
       static_cast<int64_t>(structure_epoch_.load(std::memory_order_acquire));
-  // Structure walk under writer_mu_: publication both swaps and
-  // reclaims snapshots, so Stats() must not chase the raw pointers
-  // concurrently with a writer.
+  // Structure walk under writer_mu_: writers mutate the buckets in
+  // place, so Stats() must not walk them concurrently with a writer.
   MutexLock lock(&writer_mu_);
   s.build_micros = build_micros_;
   s.maintenance_ops = maintenance_ops_;
@@ -1306,29 +1226,28 @@ IndexStats IndexManager::Stats() const {
              static_cast<int64_t>(st.value.size()) +
              static_cast<int64_t>(st.attrs.size()) * 48;
   }
-  for (const auto& owned : owned_snaps_) {
-    const ShardSnapshot& snap = *owned;
-    s.qname_keys += static_cast<int64_t>(snap.postings.size());
-    for (const auto& [qn, p] : snap.postings) {
-      s.postings_entries += static_cast<int64_t>(p->nodes.size());
-      bytes += static_cast<int64_t>(p->nodes.size()) * 8;
+  for (int i = 0; i < nshards_; ++i) {
+    const ShardData& d = shards_[i].data;
+    s.qname_keys += static_cast<int64_t>(d.postings.size());
+    for (const auto& [qn, p] : d.postings) {
+      s.postings_entries += static_cast<int64_t>(p.nodes.size());
+      bytes += static_cast<int64_t>(p.nodes.size()) * 8;
     }
-    for (const auto& [key, p] : snap.paths) {
+    for (const auto& [key, p] : d.paths) {
       if (key.len == 2) {
         s.path_keys += 1;
       } else {
         s.chain_keys += 1;
-        s.chain_postings += static_cast<int64_t>(p->nodes.size());
+        s.chain_postings += static_cast<int64_t>(p.nodes.size());
       }
-      bytes += static_cast<int64_t>(p->nodes.size()) * 8 +
+      bytes += static_cast<int64_t>(p.nodes.size()) * 8 +
                static_cast<int64_t>(sizeof(ChainKey));
     }
     // Every posting/path bucket is a stat key (its length IS its
     // cardinality stat); dictionary keys and owner lists join below.
-    s.stat_keys += static_cast<int64_t>(snap.postings.size()) +
-                   static_cast<int64_t>(snap.paths.size());
-    for (const auto& [qn, vbp] : snap.values) {
-      const ValueBucket& vb = *vbp;
+    s.stat_keys += static_cast<int64_t>(d.postings.size()) +
+                   static_cast<int64_t>(d.paths.size());
+    for (const auto& [qn, vb] : d.values) {
       s.value_keys += static_cast<int64_t>(vb.by_string.size());
       s.complex_entries += static_cast<int64_t>(vb.complex_elems.size());
       s.stat_keys += static_cast<int64_t>(vb.by_string.size());
@@ -1342,8 +1261,7 @@ IndexStats IndexManager::Stats() const {
       bytes += static_cast<int64_t>(vb.by_number.size()) * 48 +
                static_cast<int64_t>(vb.complex_elems.size()) * 8;
     }
-    for (const auto& [qn, abp] : snap.attrs) {
-      const AttrBucket& ab = *abp;
+    for (const auto& [qn, ab] : d.attrs) {
       s.attr_value_keys += static_cast<int64_t>(ab.by_string.size());
       s.stat_keys += static_cast<int64_t>(ab.by_string.size()) + 1;
       for (const int64_t c : ab.hist.counts) {

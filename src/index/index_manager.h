@@ -61,26 +61,26 @@
 // strict grammar, lexicographic otherwise. `!=` probes are declined
 // (anti-joins have no selectivity) and fall back to the scan path.
 //
-// Concurrency — sharded snapshot publication:
+// Concurrency — in-place maintenance under the commit window:
 //
 //   The key space is hash-sharded into `IndexConfig::shards` segments
-//   (by qname). Each shard publishes an immutable ShardSnapshot through
-//   an atomic pointer. Probes acquire-load the pointer and read the
-//   immutable structure with NO lock and NO reference-count traffic —
-//   concurrent probes never serialize on each other. Writers (Rebuild /
-//   ApplyDirty) run inside the database's exclusive commit window: they
-//   copy-on-write exactly the buckets the dirty set touches (untouched
-//   buckets stay structurally shared between consecutive snapshots,
-//   keeping their generation stamp), then swap the shard pointers
-//   (release) and reclaim the previous snapshots — safe because the
-//   exclusive window guarantees no probe is in flight. `publish_epoch`
-//   increases monotonically with every publication.
+//   (by qname); each shard owns its bucket maps and a memo table.
+//   Probes read the buckets with NO lock of the index's own and NO
+//   reference-count traffic, so concurrent probes never serialize on
+//   each other. That is safe because every probe runs under the
+//   database's shared (read) lock, and the only writers — Rebuild and
+//   ApplyDirty — run inside the exclusive commit window: ApplyDirty
+//   mutates exactly the buckets the dirty set touches, in place, so a
+//   commit costs O(edit), not O(bucket). Every touched postings/path
+//   bucket gets a fresh generation stamp from one monotone counter
+//   (value/attr dictionaries stamp the keys they touch), and
+//   `publish_epoch` increases monotonically with every commit.
 //
 //   LIFETIME CONTRACT: probes must run either under the database's
 //   shared (read) lock, or while no Rebuild/ApplyDirty can run (e.g.
 //   a quiescent index in tests and benchmarks). Pointers returned by
 //   ElementsByQname / PathPairProbe / PathChainProbe stay valid until
-//   the next publication.
+//   the next commit.
 //
 //   Pre materializations are memoized per shard in a lock-free side
 //   table: readers CAS-publish a new table version whose predecessor
@@ -94,7 +94,7 @@
 //   the postings bucket, the matching value-dictionary key for
 //   equality probes, the numeric sidecar for numeric-equality probes,
 //   or the whole dictionary for range probes — matches the current
-//   snapshot (catches content changes without pointer ABA) and (b) the
+//   buckets (catches content changes without pointer ABA) and (b) the
 //   structure epoch it was swizzled under is current (catches pre
 //   shifts). Value-only commits do not bump the structure epoch and
 //   generation stamps move only on the dictionary keys a commit
@@ -135,9 +135,10 @@ struct IndexConfig {
   /// divergence fails the query with Corruption. Bypasses the cost gate
   /// so tests exercise the index even on tiny documents.
   bool cross_check = false;
-  /// Snapshot shards (clamped to a power of two in [1, 256]). More
-  /// shards mean finer copy-on-write granularity at commit and less
-  /// false sharing between concurrent probes of different qnames.
+  /// Key-space shards (clamped to a power of two in [1, 256]), each
+  /// with its own memo table. More shards mean fewer memo-publication
+  /// CAS collisions and less false sharing between concurrent probes of
+  /// different qnames.
   int shards = 16;
   /// Memoize value/attribute probe materializations (pre vectors keyed
   /// by (qname, op, operand-class, operand)). Off = re-collect and
@@ -204,9 +205,9 @@ struct IndexStats {
   int64_t plan_hits = 0;         // queries served from a cached plan
   int64_t plan_misses = 0;       // cold compiles + epoch-invalidated
   int64_t plan_evictions = 0;    // LRU capacity evictions
-  // --- snapshot publication counters ---------------------------------
+  // --- publication counters ------------------------------------------
   int64_t shards = 0;            // configured shard count
-  int64_t publish_epoch = 0;     // snapshot publications, monotone
+  int64_t publish_epoch = 0;     // index publications, monotone
   int64_t structure_epoch = 0;   // publications that shifted pre ranks
 };
 
@@ -227,7 +228,7 @@ class IndexManager {
 
   /// Commit-time merge of a transaction's DeltaIndex overlay: each dirty
   /// node's entries are removed and re-derived against the *merged* base
-  /// store, into copy-on-write shard snapshots published at the end.
+  /// store, in place in the shards' buckets.
   /// Honors the overlay's per-node kind masks: kValue/kAttrs-only nodes
   /// refresh just their value/attribute entries, leaving postings and
   /// path buckets (and therefore their warm memo entries) untouched.
@@ -236,13 +237,14 @@ class IndexManager {
   void ApplyDirty(const storage::PagedStore& store, const DeltaIndex& delta);
 
   // --- probes (consulted by xpath::Evaluator) -------------------------
-  // Probes are lock-free: they acquire-load one shard snapshot and read
-  // only immutable state. Every probe returns an empty result handle
-  // (nullptr / std::nullopt / false) when the index declines (disabled,
-  // unsupported operator, or the cost gate chose the scan); the caller
-  // then evaluates by scanning. Returned lists are sorted, distinct pre
-  // lists valid for `store`'s current structure; returned pointers stay
-  // valid until the next publication (lifetime contract above).
+  // Probes take no lock of their own: they read one shard's buckets,
+  // which only the exclusive commit window mutates. Every probe returns
+  // an empty result handle (nullptr / std::nullopt / false) when the
+  // index declines (disabled, unsupported operator, or the cost gate
+  // chose the scan); the caller then evaluates by scanning. Returned
+  // lists are sorted, distinct pre lists valid for `store`'s current
+  // structure; returned pointers stay valid until the next commit
+  // (lifetime contract above).
 
   /// All elements tagged `qn`, in document order. `scan_cost` is the
   /// caller's estimate of the tuples a scan would visit.
@@ -299,8 +301,8 @@ class IndexManager {
       const std::string& literal, int64_t scan_cost) const;
 
   // --- cardinality statistics (consulted by CardinalityEstimator) -----
-  // Stat reads follow the probe pattern — acquire one shard snapshot,
-  // read immutable state, no lock — but never gate, never materialize,
+  // Stat reads follow the probe pattern — read one shard's buckets, no
+  // lock of the index's own — but never gate, never materialize,
   // and never touch the memo: they are O(1)-ish bookkeeping lookups the
   // compiler can afford on every compile. Each call bumps
   // `estimator_probes`.
@@ -327,7 +329,7 @@ class IndexManager {
   /// value), or owners whose attribute value satisfies (op, literal).
   KeyStats AttrStats(QnameId qn, bool any_value, xpath::CmpOp op,
                      const std::string& literal) const;
-  /// Snapshot-publication epoch: plans whose shape depended on stats
+  /// Publication epoch: plans whose shape depended on stats
   /// stamp this and recompile when it moves (see xpath::PlanCache).
   uint64_t stats_epoch() const {
     return publish_epoch_.load(std::memory_order_acquire);
@@ -429,12 +431,12 @@ class IndexManager {
     uint64_t gen = 0;
   };
   /// Equi-width histogram over a bucket's numeric sidecar, maintained
-  /// incrementally by the writer alongside the sidecar itself (fixed
-  /// size, so copy-on-write shares it by value). Bounds only widen:
-  /// an insert outside [lo, hi] re-derives bounds and counts from the
-  /// sidecar (rare — the sidecar is right there in the writer's hands),
-  /// a remove just decrements. Estimate-only: bucket counts are upper
-  /// bounds for equality, partial-bucket sums for ranges.
+  /// incrementally by the writer alongside the sidecar itself. Bounds
+  /// only widen: an insert outside [lo, hi] re-derives bounds and
+  /// counts from the sidecar (rare — the sidecar is right there in the
+  /// writer's hands), a remove just decrements. Estimate-only: bucket
+  /// counts are upper bounds for equality, partial-bucket sums for
+  /// ranges.
   struct NumericHistogram {
     static constexpr int kBuckets = 16;
     double lo = 0;
@@ -498,16 +500,14 @@ class IndexManager {
     std::vector<AttrState> attrs;
   };
 
-  /// One shard's published, immutable state. Buckets are held by
-  /// shared_ptr so consecutive snapshots share everything a commit did
-  /// not touch.
-  struct ShardSnapshot {
-    std::unordered_map<QnameId, std::shared_ptr<const Postings>> postings;
-    std::unordered_map<QnameId, std::shared_ptr<const ValueBucket>> values;
-    std::unordered_map<QnameId, std::shared_ptr<const AttrBucket>> attrs;
-    std::unordered_map<ChainKey, std::shared_ptr<const Postings>,
-                       ChainKeyHash>
-        paths;
+  /// One shard's buckets, mutated in place by the writer inside the
+  /// exclusive window. A bucket that empties drops its key, so probe
+  /// misses stay O(1) map lookups and memory is reclaimed.
+  struct ShardData {
+    std::unordered_map<QnameId, Postings> postings;
+    std::unordered_map<QnameId, ValueBucket> values;
+    std::unordered_map<QnameId, AttrBucket> attrs;
+    std::unordered_map<ChainKey, Postings, ChainKeyHash> paths;
   };
 
   /// Heterogeneous memo key: one namespace per probe family sharing the
@@ -553,7 +553,7 @@ class IndexManager {
 
   /// Memo of pre materializations. Entries are valid iff src_gen (and
   /// aux_gen for child-value entries) matches the generation of the
-  /// entry's source in the current snapshot AND structure_epoch is
+  /// entry's source in the current buckets AND structure_epoch is
   /// current; which generation is "the source" depends on the key (see
   /// the validation helpers in index_manager.cc). `candidates` is the
   /// gate input, cached so a warm probe can re-run the cost gate
@@ -599,7 +599,7 @@ class IndexManager {
   static constexpr size_t kValueMemoCapPerShard = 256;
 
   struct alignas(64) Shard {
-    std::atomic<const ShardSnapshot*> snap{nullptr};
+    ShardData data;
     mutable std::atomic<const MemoTable*> memo{nullptr};
   };
   /// The probe counters ARE the observability counters: obs::Counter is
@@ -608,37 +608,17 @@ class IndexManager {
   /// shares one primitive and RegisterMetrics needs no translation).
   using PaddedCounter = obs::Counter;
 
-  /// Writer-side copy-on-write staging for one publication.
-  struct ShardBuilder {
-    std::shared_ptr<ShardSnapshot> next;  // outer maps copied, buckets shared
-    std::unordered_map<QnameId, std::shared_ptr<Postings>> post;
-    std::unordered_map<QnameId, std::shared_ptr<ValueBucket>> val;
-    std::unordered_map<QnameId, std::shared_ptr<AttrBucket>> attr;
-    std::unordered_map<ChainKey, std::shared_ptr<Postings>, ChainKeyHash>
-        path;
-    bool touched = false;
-  };
-
   int ShardOf(QnameId qn) const {
     return static_cast<int>(static_cast<uint32_t>(qn) &
                             static_cast<uint32_t>(nshards_ - 1));
   }
-  const ShardSnapshot* Snap(int shard) const {
-    return shards_[shard].snap.load(std::memory_order_acquire);
+  ShardData& DataOf(QnameId qn) { return shards_[ShardOf(qn)].data; }
+  const ShardData& DataOf(QnameId qn) const {
+    return shards_[ShardOf(qn)].data;
   }
 
   // Writer helpers: REQUIRES(writer_mu_) — callers (Rebuild/ApplyDirty/
   // Stats) must hold the writer lock, and the analysis proves they do.
-  ShardBuilder& BuilderFor(std::vector<ShardBuilder>& bs, QnameId qn)
-      PXQ_REQUIRES(writer_mu_);
-  Postings* MutablePostings(std::vector<ShardBuilder>& bs, QnameId qn)
-      PXQ_REQUIRES(writer_mu_);
-  ValueBucket* MutableValues(std::vector<ShardBuilder>& bs, QnameId qn)
-      PXQ_REQUIRES(writer_mu_);
-  AttrBucket* MutableAttrs(std::vector<ShardBuilder>& bs, QnameId qn)
-      PXQ_REQUIRES(writer_mu_);
-  Postings* MutablePaths(std::vector<ShardBuilder>& bs, const ChainKey& key)
-      PXQ_REQUIRES(writer_mu_);
   // Value/attr entry maintenance, shared by the full node paths and the
   // granular kValue/kAttrs-only refreshes. Every dictionary/sidecar/
   // owner mutation stamps the touched generations from next_gen_.
@@ -647,29 +627,27 @@ class IndexManager {
       PXQ_REQUIRES(writer_mu_);
   void RemoveValueEntry(ValueBucket* vb, NodeId node, const NodeState& st)
       PXQ_REQUIRES(writer_mu_);
-  void AddAttrEntries(std::vector<ShardBuilder>& bs,
-                      const storage::PagedStore& store, NodeId node,
+  void AddAttrEntries(const storage::PagedStore& store, NodeId node,
                       NodeState* st) PXQ_REQUIRES(writer_mu_);
-  void RemoveAttrEntries(std::vector<ShardBuilder>& bs, NodeId node,
-                         const NodeState& st) PXQ_REQUIRES(writer_mu_);
-  void RemoveNode(std::vector<ShardBuilder>& bs, NodeId node)
+  void RemoveAttrEntries(NodeId node, const NodeState& st)
       PXQ_REQUIRES(writer_mu_);
-  void AddNode(std::vector<ShardBuilder>& bs, const storage::PagedStore& store,
-               NodeId node, PreId pre,
+  void RemoveNode(NodeId node) PXQ_REQUIRES(writer_mu_);
+  void AddNode(const storage::PagedStore& store, NodeId node, PreId pre,
                const std::array<QnameId, kMaxChainDepth - 1>& anc)
       PXQ_REQUIRES(writer_mu_);
   /// Insert/erase the node's chain keys (lengths 2..k) derived from
   /// (st.qn, st.anc) — the shared piece of full re-derivation and the
   /// granular kPath-only refresh.
-  void AddChainEntries(std::vector<ShardBuilder>& bs, NodeId node,
-                       const NodeState& st) PXQ_REQUIRES(writer_mu_);
-  void RemoveChainEntries(std::vector<ShardBuilder>& bs, NodeId node,
-                          const NodeState& st) PXQ_REQUIRES(writer_mu_);
+  void AddChainEntries(NodeId node, const NodeState& st)
+      PXQ_REQUIRES(writer_mu_);
+  void RemoveChainEntries(NodeId node, const NodeState& st)
+      PXQ_REQUIRES(writer_mu_);
   /// Nearest-ancestor tags of `pre` outward, -1-padded (store walk).
   std::array<QnameId, kMaxChainDepth - 1> AncTagsOf(
       const storage::PagedStore& store, PreId pre) const;
-  void Publish(std::vector<ShardBuilder>& bs, bool structural)
-      PXQ_REQUIRES(writer_mu_);
+  /// End of a Rebuild/ApplyDirty: prune the memo chains and bump the
+  /// epochs.
+  void Publish(bool structural) PXQ_REQUIRES(writer_mu_);
   void PruneMemos() PXQ_REQUIRES(writer_mu_);
 
   bool Gate(int64_t candidates, int64_t scan_cost) const;
@@ -706,8 +684,8 @@ class IndexManager {
                              const std::multimap<double, NodeId>& sidecar,
                              xpath::CmpOp op, const std::string& literal,
                              std::vector<NodeId>* out);
-  // Numeric-histogram maintenance (writer side; the bucket is already
-  // copy-on-write). Insert AFTER the sidecar insert — out-of-bounds
+  // Numeric-histogram maintenance (writer side, inside the exclusive
+  // window). Insert AFTER the sidecar insert — out-of-bounds
   // values widen the bounds and rebuild counts from the sidecar.
   static void HistInsert(NumericHistogram* h, double v,
                          const std::multimap<double, NodeId>& sidecar);
@@ -730,13 +708,9 @@ class IndexManager {
 
   /// Serializes writers (Rebuild vs direct test callers; commits are
   /// already exclusive) and guards the writer-only state below. Stats()
-  /// takes it too (it walks the owned snapshots); probes never do.
+  /// takes it too (it walks the buckets writers mutate); probes never
+  /// do.
   mutable Mutex writer_mu_;
-  /// Owning references for the raw pointers published in shards_;
-  /// replaced (and thereby reclaimed) at publication, when the
-  /// exclusive window guarantees no probe is in flight.
-  std::vector<std::shared_ptr<const ShardSnapshot>> owned_snaps_
-      PXQ_GUARDED_BY(writer_mu_);
   std::unordered_map<NodeId, NodeState> node_state_
       PXQ_GUARDED_BY(writer_mu_);
   uint64_t next_gen_ PXQ_GUARDED_BY(writer_mu_) = 0;

@@ -9,6 +9,19 @@ namespace pxq::storage {
 
 namespace {
 bool IsPowerOfTwo(int64_t v) { return v > 0 && (v & (v - 1)) == 0; }
+
+// Whether a store other than the caller still references `p`, i.e.
+// whether an in-place write must copy first. Base and clones share
+// pages and node/pos chunks and drop references from other threads
+// (a clone privatizing a page, a commit installing an image).
+// use_count() alone is a relaxed load: seeing 1 would not order the
+// dropping thread's earlier reads before our write. Copying the
+// pointer is an acq_rel reference-count RMW, which does.
+template <typename T>
+bool SharedWithOthers(const std::shared_ptr<T>& p) {
+  const std::shared_ptr<T> probe = p;
+  return probe.use_count() > 2;
+}
 int32_t Log2(int64_t v) {
   int32_t b = 0;
   while ((int64_t{1} << b) < v) ++b;
@@ -241,7 +254,7 @@ StatusOr<Page*> PagedStore::MutablePage(PageId phys) {
     MutexLock lock(&cow_mu_);
     owned = cow_pages_.count(phys) > 0;
   }
-  if (!owned && slot.use_count() > 1) {
+  if (!owned && SharedWithOthers(slot)) {
     slot = std::make_shared<Page>(*slot);  // copy-on-write
     {
       MutexLock lock(&cow_mu_);
@@ -305,7 +318,7 @@ void PagedStore::SetNodePos(NodeId node, PosId pos) {
         static_cast<size_t>(config_.page_tuples), kNullPos));
   }
   auto& slot = node_pos_pages_[pg];
-  if (slot.use_count() > 1) {
+  if (SharedWithOthers(slot)) {
     slot = std::make_shared<std::vector<PosId>>(*slot);  // COW
   }
   (*slot)[static_cast<size_t>(node & page_mask_)] = pos;
@@ -355,7 +368,7 @@ void PagedStore::WriteSizeRaw(PosId pos, int64_t size) {
     MutexLock lock(&cow_mu_);
     owned = cow_pages_.count(phys) > 0;
   }
-  if (!owned && slot.use_count() > 1) {
+  if (!owned && SharedWithOthers(slot)) {
     slot = std::make_shared<Page>(*slot);
     {
       MutexLock lock(&cow_mu_);

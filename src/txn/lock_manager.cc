@@ -16,10 +16,14 @@ Status PageLockManager::Acquire(TxnId owner, PageId page) {
     }
     if (it->second == owner) return Status::OK();  // re-entrant
     if (cv_.WaitUntil(lock, deadline) == std::cv_status::timeout) {
+      // The wait may have outlived the holder: `it` can be erased, so
+      // look the page up again (and take it if it is free now).
+      auto holder = owner_of_.find(page);
+      if (holder == owner_of_.end()) continue;
       return Status::Conflict(StrFormat(
           "page %lld is write-locked by txn %llu (deadlock timeout)",
           static_cast<long long>(page),
-          static_cast<unsigned long long>(it->second)));
+          static_cast<unsigned long long>(holder->second)));
     }
   }
 }

@@ -1,7 +1,6 @@
 #include "txn/txn_manager.h"
 
 #include <algorithm>
-#include <set>
 
 #include "index/index_manager.h"
 
@@ -21,7 +20,8 @@ TransactionManager::TransactionManager(std::shared_ptr<PagedStore> base,
       options_(std::move(options)),
       global_(options_.reader_slots),
       page_locks_(options_.lock_timeout),
-      commit_lsn_(options_.start_lsn) {}
+      commit_lsn_(options_.start_lsn),
+      pool_mark_(base_->pools().Sizes()) {}
 
 StatusOr<std::unique_ptr<TransactionManager>> TransactionManager::Create(
     std::shared_ptr<PagedStore> base, TxnOptions options) {
@@ -33,8 +33,21 @@ StatusOr<std::unique_ptr<TransactionManager>> TransactionManager::Create(
   return mgr;
 }
 
-StatusOr<std::unique_ptr<Transaction>> TransactionManager::Begin() {
+StatusOr<std::unique_ptr<Transaction>> TransactionManager::Begin(
+    PageId contested) {
   TxnId id = next_txn_id_.fetch_add(1);
+  if (contested >= 0) {
+    // The page lock is released only after the holder's commit applied,
+    // so the snapshot below includes it. Holding nothing else, this
+    // wait cannot deadlock; a timeout just forgoes the head start.
+    page_locks_.Acquire(id, contested).ok();
+  }
+  {
+    // Wait out an in-flight commit batch: its records may already be
+    // durable, so a snapshot taken before it applies starts stale, and
+    // writes to its pages would conflict at the first page write.
+    MutexLock wait(&commit_mu_);
+  }
   uint64_t snapshot;
   std::unique_ptr<PagedStore> clone;
   {
@@ -48,8 +61,8 @@ StatusOr<std::unique_ptr<Transaction>> TransactionManager::Begin() {
     MutexLock lock(&meta_mu_);
     active_snapshots_[id] = snapshot;
   }
-  auto txn = std::unique_ptr<Transaction>(new Transaction(
-      this, id, snapshot, std::move(clone), base_->pools().Sizes()));
+  auto txn = std::unique_ptr<Transaction>(
+      new Transaction(this, id, snapshot, std::move(clone)));
   Transaction* raw = txn.get();
   txn->clone_->AttachOpLog(&txn->oplog_, [this, raw](PageId page) {
     return OnFirstPageWrite(raw, page);
@@ -66,6 +79,7 @@ Status TransactionManager::OnFirstPageWrite(Transaction* txn, PageId page) {
   Status s = page_locks_.Acquire(txn->id(), page);
   if (!s.ok()) {
     txn->poisoned_ = s;
+    txn->contested_page_ = page;
     return s;
   }
   // First-updater-wins: a page structurally committed after our snapshot
@@ -75,6 +89,7 @@ Status TransactionManager::OnFirstPageWrite(Transaction* txn, PageId page) {
   if (it != page_version_.end() && it->second > txn->snapshot_lsn()) {
     txn->poisoned_ = Status::Conflict(
         "page was structurally modified by a newer commit");
+    txn->contested_page_ = page;
     return txn->poisoned_;
   }
   return Status::OK();
@@ -99,46 +114,9 @@ Status TransactionManager::CommitInternal(Transaction* txn) {
     }
   }
 
-  // Capture exactly the pool entries the oplog references (page tuples
-  // and attribute ops) so recovery can resolve every id. A range capture
-  // would miss entries first interned by a concurrent transaction that
-  // aborted (deduplicating pools hand out such ids); logging referenced
-  // entries is complete and idempotent across records.
+  // Without a WAL nothing is logged, so there is nothing to capture.
   std::vector<PoolDelta> pool_delta;
-  {
-    std::set<std::pair<int, int32_t>> refs;
-    auto add_page = [&](const storage::Page& pg) {
-      for (size_t i = 0; i < pg.level.size(); ++i) {
-        if (pg.level[i] == kNullLevel || pg.ref[i] < 0) continue;
-        switch (static_cast<NodeKind>(pg.kind[i])) {
-          case NodeKind::kElement:
-            refs.emplace(0 /*kQname*/, pg.ref[i]);
-            break;
-          case NodeKind::kText:
-            refs.emplace(1 /*kText*/, pg.ref[i]);
-            break;
-          case NodeKind::kComment:
-            refs.emplace(2 /*kComment*/, pg.ref[i]);
-            break;
-          case NodeKind::kPi:
-            refs.emplace(3 /*kPi*/, pg.ref[i]);
-            break;
-          default:
-            break;
-        }
-      }
-    };
-    for (const auto& pi : txn->oplog_.page_images) add_page(*pi.image);
-    for (const auto& pa : txn->oplog_.page_appends) add_page(*pa.image);
-    for (const auto& op : txn->oplog_.attr_ops) {
-      if (op.qname >= 0) refs.emplace(0 /*kQname*/, op.qname);
-      if (op.prop >= 0) refs.emplace(4 /*kProp*/, op.prop);
-    }
-    for (const auto& [kind, id] : refs) {
-      auto pk = static_cast<ContentPools::PoolKind>(kind);
-      pool_delta.push_back({pk, id, base_->pools().Entry(pk, id)});
-    }
-  }
+  if (wal_ != nullptr) pool_delta = CapturePoolDelta(*txn);
 
   // Group commit: take a seat in the queue. Whoever finds no leader
   // becomes one and commits batches until the queue drains; everyone
@@ -185,19 +163,66 @@ Status TransactionManager::CommitInternal(Transaction* txn) {
   return req.result;
 }
 
+std::vector<PoolDelta> TransactionManager::CapturePoolDelta(
+    const Transaction& txn) {
+  // Log exactly the pool entries the oplog references (page tuples and
+  // attribute ops) that the last snapshot may lack: ids at or above the
+  // watermark. A range capture would miss entries first interned by a
+  // concurrent transaction that aborted (deduplicating pools hand out
+  // such ids); logging referenced entries is complete and idempotent
+  // across records. A watermark read before a concurrent checkpoint
+  // moves it only logs more than needed.
+  ContentPools::PoolSizes mark;
+  {
+    MutexLock lock(&meta_mu_);
+    mark = pool_mark_;
+  }
+  using Kind = ContentPools::PoolKind;
+  std::vector<std::pair<Kind, int32_t>> refs;
+  const auto add = [&](Kind kind, int32_t id) {
+    if (id >= mark.sizes[static_cast<int>(kind)]) refs.emplace_back(kind, id);
+  };
+  const auto add_page = [&](const storage::Page& pg) {
+    for (size_t i = 0; i < pg.level.size(); ++i) {
+      if (pg.level[i] == kNullLevel || pg.ref[i] < 0) continue;
+      switch (static_cast<NodeKind>(pg.kind[i])) {
+        case NodeKind::kElement: add(Kind::kQname, pg.ref[i]); break;
+        case NodeKind::kText: add(Kind::kText, pg.ref[i]); break;
+        case NodeKind::kComment: add(Kind::kComment, pg.ref[i]); break;
+        case NodeKind::kPi: add(Kind::kPi, pg.ref[i]); break;
+        default: break;
+      }
+    }
+  };
+  for (const auto& pi : txn.oplog_.page_images) add_page(*pi.image);
+  for (const auto& pa : txn.oplog_.page_appends) add_page(*pa.image);
+  for (const auto& op : txn.oplog_.attr_ops) {
+    if (op.qname >= 0) add(Kind::kQname, op.qname);
+    if (op.prop >= 0) add(Kind::kProp, op.prop);
+  }
+  std::sort(refs.begin(), refs.end());
+  refs.erase(std::unique(refs.begin(), refs.end()), refs.end());
+  std::vector<PoolDelta> out;
+  out.reserve(refs.size());
+  for (const auto& [kind, id] : refs) {
+    out.push_back({kind, id, base_->pools().Entry(kind, id)});
+  }
+  return out;
+}
+
 void TransactionManager::CommitBatch(
     const std::vector<PendingCommit*>& batch) {
-  global_.LockExclusive();
-  // Commit-window latency: everything readers are locked out for (WAL
-  // append + replay + size resolution + index publish), once per batch.
-  const auto window_t0 = std::chrono::steady_clock::now();
+  MutexLock commit_lock(&commit_mu_);
   const uint64_t base_lsn = commit_lsn_.load();
 
   // Atomicity: the batch's single fsynced WAL append is the commit
   // point for every member (the paper's single-I/O commit, amortized
-  // across the group). Page locks held until EndTransaction guarantee
-  // members touch disjoint pages, so applying them back to back inside
-  // one window is equivalent to consecutive solo windows.
+  // across the group). It runs before the exclusive window, so readers
+  // keep going through the fsync; the commit mutex keeps Checkpoint
+  // from resetting the WAL until the batch has applied. Page locks
+  // held until EndTransaction guarantee members touch disjoint pages,
+  // so applying them back to back inside one window is equivalent to
+  // consecutive solo windows.
   if (wal_ != nullptr) {
     std::vector<Wal::BatchEntry> entries;
     entries.reserve(batch.size());
@@ -208,15 +233,21 @@ void TransactionManager::CommitBatch(
     }
     Status s = wal_->AppendBatch(entries);
     if (!s.ok()) {
-      global_.UnlockExclusive();
       for (PendingCommit* r : batch) {
         r->result = Status::Aborted("WAL append failed: " + s.ToString());
         EndTransaction(r->txn);
       }
       return;
     }
+    for (PendingCommit* r : batch) {
+      pool_delta_entries_.Inc(static_cast<int64_t>(r->pool_delta->size()));
+    }
   }
 
+  global_.LockExclusive();
+  // Commit-window latency: everything readers are locked out for
+  // (replay + size resolution + index maintenance), once per batch.
+  const auto window_t0 = std::chrono::steady_clock::now();
   group_commits_.Inc();
   commits_per_group_.Record(static_cast<int64_t>(batch.size()));
 
@@ -233,6 +264,7 @@ void TransactionManager::CommitBatch(
 }
 
 Status TransactionManager::ApplyCommitLocked(Transaction* txn, uint64_t lsn) {
+  const auto replay_t0 = std::chrono::steady_clock::now();
   std::vector<PageId> installed;
   Status s = base_->ReplayOpLog(txn->oplog_, &installed);
   if (!s.ok()) {
@@ -262,6 +294,10 @@ Status TransactionManager::ApplyCommitLocked(Transaction* txn, uint64_t lsn) {
     if (!s.ok()) {
       return Status::Corruption("size resolution failed: " + s.ToString());
     }
+    commit_replay_ns_.Record(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - replay_t0)
+            .count());
     for (PageId p : installed) page_version_[p] = lsn;
     for (NodeId n : txn->oplog_.size_claims) {
       committed_claims_.push_back({lsn, n});
@@ -278,11 +314,10 @@ Status TransactionManager::ApplyCommitLocked(Transaction* txn, uint64_t lsn) {
   }
 
   // Secondary-index merge: re-derive every dirty node against the now
-  // fully merged base structure (replayed oplog + resolved sizes) into
-  // copy-on-write shard snapshots, so concurrent commits converge
-  // regardless of order. Still inside the exclusive window — readers
-  // never see a store/index mismatch; they observe the swap through the
-  // shard snapshot pointers. The overlay's structural flag tells the
+  // fully merged base structure (replayed oplog + resolved sizes), in
+  // place, so concurrent commits converge regardless of order. Still
+  // inside the exclusive window — readers never see a store/index
+  // mismatch. The overlay's structural flag tells the
   // index whether pre ranks shifted (memo invalidation granularity).
   // Every non-commit exit (poisoned, validation, WAL failure, Abort)
   // ends the transaction WITHOUT this call: the overlay dies with the
@@ -303,6 +338,7 @@ void TransactionManager::EndTransaction(Transaction* txn) {
 
 void TransactionManager::RegisterMetrics(obs::MetricsRegistry* reg) const {
   reg->RegisterHistogram("pxq_commit_window_ns", &commit_window_ns_);
+  reg->RegisterHistogram("pxq_commit_replay_ns", &commit_replay_ns_);
   reg->RegisterHistogram("pxq_checkpoint_ns", &checkpoint_ns_);
   reg->RegisterHistogram("pxq_lock_reader_wait_ns",
                          &global_.reader_wait_hist());
@@ -325,12 +361,15 @@ void TransactionManager::RegisterMetrics(obs::MetricsRegistry* reg) const {
     reg->RegisterHistogram("pxq_wal_append_ns", &wal_->append_hist());
     reg->RegisterCounter("pxq_wal_appended_bytes_total",
                          &wal_->appended_bytes());
+    reg->RegisterCounter("pxq_wal_pool_delta_entries_total",
+                         &pool_delta_entries_);
     reg->RegisterCallback("pxq_wal_commits",
                           [this] { return wal_->commit_count(); });
   }
 }
 
 Status TransactionManager::Checkpoint(const std::string& snapshot_path) {
+  MutexLock commit_lock(&commit_mu_);
   global_.LockExclusive();
   const auto t0 = std::chrono::steady_clock::now();
   Status s = CheckpointLocked(snapshot_path);
@@ -362,8 +401,18 @@ Status TransactionManager::CheckpointLocked(
   // SaveSnapshot's rename is durable. Failing between the two leaves
   // snapshot(last_lsn) + the old WAL — recovery skips the absorbed
   // records by LSN.
+  //
+  // The watermark: pools are append-only, so every entry below the
+  // sizes read BEFORE the save is in the snapshot (transactions keep
+  // interning concurrently). It moves only once the save succeeded — a
+  // failed save leaves the old snapshot, which lacks those entries.
+  const ContentPools::PoolSizes mark = base_->pools().Sizes();
   PXQ_RETURN_IF_ERROR(
       base_->SaveSnapshot(snapshot_path, commit_lsn_.load(), claims));
+  {
+    MutexLock lock(&meta_mu_);
+    pool_mark_ = mark;
+  }
   if (wal_ != nullptr) PXQ_RETURN_IF_ERROR(wal_->Reset());
   return Status::OK();
 }
@@ -417,13 +466,11 @@ StatusOr<TransactionManager::RecoveryResult> TransactionManager::Recover(
 
 Transaction::Transaction(TransactionManager* mgr, TxnId id,
                          uint64_t snapshot_lsn,
-                         std::unique_ptr<PagedStore> clone,
-                         ContentPools::PoolSizes pool_begin)
+                         std::unique_ptr<PagedStore> clone)
     : mgr_(mgr),
       id_(id),
       snapshot_lsn_(snapshot_lsn),
-      clone_(std::move(clone)),
-      pool_begin_(pool_begin) {}
+      clone_(std::move(clone)) {}
 
 Transaction::~Transaction() {
   if (!finished_) Abort().ok();

@@ -8,10 +8,11 @@
 //       clone's private page table;
 //     - ancestor size updates are captured as commutative deltas, never
 //       locking the ancestors' pages (no root bottleneck);
-//     - commit: take the global write lock, append ONE fsynced WAL
-//       record, replay the oplog onto the base, fix up foreign size
-//       deltas committed since this transaction's snapshot, bump page
-//       versions, release locks.
+//     - commit: append ONE fsynced WAL record (before the exclusive
+//       window, so readers keep running through the fsync), then take
+//       the global write lock, replay the oplog onto the base, fix up
+//       foreign size deltas committed since this transaction's
+//       snapshot, bump page versions, release locks.
 //
 // Concurrency control is page-level snapshot isolation with
 // first-updater-wins: structurally touching a page whose version is
@@ -79,12 +80,22 @@ class Transaction;
 
 class TransactionManager {
  public:
-  /// The manager takes shared ownership of the base store.
+  /// The manager takes shared ownership of the base store. With a WAL,
+  /// every pool entry `base` holds at this point must already be
+  /// recoverable — in the snapshot the WAL replays onto, or in a record
+  /// of that WAL — because commits log only entries interned after it
+  /// (the pool-delta watermark; see Checkpoint).
   static StatusOr<std::unique_ptr<TransactionManager>> Create(
       std::shared_ptr<storage::PagedStore> base, TxnOptions options = {});
 
-  /// Start a write transaction.
-  StatusOr<std::unique_ptr<Transaction>> Begin();
+  /// Start a write transaction, once any commit batch in flight (or a
+  /// running checkpoint) has finished. `contested` names a page an
+  /// earlier attempt lost on (Transaction::contested_page()): Begin
+  /// first waits for and takes that page's lock, so the new snapshot
+  /// includes the winner's commit and no rival commits over the page
+  /// before this transaction ends. A wait that times out starts the
+  /// transaction without the lock.
+  StatusOr<std::unique_ptr<Transaction>> Begin(PageId contested = -1);
 
   /// Run a read-only function under the global shared lock:
   /// fn(const storage::PagedStore&).
@@ -95,9 +106,12 @@ class TransactionManager {
   }
 
   /// Write a checkpoint snapshot and truncate the WAL (quiesces writers
-  /// via the global exclusive lock — the whole store serializes inside
-  /// one exclusive window, so checkpoint duration is a full write AND
-  /// read stall; pxq_checkpoint_ns measures it). Crash-atomic: the
+  /// via the commit mutex and the global exclusive lock — the whole
+  /// store serializes inside one exclusive window, so checkpoint
+  /// duration is a full write AND read stall; pxq_checkpoint_ns
+  /// measures it). The pool sizes taken just before the save become
+  /// the pool-delta watermark once the save succeeds: later commit
+  /// records log only pool entries at or above it. Crash-atomic: the
   /// snapshot replaces the previous one only via tmp + fsync + rename,
   /// and the WAL truncates only after the rename is durable — a crash
   /// at any step recovers either the old checkpoint + full WAL or the
@@ -141,9 +155,9 @@ class TransactionManager {
   GlobalLock::Stats lock_stats() const { return global_.stats(); }
 
   /// Latency of the exclusive commit window (ns from LockExclusive to
-  /// UnlockExclusive on successful commits: WAL append + oplog replay +
-  /// size resolution + index publish). One record per BATCH under group
-  /// commit.
+  /// UnlockExclusive on successful commits: oplog replay + size
+  /// resolution + index maintenance; the WAL append runs before the
+  /// window). One record per BATCH under group commit.
   const obs::Histogram& commit_window_hist() const {
     return commit_window_ns_;
   }
@@ -176,24 +190,29 @@ class TransactionManager {
 
   Status OnFirstPageWrite(Transaction* txn, PageId page);
   Status CommitInternal(Transaction* txn);
-  /// Commit a whole batch inside ONE exclusive window: a single
-  /// AppendBatch fsync, then per-member replay/size/index application
-  /// in batch order. Fills each member's result and ends its
-  /// transaction.
+  /// The pool entries `txn`'s oplog references at or above the
+  /// watermark, sorted by (pool, id) and distinct — what recovery needs
+  /// on top of the last snapshot to resolve every id the record uses.
+  std::vector<PoolDelta> CapturePoolDelta(const Transaction& txn)
+      PXQ_EXCLUDES(meta_mu_);
+  /// Commit a whole batch under the commit mutex: a single AppendBatch
+  /// fsync before the exclusive window, then per-member
+  /// replay/size/index application in batch order inside ONE window.
+  /// Fills each member's result and ends its transaction.
   void CommitBatch(const std::vector<PendingCommit*>& batch)
-      PXQ_EXCLUDES(gc_mu_);
+      PXQ_EXCLUDES(gc_mu_, commit_mu_);
   /// Apply one member onto the base (oplog replay, size resolution,
   /// page versions, index merge, commit_lsn). Exclusive window only.
   Status ApplyCommitLocked(Transaction* txn, uint64_t lsn)
       PXQ_REQUIRES(global_);
-  /// The checkpoint protocol body (snapshot with LSN state, then WAL
-  /// reset). The annotation is the satellite contract: SaveSnapshot
-  /// reads the whole base and Wal::Reset rewrites commit_count_, both
-  /// legal only while the exclusive window shuts out every reader,
-  /// writer, and Begin() — the analysis rejects any caller that has
-  /// not taken global_ exclusively.
+  /// The checkpoint protocol body (snapshot with LSN state, watermark,
+  /// then WAL reset). SaveSnapshot reads the whole base, legal only
+  /// while the exclusive window shuts out every reader, writer, and
+  /// Begin(); Wal::Reset must not run between a commit's WAL append and
+  /// its apply, which the commit mutex excludes — the analysis rejects
+  /// any caller that has not taken both.
   Status CheckpointLocked(const std::string& snapshot_path)
-      PXQ_REQUIRES(global_);
+      PXQ_REQUIRES(global_, commit_mu_);
   void EndTransaction(Transaction* txn);
 
   std::shared_ptr<storage::PagedStore> base_;
@@ -205,13 +224,26 @@ class TransactionManager {
   std::atomic<TxnId> next_txn_id_{1};
   std::atomic<uint64_t> commit_lsn_{0};
   obs::Histogram commit_window_ns_;
+  // Oplog replay + size resolution per committed member: the window's
+  // share besides index maintenance.
+  obs::Histogram commit_replay_ns_;
   obs::Histogram checkpoint_ns_;
+  obs::Counter pool_delta_entries_;
+
+  // Held by the group-commit leader from a batch's WAL append through
+  // its apply, and by Checkpoint: a checkpoint therefore never resets
+  // the WAL between a record's fsync and its apply (the record would
+  // vanish while the snapshot lacks the commit). Acquired before the
+  // GlobalLock, never inside it; only the leader writes commit_lsn_,
+  // so the batch's LSNs read under it are stable.
+  Mutex commit_mu_;
 
   // Group commit: committers enqueue their PendingCommit; the first one
   // to find no leader becomes the leader and drains the queue in
-  // batches, each batch committed under one exclusive window with one
-  // WAL fsync. gc_mu_ is never held across CommitBatch — it sits
-  // OUTSIDE the GlobalLock in the hierarchy and nests nothing.
+  // batches, each batch committed with one WAL fsync and under one
+  // exclusive window. gc_mu_ is never held across CommitBatch — it sits
+  // OUTSIDE the commit mutex and the GlobalLock in the hierarchy and
+  // nests nothing.
   Mutex gc_mu_;
   CondVar gc_cv_;
   std::vector<PendingCommit*> gc_queue_ PXQ_GUARDED_BY(gc_mu_);
@@ -230,6 +262,10 @@ class TransactionManager {
   std::deque<CommittedClaim> committed_claims_ PXQ_GUARDED_BY(meta_mu_);
   std::unordered_map<TxnId, uint64_t> active_snapshots_
       PXQ_GUARDED_BY(meta_mu_);
+  // Pool sizes at the last snapshot save (construction, or a successful
+  // checkpoint's SaveSnapshot): every entry below them is in the
+  // snapshot recovery starts from.
+  storage::ContentPools::PoolSizes pool_mark_ PXQ_GUARDED_BY(meta_mu_);
 };
 
 /// A single write transaction. Work against store() (read-your-writes);
@@ -247,6 +283,9 @@ class Transaction {
   TxnId id() const { return id_; }
   uint64_t snapshot_lsn() const { return snapshot_lsn_; }
   bool finished() const { return finished_; }
+  /// The page whose lock wait or version check failed this transaction
+  /// (-1 when none): pass it to TransactionManager::Begin for the retry.
+  PageId contested_page() const { return contested_page_; }
 
   /// Figure 8's commit sequence. On Conflict/Aborted the transaction is
   /// rolled back and may be retried from a fresh Begin().
@@ -256,8 +295,7 @@ class Transaction {
  private:
   friend class TransactionManager;
   Transaction(TransactionManager* mgr, TxnId id, uint64_t snapshot_lsn,
-              std::unique_ptr<storage::PagedStore> clone,
-              storage::ContentPools::PoolSizes pool_begin);
+              std::unique_ptr<storage::PagedStore> clone);
 
   TransactionManager* mgr_;
   TxnId id_;
@@ -265,9 +303,9 @@ class Transaction {
   std::unique_ptr<storage::PagedStore> clone_;
   storage::OpLog oplog_;
   index::DeltaIndex idx_delta_;
-  storage::ContentPools::PoolSizes pool_begin_;
   bool finished_ = false;
   Status poisoned_ = Status::OK();  // set when a page hook failed
+  PageId contested_page_ = -1;      // the page the hook failed on
 };
 
 }  // namespace pxq::txn

@@ -1,7 +1,9 @@
 #include "txn/wal.h"
 
+#include <bit>
 #include <chrono>
 #include <cstring>
+#include <type_traits>
 
 #include "common/io_file.h"
 #include "common/strings.h"
@@ -25,6 +27,21 @@ void PutI64(std::string* b, int64_t v) { PutU64(b, static_cast<uint64_t>(v)); }
 void PutStr(std::string* b, const std::string& s) {
   PutU32(b, static_cast<uint32_t>(s.size()));
   b->append(s);
+}
+// A whole column as little-endian values: one byte run on a
+// little-endian host, byte by byte elsewhere.
+template <typename T>
+void PutColumn(std::string* b, const std::vector<T>& v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    b->append(reinterpret_cast<const char*>(v.data()), v.size() * sizeof(T));
+  } else {
+    for (T x : v) {
+      const auto u = static_cast<std::make_unsigned_t<T>>(x);
+      for (size_t i = 0; i < sizeof(T); ++i) {
+        b->push_back(static_cast<char>(u >> (8 * i)));
+      }
+    }
+  }
 }
 
 class Reader {
@@ -68,11 +85,36 @@ class Reader {
   }
   bool Str(std::string* s) {
     uint32_t n;
-    if (!U32(&n) || pos_ + n > size_) return false;
+    return U32(&n) && Bytes(n, s);
+  }
+  bool Bytes(uint64_t n, std::string* s) {
+    if (n > size_ - pos_) return false;
     s->assign(data_ + pos_, n);
     pos_ += n;
     return true;
   }
+  // Inverse of PutColumn: fills all of `v`.
+  template <typename T>
+  bool Column(std::vector<T>* v) {
+    const size_t n = v->size() * sizeof(T);
+    if (n > size_ - pos_) return false;
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(v->data(), data_ + pos_, n);
+      pos_ += n;
+    } else {
+      for (T& x : *v) {
+        std::make_unsigned_t<T> u = 0;
+        for (size_t i = 0; i < sizeof(T); ++i) {
+          u |= static_cast<std::make_unsigned_t<T>>(
+                   static_cast<unsigned char>(data_[pos_++]))
+               << (8 * i);
+        }
+        x = static_cast<T>(u);
+      }
+    }
+    return true;
+  }
+
   bool done() const { return pos_ == size_; }
 
  private:
@@ -81,10 +123,10 @@ class Reader {
   size_t pos_ = 0;
 };
 
-uint64_t Fnv(const std::string& s) {
+uint64_t Fnv(const char* data, size_t n) {
   uint64_t h = 1469598103934665603ULL;
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
+  for (size_t i = 0; i < n; ++i) {
+    h ^= static_cast<unsigned char>(data[i]);
     h *= 1099511628211ULL;
   }
   return h;
@@ -93,11 +135,11 @@ uint64_t Fnv(const std::string& s) {
 void PutPage(std::string* b, const storage::Page& pg) {
   PutI32(b, pg.used);
   PutU32(b, static_cast<uint32_t>(pg.size.size()));
-  for (int64_t v : pg.size) PutI64(b, v);
-  for (int32_t v : pg.level) PutI32(b, v);
-  for (uint8_t v : pg.kind) PutU8(b, v);
-  for (int32_t v : pg.ref) PutI32(b, v);
-  for (int64_t v : pg.node) PutI64(b, v);
+  PutColumn(b, pg.size);
+  PutColumn(b, pg.level);
+  PutColumn(b, pg.kind);
+  PutColumn(b, pg.ref);
+  PutColumn(b, pg.node);
 }
 
 bool ReadPage(Reader* r, int32_t page_tuples,
@@ -108,68 +150,57 @@ bool ReadPage(Reader* r, int32_t page_tuples,
   if (cap != static_cast<uint32_t>(page_tuples)) return false;
   auto pg = std::make_shared<storage::Page>(page_tuples);
   pg->used = used;
-  for (auto& v : pg->size) {
-    if (!r->I64(&v)) return false;
-  }
-  for (auto& v : pg->level) {
-    if (!r->I32(&v)) return false;
-  }
-  for (auto& v : pg->kind) {
-    if (!r->U8(&v)) return false;
-  }
-  for (auto& v : pg->ref) {
-    if (!r->I32(&v)) return false;
-  }
-  for (auto& v : pg->node) {
-    if (!r->I64(&v)) return false;
+  if (!r->Column(&pg->size) || !r->Column(&pg->level) ||
+      !r->Column(&pg->kind) || !r->Column(&pg->ref) || !r->Column(&pg->node)) {
+    return false;
   }
   *out = std::move(pg);
   return true;
 }
 
-std::string SerializePayload(const storage::OpLog& log,
-                             const std::vector<PoolDelta>& pool_delta) {
-  std::string b;
-  PutU32(&b, static_cast<uint32_t>(pool_delta.size()));
+// Appends the payload to `b` (no intermediate string: page images are
+// most of a record).
+void PutPayload(std::string* b, const storage::OpLog& log,
+                const std::vector<PoolDelta>& pool_delta) {
+  PutU32(b, static_cast<uint32_t>(pool_delta.size()));
   for (const PoolDelta& d : pool_delta) {
-    PutU8(&b, static_cast<uint8_t>(d.kind));
-    PutI32(&b, d.id);
-    PutStr(&b, d.value);
+    PutU8(b, static_cast<uint8_t>(d.kind));
+    PutI32(b, d.id);
+    PutStr(b, d.value);
   }
-  PutU32(&b, static_cast<uint32_t>(log.page_images.size()));
+  PutU32(b, static_cast<uint32_t>(log.page_images.size()));
   for (const auto& pi : log.page_images) {
-    PutI64(&b, pi.phys);
-    PutPage(&b, *pi.image);
+    PutI64(b, pi.phys);
+    PutPage(b, *pi.image);
   }
-  PutU32(&b, static_cast<uint32_t>(log.page_appends.size()));
+  PutU32(b, static_cast<uint32_t>(log.page_appends.size()));
   for (const auto& pa : log.page_appends) {
-    PutI64(&b, pa.clone_phys);
-    PutPage(&b, *pa.image);
+    PutI64(b, pa.clone_phys);
+    PutPage(b, *pa.image);
   }
-  PutU32(&b, static_cast<uint32_t>(log.logical_inserts.size()));
+  PutU32(b, static_cast<uint32_t>(log.logical_inserts.size()));
   for (const auto& li : log.logical_inserts) {
-    PutI64(&b, li.clone_phys);
-    PutI64(&b, li.anchor_phys);
+    PutI64(b, li.clone_phys);
+    PutI64(b, li.anchor_phys);
   }
-  PutU32(&b, static_cast<uint32_t>(log.node_pos_sets.size()));
+  PutU32(b, static_cast<uint32_t>(log.node_pos_sets.size()));
   for (const auto& np : log.node_pos_sets) {
-    PutI64(&b, np.node);
-    PutI64(&b, np.clone_phys);
-    PutI32(&b, np.offset);
+    PutI64(b, np.node);
+    PutI64(b, np.clone_phys);
+    PutI32(b, np.offset);
   }
-  PutU32(&b, static_cast<uint32_t>(log.size_claims.size()));
-  for (NodeId n : log.size_claims) PutI64(&b, n);
-  PutU32(&b, static_cast<uint32_t>(log.attr_ops.size()));
+  PutU32(b, static_cast<uint32_t>(log.size_claims.size()));
+  for (NodeId n : log.size_claims) PutI64(b, n);
+  PutU32(b, static_cast<uint32_t>(log.attr_ops.size()));
   for (const auto& op : log.attr_ops) {
-    PutU8(&b, static_cast<uint8_t>(op.kind));
-    PutI64(&b, op.owner);
-    PutI32(&b, op.qname);
-    PutI32(&b, op.prop);
+    PutU8(b, static_cast<uint8_t>(op.kind));
+    PutI64(b, op.owner);
+    PutI32(b, op.qname);
+    PutI32(b, op.prop);
   }
-  PutU32(&b, static_cast<uint32_t>(log.freed_nodes.size()));
-  for (NodeId n : log.freed_nodes) PutI64(&b, n);
-  PutI64(&b, log.used_delta);
-  return b;
+  PutU32(b, static_cast<uint32_t>(log.freed_nodes.size()));
+  for (NodeId n : log.freed_nodes) PutI64(b, n);
+  PutI64(b, log.used_delta);
 }
 
 bool DeserializePayload(const std::string& payload, int32_t page_tuples,
@@ -260,14 +291,20 @@ Status Wal::AppendBatch(const std::vector<BatchEntry>& entries) {
   const auto t0 = std::chrono::steady_clock::now();
   std::string buf;
   for (const BatchEntry& e : entries) {
-    std::string payload = SerializePayload(*e.log, *e.pool_delta);
     PutU32(&buf, kRecordMagic);
     PutU64(&buf, e.txn_id);
     PutU64(&buf, e.snapshot_lsn);
     PutU64(&buf, e.commit_lsn);
-    PutU64(&buf, payload.size());
-    buf += payload;
-    PutU64(&buf, Fnv(payload));
+    // Length placeholder, patched once the payload is in place.
+    const size_t len_at = buf.size();
+    PutU64(&buf, 0);
+    const size_t payload_at = buf.size();
+    PutPayload(&buf, *e.log, *e.pool_delta);
+    const size_t len = buf.size() - payload_at;
+    for (int i = 0; i < 8; ++i) {
+      buf[len_at + static_cast<size_t>(i)] = static_cast<char>(len >> (8 * i));
+    }
+    PutU64(&buf, Fnv(buf.data() + payload_at, len));
   }
   StatusOr<int64_t> start = file_.Offset();
   if (!start.ok()) return start.status();
@@ -284,7 +321,7 @@ Status Wal::AppendBatch(const std::vector<BatchEntry>& entries) {
     if (!rollback.ok()) broken_ = true;
     return Status::IOError("WAL append failed: " + s.message());
   }
-  // relaxed: stat counter; the commit window serializes writers.
+  // relaxed: stat counter; the commit mutex serializes writers.
   commit_count_.fetch_add(static_cast<int64_t>(entries.size()),
                           std::memory_order_relaxed);
   appended_bytes_.Inc(static_cast<int64_t>(buf.size()));
@@ -310,7 +347,7 @@ Status Wal::Reset() {
   PXQ_RETURN_IF_ERROR(file_.Open(path_, /*truncate=*/true));
   PXQ_RETURN_IF_ERROR(file_.SyncData());
   broken_ = false;
-  // relaxed: stat counter reset inside the exclusive window.
+  // relaxed: stat counter reset under the commit mutex.
   commit_count_.store(0, std::memory_order_relaxed);
   return Status::OK();
 }
@@ -338,24 +375,12 @@ StatusOr<std::vector<Wal::Recovered>> Wal::ReadAll(const std::string& path,
     }
     // A torn length header could claim terabytes; the payload cannot
     // exceed what is actually in the file.
-    if (len > content.size()) break;
     std::string payload;
-    payload.resize(len);
-    {
-      // Bulk copy via the reader interface.
-      bool ok = true;
-      for (uint64_t i = 0; i < len; ++i) {
-        uint8_t c;
-        if (!r.U8(&c)) {
-          ok = false;
-          break;
-        }
-        payload[i] = static_cast<char>(c);
-      }
-      if (!ok) break;  // torn record
-    }
+    if (!r.Bytes(len, &payload)) break;  // torn record
     uint64_t crc;
-    if (!r.U64(&crc) || crc != Fnv(payload)) break;  // torn/corrupt
+    if (!r.U64(&crc) || crc != Fnv(payload.data(), payload.size())) {
+      break;  // torn/corrupt
+    }
     Recovered rec;
     rec.txn_id = txn_id;
     rec.snapshot_lsn = snapshot_lsn;

@@ -34,19 +34,17 @@ struct PoolDelta {
 
 /// Thread compatibility: the WAL holds no lock of its own. AppendBatch
 /// (and AppendCommit, its batch-of-one shorthand) and Reset are called
-/// only inside the exclusive commit window (GlobalLock held exclusively
-/// by TransactionManager), which both serializes appends and orders
-/// them against readers — adding a mutex here would annotate a
-/// capability nothing else can contend on. The Wal cannot name that
-/// capability itself, so the contract is machine-checked at the call
-/// sites instead: TransactionManager::ApplyCommitLocked and
-/// ::CheckpointLocked are PXQ_REQUIRES(global_)-annotated, and
-/// CommitBatch appends only between its inline LockExclusive /
-/// UnlockExclusive pair — the thread-safety analysis rejects any new
-/// caller that reaches AppendBatch/Reset without the exclusive lock
-/// through those paths. The accessors expose a plain counter written
-/// only in that window plus lock-free histogram/counter atomics, all
-/// safe to sample concurrently.
+/// only under TransactionManager's commit mutex — the group-commit
+/// leader holds it from a batch's append through its apply, Checkpoint
+/// holds it around the snapshot save and Reset — which serializes them
+/// without adding a mutex here that nothing else could contend on. The
+/// appends run before the exclusive commit window, so readers keep
+/// running through the fsync. The contract is machine-checked at the
+/// call sites: TransactionManager::CheckpointLocked is
+/// PXQ_REQUIRES(global_, commit_mu_) and CommitBatch takes commit_mu_
+/// itself. The accessors expose a plain counter written only under that
+/// mutex plus lock-free histogram/counter atomics, all safe to sample
+/// concurrently.
 class Wal {
  public:
   ~Wal() = default;
@@ -87,8 +85,9 @@ class Wal {
   /// fsync the truncation. Reports the failure (instead of OK on a
   /// dirty truncate) — the checkpoint protocol treats a non-durable
   /// reset as a failed checkpoint. commit_count_ is reset only on
-  /// success; exclusive-window-only, enforced at the call site
-  /// (TransactionManager::CheckpointLocked, PXQ_REQUIRES(global_)).
+  /// success; called under the commit mutex and inside the exclusive
+  /// window, enforced at the call site
+  /// (TransactionManager::CheckpointLocked).
   Status Reset();
 
   int64_t commit_count() const {
@@ -98,7 +97,7 @@ class Wal {
   }
 
   /// Durability observability: the single-I/O commit point, measured.
-  /// append_hist is ns per AppendCommit (serialize + write + fsync);
+  /// append_hist is ns per AppendBatch (serialize + write + fsync);
   /// appended_bytes is the cumulative record volume.
   const obs::Histogram& append_hist() const { return append_ns_; }
   const obs::Counter& appended_bytes() const { return appended_bytes_; }
@@ -126,8 +125,8 @@ class Wal {
   // Set when a failed append could not be rolled back off the file:
   // the on-disk tail is garbage, so further appends must not succeed.
   bool broken_ = false;
-  // Written only inside the exclusive commit window; atomic because
-  // metrics scrapes read it from outside that window.
+  // Written only under the commit mutex; atomic because metrics scrapes
+  // read it without it.
   std::atomic<int64_t> commit_count_{0};
   obs::Histogram append_ns_;
   obs::Counter appended_bytes_;

@@ -10,10 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <string>
 #include <thread>
 #include <utility>
@@ -700,6 +702,304 @@ TEST(RecoveryMetricsTest, CheckpointAndRecoveryMetricsAreExposed) {
   EXPECT_NE(j.find("pxq_recovery_replay_ns"), std::string::npos);
   EXPECT_NE(j.find("pxq_recovery_replayed_commits"), std::string::npos);
   fs::remove_all(dir);
+}
+
+// ------------------------------------------------------------------
+// Commit ordering and the pool-delta watermark. The WAL append and its
+// fsync run before the exclusive window, under a commit mutex that
+// Checkpoint also takes; commit records log only pool entries at or
+// above the pool sizes of the last snapshot save.
+
+/// A durable database in a fresh directory.
+std::unique_ptr<Database> DurableDb(const std::string& dir,
+                                    const std::string& xml) {
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  Database::Options opt;
+  opt.data_dir = dir;
+  auto db = Database::CreateFromXml(xml, opt);
+  EXPECT_TRUE(db.ok()) << db.status().ToString();
+  return std::move(db).value();
+}
+
+/// "Crash" (drop the process state without a checkpoint) and Open.
+std::unique_ptr<Database> Reopen(std::unique_ptr<Database> db,
+                                 const std::string& dir) {
+  db.reset();
+  Database::Options opt;
+  opt.data_dir = dir;
+  auto reopened = Database::Open(opt);
+  EXPECT_TRUE(reopened.ok()) << reopened.status().ToString();
+  return std::move(reopened).value();
+}
+
+std::string AppendDoc(const std::string& sel, const std::string& fragment) {
+  return Wrap("<xupdate:append select=\"" + sel + "\">" + fragment +
+              "</xupdate:append>");
+}
+
+int64_t PoolDeltaEntries(const Database& db) {
+  return db.Metrics().ValueOf("pxq_wal_pool_delta_entries_total");
+}
+
+TEST(CommitOrderingTest, CheckpointLoopBesideCommittersRecoversLiveState) {
+  const std::string dir =
+      (fs::temp_directory_path() / "pxq_ckpt_loop").string();
+  auto db = DurableDb(dir, kDoc);
+  std::atomic<bool> stop{false};
+  std::atomic<int> failures{0};
+  std::atomic<int> checkpoints{0};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < 3; ++w) {
+    writers.emplace_back([&, w] {
+      // Every commit interns fresh texts, attribute values and (every
+      // fifth) element names, so each record needs pool entries.
+      const std::string sel = "/db/sec" + std::to_string(w + 1);
+      for (int i = 0; i < 25; ++i) {
+        const std::string id = std::to_string(w) + "_" + std::to_string(i);
+        const std::string tag = i % 5 == 0 ? "n" + id : "w";
+        const std::string frag =
+            "<" + tag + " v=\"" + id + "\">t" + id + "</" + tag + ">";
+        if (!db->Update(AppendDoc(sel, frag), /*retries=*/20).ok()) {
+          ++failures;
+        }
+      }
+    });
+  }
+  std::thread checkpointer([&] {
+    while (!stop.load()) {
+      if (!db->Checkpoint().ok()) ++failures;
+      ++checkpoints;
+      // Let committers in between; back to back, the checkpointer would
+      // keep winning the commit mutex.
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  for (auto& t : writers) t.join();
+  stop.store(true);
+  checkpointer.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(checkpoints.load(), 0);
+
+  auto live = db->Serialize();
+  ASSERT_TRUE(live.ok());
+  db = Reopen(std::move(db), dir);
+  auto recovered = db->Serialize();
+  ASSERT_TRUE(recovered.ok());
+  EXPECT_EQ(recovered.value(), live.value());
+  EXPECT_TRUE(db->txn_manager().base().CheckInvariants().ok());
+  auto count = db->Query("/db/*/*");
+  ASSERT_TRUE(count.ok());
+  EXPECT_EQ(count.value().size(), 9u + 75u);
+  fs::remove_all(dir);
+}
+
+TEST(PoolWatermarkTest, TextInternedBeforeCheckpointCommittedAfterIt) {
+  const std::string dir =
+      (fs::temp_directory_path() / "pxq_mark_straddle").string();
+  auto db = DurableDb(dir, kDoc);
+  auto txn = db->Begin();
+  ASSERT_TRUE(txn.ok());
+  ASSERT_TRUE(
+      txn.value()->Update(AppendDoc("/db/sec2", "<y>straddles</y>")).ok());
+  // The text is interned now; the checkpoint saves it (pools are
+  // shared) and moves the watermark past it, so the commit below does
+  // not log it — recovery must find it in the snapshot.
+  ASSERT_TRUE(db->Checkpoint().ok());
+  const int64_t logged_before = PoolDeltaEntries(*db);
+  ASSERT_TRUE(txn.value()->Commit().ok());
+  EXPECT_EQ(PoolDeltaEntries(*db), logged_before);
+  auto live = db->Serialize();
+  ASSERT_TRUE(live.ok());
+
+  db = Reopen(std::move(db), dir);
+  EXPECT_EQ(db->recovered_commits(), 1);
+  auto recovered = db->Serialize();
+  ASSERT_TRUE(recovered.ok());
+  EXPECT_EQ(recovered.value(), live.value());
+  auto texts = db->QueryStrings("/db/sec2/y[. = 'straddles']");
+  ASSERT_TRUE(texts.ok());
+  ASSERT_EQ(texts.value().size(), 1u);
+  fs::remove_all(dir);
+}
+
+TEST(PoolWatermarkTest, IdInternedByAbortedTxnIsLoggedWhenReferenced) {
+  const std::string dir =
+      (fs::temp_directory_path() / "pxq_mark_aborted").string();
+  auto db = DurableDb(dir, kDoc);
+  ASSERT_TRUE(db->Checkpoint().ok());
+  {
+    // Element names and attribute values are deduplicated: the aborted
+    // transaction interns both, the later commit reuses its ids.
+    auto txn = db->Begin();
+    ASSERT_TRUE(txn.ok());
+    ASSERT_TRUE(txn.value()
+                    ->Update(AppendDoc("/db/sec1", "<fresh k=\"orphan\"/>"))
+                    .ok());
+    ASSERT_TRUE(txn.value()->Abort().ok());
+  }
+  const int64_t logged_before = PoolDeltaEntries(*db);
+  ASSERT_TRUE(db->Update(AppendDoc("/db/sec3", "<fresh k=\"orphan\"/>")).ok());
+  // The name, the attribute name and the attribute value.
+  EXPECT_EQ(PoolDeltaEntries(*db) - logged_before, 3);
+  auto live = db->Serialize();
+  ASSERT_TRUE(live.ok());
+
+  db = Reopen(std::move(db), dir);
+  auto recovered = db->Serialize();
+  ASSERT_TRUE(recovered.ok());
+  EXPECT_EQ(recovered.value(), live.value());
+  auto hits = db->Query("/db/sec3/fresh[@k = 'orphan']");
+  ASSERT_TRUE(hits.ok());
+  EXPECT_EQ(hits.value().size(), 1u);
+  fs::remove_all(dir);
+}
+
+TEST(PoolWatermarkTest, CommitOfPreCheckpointEntriesLogsNoPoolDelta) {
+  const std::string dir =
+      (fs::temp_directory_path() / "pxq_mark_zero").string();
+  auto db = DurableDb(dir, "<db><a k=\"v\">text</a><b/></db>");
+  ASSERT_TRUE(db->Update(AppendDoc("/db/b", "<c k=\"w\">more</c>")).ok());
+  ASSERT_TRUE(db->Checkpoint().ok());
+  // Only names and values the snapshot already holds: the page images
+  // still reference every text on the page, none of them is logged.
+  const int64_t before = PoolDeltaEntries(*db);
+  ASSERT_TRUE(db->Update(AppendDoc("/db/b", "<a k=\"v\"/><c k=\"w\"/>")).ok());
+  EXPECT_EQ(PoolDeltaEntries(*db) - before, 0);
+  // A fresh text is exactly one entry.
+  ASSERT_TRUE(db->Update(AppendDoc("/db/b", "<a>new</a>")).ok());
+  EXPECT_EQ(PoolDeltaEntries(*db) - before, 1);
+  // Replay + size resolution is timed once per committed member.
+  const obs::MetricsSnapshot m = db->Metrics();
+  ASSERT_NE(m.HistOf("pxq_commit_replay_ns"), nullptr);
+  EXPECT_EQ(m.HistOf("pxq_commit_replay_ns")->count, 3);
+  auto live = db->Serialize();
+  ASSERT_TRUE(live.ok());
+
+  db = Reopen(std::move(db), dir);
+  EXPECT_EQ(db->recovered_commits(), 2);
+  auto recovered = db->Serialize();
+  ASSERT_TRUE(recovered.ok());
+  EXPECT_EQ(recovered.value(), live.value());
+  fs::remove_all(dir);
+}
+
+// The per-element little-endian encoder the WAL used before page
+// columns were appended as byte runs, kept as the golden reference:
+// the bulk encoder must write byte-identical records, so WAL files
+// from either version replay under the other.
+void RefPutU8(std::string* b, uint8_t v) { b->push_back(static_cast<char>(v)); }
+void RefPutU32(std::string* b, uint32_t v) {
+  for (int i = 0; i < 4; ++i) b->push_back(static_cast<char>(v >> (8 * i)));
+}
+void RefPutI32(std::string* b, int32_t v) {
+  RefPutU32(b, static_cast<uint32_t>(v));
+}
+void RefPutU64(std::string* b, uint64_t v) {
+  for (int i = 0; i < 8; ++i) b->push_back(static_cast<char>(v >> (8 * i)));
+}
+void RefPutI64(std::string* b, int64_t v) {
+  RefPutU64(b, static_cast<uint64_t>(v));
+}
+void RefPutPage(std::string* b, const storage::Page& pg) {
+  RefPutI32(b, pg.used);
+  RefPutU32(b, static_cast<uint32_t>(pg.size.size()));
+  for (int64_t v : pg.size) RefPutI64(b, v);
+  for (int32_t v : pg.level) RefPutI32(b, v);
+  for (uint8_t v : pg.kind) RefPutU8(b, v);
+  for (int32_t v : pg.ref) RefPutI32(b, v);
+  for (int64_t v : pg.node) RefPutI64(b, v);
+}
+
+std::string RefRecord(uint64_t txn_id, uint64_t snapshot_lsn,
+                      uint64_t commit_lsn, const storage::OpLog& log,
+                      const std::vector<txn::PoolDelta>& pool_delta) {
+  std::string p;
+  RefPutU32(&p, static_cast<uint32_t>(pool_delta.size()));
+  for (const txn::PoolDelta& d : pool_delta) {
+    RefPutU8(&p, static_cast<uint8_t>(d.kind));
+    RefPutI32(&p, d.id);
+    RefPutU32(&p, static_cast<uint32_t>(d.value.size()));
+    p += d.value;
+  }
+  RefPutU32(&p, static_cast<uint32_t>(log.page_images.size()));
+  for (const auto& pi : log.page_images) {
+    RefPutI64(&p, pi.phys);
+    RefPutPage(&p, *pi.image);
+  }
+  RefPutU32(&p, static_cast<uint32_t>(log.page_appends.size()));
+  for (const auto& pa : log.page_appends) {
+    RefPutI64(&p, pa.clone_phys);
+    RefPutPage(&p, *pa.image);
+  }
+  // Empty logical-insert, node/pos, size-claim, attr-op, freed lists.
+  for (int list = 0; list < 5; ++list) RefPutU32(&p, 0);
+  RefPutI64(&p, log.used_delta);
+  std::string r;
+  RefPutU32(&r, 0x50585157);  // "PXQW"
+  RefPutU64(&r, txn_id);
+  RefPutU64(&r, snapshot_lsn);
+  RefPutU64(&r, commit_lsn);
+  RefPutU64(&r, p.size());
+  r += p;
+  RefPutU64(&r, Fnv64(p.data(), p.size()));
+  return r;
+}
+
+std::shared_ptr<storage::Page> RandomPage(std::mt19937_64* rng,
+                                          int32_t tuples) {
+  auto pg = std::make_shared<storage::Page>(tuples);
+  std::uniform_int_distribution<int64_t> any64;
+  std::uniform_int_distribution<int32_t> any32;
+  for (int32_t i = 0; i < tuples; ++i) {
+    const size_t k = static_cast<size_t>(i);
+    pg->size[k] = any64(*rng);
+    pg->level[k] = any32(*rng);
+    pg->kind[k] = static_cast<uint8_t>(any32(*rng));
+    pg->ref[k] = any32(*rng);
+    pg->node[k] = any64(*rng);
+  }
+  pg->used = any32(*rng);
+  return pg;
+}
+
+TEST(WalFormatTest, BulkPageEncodingIsByteIdenticalToPerElementEncoder) {
+  const std::string wal = TempPath("pxq_wal_golden.wal");
+  RemoveAll({wal});
+  constexpr int32_t kTuples = 301;  // odd: no accidental alignment
+  std::mt19937_64 rng(20261017);
+  storage::OpLog log;
+  log.page_images.push_back({7, RandomPage(&rng, kTuples)});
+  log.page_appends.push_back({-3, RandomPage(&rng, kTuples)});
+  log.used_delta = -42;
+  const std::vector<txn::PoolDelta> pool_delta = {
+      {storage::ContentPools::PoolKind::kText, 5, "five"},
+      {storage::ContentPools::PoolKind::kProp, 70000, std::string(300, 'x')}};
+  {
+    auto w = txn::Wal::Open(wal);
+    ASSERT_TRUE(w.ok()) << w.status().ToString();
+    ASSERT_TRUE(w.value()->AppendCommit(42, 3, 5, log, pool_delta).ok());
+  }
+  EXPECT_EQ(ReadFile(wal), RefRecord(42, 3, 5, log, pool_delta));
+
+  // And the bulk decoder reads the columns back unchanged.
+  auto recs = txn::Wal::ReadAll(wal, kTuples);
+  ASSERT_TRUE(recs.ok()) << recs.status().ToString();
+  ASSERT_EQ(recs.value().size(), 1u);
+  const storage::OpLog& got = recs.value()[0].log;
+  ASSERT_EQ(got.page_images.size(), 1u);
+  ASSERT_EQ(got.page_appends.size(), 1u);
+  for (const auto& [a, b] :
+       {std::pair{got.page_images[0].image, log.page_images[0].image},
+        std::pair{got.page_appends[0].image, log.page_appends[0].image}}) {
+    EXPECT_EQ(a->used, b->used);
+    EXPECT_EQ(a->size, b->size);
+    EXPECT_EQ(a->level, b->level);
+    EXPECT_EQ(a->kind, b->kind);
+    EXPECT_EQ(a->ref, b->ref);
+    EXPECT_EQ(a->node, b->node);
+  }
+  RemoveAll({wal});
 }
 
 }  // namespace
