@@ -136,9 +136,9 @@ struct IndexConfig {
   /// so tests exercise the index even on tiny documents.
   bool cross_check = false;
   /// Key-space shards (clamped to a power of two in [1, 256]), each
-  /// with its own memo table. More shards mean fewer memo-publication
-  /// CAS collisions and less false sharing between concurrent probes of
-  /// different qnames.
+  /// with its own memo table. More shards are expected to mean fewer
+  /// memo-publication CAS collisions and less false sharing between
+  /// concurrent probes of different qnames; that effect is unmeasured.
   int shards = 16;
   /// Memoize value/attribute probe materializations (pre vectors keyed
   /// by (qname, op, operand-class, operand)). Off = re-collect and

@@ -16,7 +16,10 @@ bool IsPowerOfTwo(int64_t v) { return v > 0 && (v & (v - 1)) == 0; }
 // (a clone privatizing a page, a commit installing an image).
 // use_count() alone is a relaxed load: seeing 1 would not order the
 // dropping thread's earlier reads before our write. Copying the
-// pointer is an acq_rel reference-count RMW, which does.
+// pointer is a reference-count RMW, which is acq_rel in libstdc++ (the
+// standard library this project builds against) and so does order
+// them. The standard does not promise that: libc++ increments with a
+// relaxed RMW, so under libc++ this ordering would need a fence.
 template <typename T>
 bool SharedWithOthers(const std::shared_ptr<T>& p) {
   const std::shared_ptr<T> probe = p;

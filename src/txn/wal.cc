@@ -3,7 +3,6 @@
 #include <bit>
 #include <chrono>
 #include <cstring>
-#include <type_traits>
 
 #include "common/io_file.h"
 #include "common/strings.h"
@@ -28,20 +27,16 @@ void PutStr(std::string* b, const std::string& s) {
   PutU32(b, static_cast<uint32_t>(s.size()));
   b->append(s);
 }
-// A whole column as little-endian values: one byte run on a
-// little-endian host, byte by byte elsewhere.
+// The WAL is little-endian on disk, and page columns are written as raw
+// native bytes, so only little-endian hosts are supported — as for the
+// snapshot, which is machine-local checkpoint state too.
+static_assert(std::endian::native == std::endian::little,
+              "the WAL page-column encoding assumes a little-endian host");
+
+// A whole column as one byte run.
 template <typename T>
 void PutColumn(std::string* b, const std::vector<T>& v) {
-  if constexpr (std::endian::native == std::endian::little) {
-    b->append(reinterpret_cast<const char*>(v.data()), v.size() * sizeof(T));
-  } else {
-    for (T x : v) {
-      const auto u = static_cast<std::make_unsigned_t<T>>(x);
-      for (size_t i = 0; i < sizeof(T); ++i) {
-        b->push_back(static_cast<char>(u >> (8 * i)));
-      }
-    }
-  }
+  b->append(reinterpret_cast<const char*>(v.data()), v.size() * sizeof(T));
 }
 
 class Reader {
@@ -98,20 +93,8 @@ class Reader {
   bool Column(std::vector<T>* v) {
     const size_t n = v->size() * sizeof(T);
     if (n > size_ - pos_) return false;
-    if constexpr (std::endian::native == std::endian::little) {
-      std::memcpy(v->data(), data_ + pos_, n);
-      pos_ += n;
-    } else {
-      for (T& x : *v) {
-        std::make_unsigned_t<T> u = 0;
-        for (size_t i = 0; i < sizeof(T); ++i) {
-          u |= static_cast<std::make_unsigned_t<T>>(
-                   static_cast<unsigned char>(data_[pos_++]))
-               << (8 * i);
-        }
-        x = static_cast<T>(u);
-      }
-    }
+    std::memcpy(v->data(), data_ + pos_, n);
+    pos_ += n;
     return true;
   }
 
