@@ -261,22 +261,15 @@ struct IndexedFixture {
   std::unique_ptr<index::IndexManager> index;
 };
 
-const IndexedFixture& IndexedFixtureAt(int scale_idx, bool memo_values) {
-  static IndexedFixture fixtures[2][3];
-  IndexedFixture& f = fixtures[memo_values ? 0 : 1][scale_idx];
+const IndexedFixture& IndexedAt(int scale_idx) {
+  static IndexedFixture fixtures[3];
+  IndexedFixture& f = fixtures[scale_idx];
   if (!f.store) {
     f.store = BuildUp(XmarkXml(kIndexScales[scale_idx]));
-    index::IndexConfig cfg;
-    cfg.gate_ratio = 0.5;
-    cfg.memo_values = memo_values;
-    f.index = std::make_unique<index::IndexManager>(cfg);
+    f.index = std::make_unique<index::IndexManager>(index::IndexConfig{});
     f.index->Rebuild(*f.store);
   }
   return f;
-}
-
-const IndexedFixture& IndexedAt(int scale_idx) {
-  return IndexedFixtureAt(scale_idx, /*memo_values=*/true);
 }
 
 void ReportIndexCounters(benchmark::State& state,
@@ -357,18 +350,9 @@ void BM_IndexRebuild(benchmark::State& state) {
 }
 BENCHMARK(BM_IndexRebuild)->DenseRange(0, 2);
 
-// Warm vs cold value/attribute probes. "Cold" disables the value memo
-// (IndexConfig::memo_values = false): every probe re-collects matches
-// and re-swizzles NodeIds to pres — the pre-memo per-call cost. "Warm"
-// repeats the same probe against the memoizing index with no
+// Warm value/attribute probes: the same probe repeated with no
 // intervening commit, so after the first iteration every call is a
-// memo hit (validate generations + copy the cached pre vector). The
-// acceptance bar is warm >= 5x cold on the range probes at the largest
-// scale (factor 0.04, scale index 2).
-
-const IndexedFixture& IndexedNoMemoAt(int scale_idx) {
-  return IndexedFixtureAt(scale_idx, /*memo_values=*/false);
-}
+// memo hit (validate generations + copy the cached pre vector).
 
 void ValueProbeBench(benchmark::State& state, const IndexedFixture& f) {
   QnameId reserve = f.store->pools().FindQname("reserve");
@@ -389,11 +373,6 @@ void ValueProbeBench(benchmark::State& state, const IndexedFixture& f) {
       static_cast<double>(s.memo_value_hits);
 }
 
-void BM_ValueRangeProbeCold(benchmark::State& state) {
-  ValueProbeBench(state, IndexedNoMemoAt(static_cast<int>(state.range(0))));
-}
-BENCHMARK(BM_ValueRangeProbeCold)->DenseRange(0, 2);
-
 void BM_ValueRangeProbeWarm(benchmark::State& state) {
   ValueProbeBench(state, IndexedAt(static_cast<int>(state.range(0))));
 }
@@ -406,7 +385,7 @@ void AttrProbeBench(benchmark::State& state, const IndexedFixture& f) {
   for (auto _ : state) {
     // Lexicographic range over @id (>= "category" covers the
     // category/item/open_auction/person id spellings): a large match
-    // set, so the cold cost is dominated by the swizzle.
+    // set, so a memo miss is dominated by the swizzle.
     auto owners = f.index->AttrValueProbe(*f.store, id, xpath::CmpOp::kGe,
                                           "category", big);
     if (!owners) {
@@ -418,11 +397,6 @@ void AttrProbeBench(benchmark::State& state, const IndexedFixture& f) {
   }
   state.counters["results"] = static_cast<double>(results);
 }
-
-void BM_AttrRangeProbeCold(benchmark::State& state) {
-  AttrProbeBench(state, IndexedNoMemoAt(static_cast<int>(state.range(0))));
-}
-BENCHMARK(BM_AttrRangeProbeCold)->DenseRange(0, 2);
 
 void BM_AttrRangeProbeWarm(benchmark::State& state) {
   AttrProbeBench(state, IndexedAt(static_cast<int>(state.range(0))));
@@ -445,17 +419,12 @@ void AttrOwnersBench(benchmark::State& state, const IndexedFixture& f) {
   state.counters["results"] = static_cast<double>(results);
 }
 
-void BM_AttrOwnersProbeCold(benchmark::State& state) {
-  AttrOwnersBench(state, IndexedNoMemoAt(static_cast<int>(state.range(0))));
-}
-BENCHMARK(BM_AttrOwnersProbeCold)->DenseRange(0, 2);
-
 void BM_AttrOwnersProbeWarm(benchmark::State& state) {
   AttrOwnersBench(state, IndexedAt(static_cast<int>(state.range(0))));
 }
 BENCHMARK(BM_AttrOwnersProbeWarm)->DenseRange(0, 2);
 
-// Multi-step path prefix (/a/b/c/d/e) via the path-chain cascade, vs
+// Multi-step path prefix (/a/b/c/d/e) via the pair cascade, vs
 // stepwise child walks.
 constexpr const char* kChainQuery =
     "/site/open_auctions/open_auction/bidder/increase";
@@ -472,29 +441,11 @@ void BM_PathPrefixIndexed(benchmark::State& state) {
 }
 BENCHMARK(BM_PathPrefixIndexed)->DenseRange(0, 2);
 
-// Deep-path cascade shootout: pairwise (path_chain_depth = 2, the PR 2
-// plan — one probe per level) vs depth-3 chains (the default — each
-// probe consumes two levels). For the depth-5 XMark chain query that
-// is 4 vs 2 cascade probes; `cascade_probes` reports the measured
-// per-query probe count so the ceil((d-1)/(k-1)) claim is visible in
-// the bench output, not just the latency delta.
-const IndexedFixture& DeepPathFixtureAt(int scale_idx, int chain_depth) {
-  static IndexedFixture fixtures[2][3];
-  IndexedFixture& f = fixtures[chain_depth == 2 ? 0 : 1][scale_idx];
-  if (!f.store) {
-    f.store = BuildUp(XmarkXml(kIndexScales[scale_idx]));
-    index::IndexConfig cfg;
-    cfg.gate_ratio = 0.5;
-    cfg.path_chain_depth = chain_depth;
-    f.index = std::make_unique<index::IndexManager>(cfg);
-    f.index->Rebuild(*f.store);
-  }
-  return f;
-}
-
-void DeepPathBench(benchmark::State& state, int chain_depth) {
-  const IndexedFixture& f =
-      DeepPathFixtureAt(static_cast<int>(state.range(0)), chain_depth);
+// Deep-path pair cascade: one probe per level below the root, so the
+// depth-5 XMark query issues 4 cascade probes; `cascade_probes`
+// reports the measured per-query probe count next to the latency.
+void BM_DeepPathPairwiseK2(benchmark::State& state) {
+  const IndexedFixture& f = IndexedAt(static_cast<int>(state.range(0)));
   xpath::Evaluator<storage::PagedStore> ev(*f.store, f.index.get());
   auto path = xpath::ParsePath(kChainQuery).value();
   const auto before = f.index->Stats();
@@ -511,21 +462,11 @@ void DeepPathBench(benchmark::State& state, int chain_depth) {
   const auto after = f.index->Stats();
   state.counters["results"] = static_cast<double>(results);
   state.counters["cascade_probes"] =
-      static_cast<double>(after.chain_probes + after.path_probes -
-                          before.chain_probes - before.path_probes) /
+      static_cast<double>(after.path_probes - before.path_probes) /
       static_cast<double>(state.iterations());
   ReportIndexCounters(state, f);
 }
-
-void BM_DeepPathPairwiseK2(benchmark::State& state) {
-  DeepPathBench(state, /*chain_depth=*/2);
-}
 BENCHMARK(BM_DeepPathPairwiseK2)->DenseRange(0, 2);
-
-void BM_DeepPathChainK3(benchmark::State& state) {
-  DeepPathBench(state, /*chain_depth=*/3);
-}
-BENCHMARK(BM_DeepPathChainK3)->DenseRange(0, 2);
 
 // Child-axis name step below a descendant step: `europe` elements are
 // found via postings, then `item` children via the child-step plan.
@@ -546,7 +487,7 @@ BENCHMARK(BM_ChildStepIndexed)->DenseRange(0, 2);
 // iteration — what every query paid before the plan cache); "warm"
 // attaches a PlanCache, so after the first iteration every call is a
 // cache hit: pool-generation validation + executing the cached plan.
-// The acceptance bar is warm >= 2x cold on the depth-5 chain query at
+// The acceptance bar is warm >= 2x cold on the depth-5 path query at
 // the smallest scale (index 0), where the per-call parse + compile
 // overhead is visible; at larger scales result materialization
 // dominates both variants and the ratio tapers off.
@@ -590,39 +531,29 @@ BENCHMARK(BM_PlanCacheWarm)->DenseRange(0, 2);
 
 // --------------------------------------------------------------------------
 // E10: selectivity-driven planning — adversarial predicate source
-// order and cascade seed choice, syntactic vs cost-based legs over the
-// SAME store. Cold compiles (no plan cache): the estimator runs at
-// compile time, so every iteration pays plan + estimate + run, which
-// is exactly the path a first-seen query takes.
+// order and cascade seed choice. Cold compiles (no plan cache): the
+// estimator runs at compile time, so every iteration pays plan +
+// estimate + run, which is exactly the path a first-seen query takes.
 // --------------------------------------------------------------------------
 
 struct SelectivityFixture {
   std::unique_ptr<storage::PagedStore> store;
-  std::unique_ptr<index::IndexManager> syntactic;   // planning off
-  std::unique_ptr<index::IndexManager> cost_based;  // planning on
+  std::unique_ptr<index::IndexManager> index;
 };
 
 const SelectivityFixture& SelectivityAt() {
   static SelectivityFixture f;
   if (!f.store) {
     f.store = BuildUp(XmarkXml(0.04));
-    index::IndexConfig cfg;
-    cfg.gate_ratio = 0.5;
-    cfg.selectivity_planning = false;
-    f.syntactic = std::make_unique<index::IndexManager>(cfg);
-    f.syntactic->Rebuild(*f.store);
-    cfg.selectivity_planning = true;
-    f.cost_based = std::make_unique<index::IndexManager>(cfg);
-    f.cost_based->Rebuild(*f.store);
+    f.index = std::make_unique<index::IndexManager>(index::IndexConfig{});
+    f.index->Rebuild(*f.store);
   }
   return f;
 }
 
-void RunColdSelectivity(benchmark::State& state,
-                        const index::IndexManager* idx,
-                        const char* query) {
+void RunColdSelectivity(benchmark::State& state, const char* query) {
   const SelectivityFixture& f = SelectivityAt();
-  xpath::Evaluator<storage::PagedStore> ev(*f.store, idx);
+  xpath::Evaluator<storage::PagedStore> ev(*f.store, f.index.get());
   int64_t results = 0;
   for (auto _ : state) {
     auto r = ev.Eval(query);
@@ -635,53 +566,36 @@ void RunColdSelectivity(benchmark::State& state,
   }
   state.counters["results"] = static_cast<double>(results);
   state.counters["plan_reorders"] =
-      static_cast<double>(idx->Stats().plan_reorders);
+      static_cast<double>(f.index->Stats().plan_reorders);
 }
 
 // Adversarial source order: the broad exists predicates come first
 // ([name] and [emailaddress] match every person), the one-match
-// attribute equality last. The syntactic plan drags ~all persons
-// through two predicate passes before @id; the cost-based plan probes
-// @id first (estimate 1, gate-accepted) and fuses it into the chain
-// prefix.
+// attribute equality last. The cost-based plan probes @id first
+// (estimate 1, gate-accepted) and fuses it into the path prefix
+// instead of dragging ~all persons through two predicate passes.
 const char* kReorderQuery =
     "/site/people/person[name][emailaddress][@id='person7']";
 
-void BM_PredicateReorderSyntactic(benchmark::State& state) {
-  RunColdSelectivity(state, SelectivityAt().syntactic.get(),
-                     kReorderQuery);
-}
-BENCHMARK(BM_PredicateReorderSyntactic);
-
 void BM_PredicateReorderCostBased(benchmark::State& state) {
-  RunColdSelectivity(state, SelectivityAt().cost_based.get(),
-                     kReorderQuery);
+  RunColdSelectivity(state, kReorderQuery);
 }
 BENCHMARK(BM_PredicateReorderCostBased);
 
-// Cascade seed choice: the lead chain bucket (site/people/person)
-// holds every person, the continuation (person/profile/gender) only
-// ~22% of them. Syntactic order seeds from the fat lead; cost order
-// seeds from the rare continuation and back-verifies ancestors with a
-// per-survivor walk.
+// Cascade seed choice: the leading pairs hold every person, the
+// (profile, gender) pair only ~22% of them. Cost order seeds from the
+// rare pair and back-verifies ancestors by containment merge.
 const char* kCascadeQuery = "/site/people/person/profile/gender";
 
-void BM_CascadeOrderSyntactic(benchmark::State& state) {
-  RunColdSelectivity(state, SelectivityAt().syntactic.get(),
-                     kCascadeQuery);
-}
-BENCHMARK(BM_CascadeOrderSyntactic);
-
 void BM_CascadeOrderCostBased(benchmark::State& state) {
-  RunColdSelectivity(state, SelectivityAt().cost_based.get(),
-                     kCascadeQuery);
+  RunColdSelectivity(state, kCascadeQuery);
 }
 BENCHMARK(BM_CascadeOrderCostBased);
 
 // Concurrent probes over one shared index at the mid scale. PR 1
 // serialized every probe on a single IndexManager mutex (throughput
-// flatlined with threads); probes now acquire-load an immutable shard
-// snapshot, so items/sec should grow with the thread count. UseRealTime
+// flatlined with threads); probes now read the buckets lock-free, so
+// items/sec should grow with the thread count. UseRealTime
 // makes the per-thread time comparable across thread counts.
 void BM_ConcurrentDescendantProbe(benchmark::State& state) {
   const IndexedFixture& f = IndexedAt(1);

@@ -214,12 +214,7 @@ int main(int argc, char** argv) {
                 static_cast<long long>(ix.value_keys),
                 static_cast<long long>(ix.attr_value_keys),
                 static_cast<long long>(ix.bytes));
-    std::printf("path chains:    %lld keys, %lld postings (len > 2)\n",
-                static_cast<long long>(ix.chain_keys),
-                static_cast<long long>(ix.chain_postings));
-    std::printf("index shards:   %lld (publish epoch %lld, structure "
-                "epoch %lld)\n",
-                static_cast<long long>(ix.shards),
+    std::printf("index epochs:   publish %lld, structure %lld\n",
                 static_cast<long long>(ix.publish_epoch),
                 static_cast<long long>(ix.structure_epoch));
     std::printf("plan cache:     %lld hits, %lld misses, %lld evictions\n",

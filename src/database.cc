@@ -22,30 +22,9 @@ bool ForcedCrossCheck() {
   return e != nullptr && e[0] != '\0' && e[0] != '0';
 }
 
-/// PXQ_PATH_CHAIN_DEPTH=<k> overrides IndexConfig::path_chain_depth for
-/// every database in the process — the fuzz/bench CI legs A-B the
-/// pairwise (k=2) and chain (k>=3) cascades over the same suite without
-/// a rebuild. IndexManager clamps to its supported range.
-void ApplyIndexEnvOverrides(index::IndexConfig* cfg) {
-  if (ForcedCrossCheck()) cfg->cross_check = true;
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): read before threads start
-  if (const char* e = std::getenv("PXQ_PATH_CHAIN_DEPTH");
-      e != nullptr && e[0] != '\0') {
-    cfg->path_chain_depth = std::atoi(e);
-  }
-  // PXQ_SELECTIVITY_PLANNING=0 disables estimate-driven plan
-  // reshaping (predicate reorder, cascade cost order, probe fusion)
-  // so the fuzz/bench legs can A-B syntactic vs cost-based plans.
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): read before threads start
-  if (const char* e = std::getenv("PXQ_SELECTIVITY_PLANNING");
-      e != nullptr && e[0] != '\0') {
-    cfg->selectivity_planning = e[0] != '0';
-  }
-}
-
 /// PXQ_PROFILE=<n> turns on 1-in-n query profiling (1 = every query)
 /// and PXQ_SLOW_QUERY_MS=<ms> sets the slow-query threshold — both
-/// without a rebuild or a code change, mirroring the index overrides.
+/// without a rebuild or a code change, mirroring PXQ_FORCE_CROSS_CHECK.
 void ApplyProfileEnvOverrides(Database::Options* opts) {
   // NOLINTNEXTLINE(concurrency-mt-unsafe): read before threads start
   if (const char* e = std::getenv("PXQ_PROFILE");
@@ -78,7 +57,7 @@ StatusOr<std::unique_ptr<Database>> Database::CreateFromXml(
     std::string_view xml, Options options) {
   auto db = std::unique_ptr<Database>(new Database());
   db->options_ = std::move(options);
-  ApplyIndexEnvOverrides(&db->options_.index);
+  if (ForcedCrossCheck()) db->options_.index.cross_check = true;
   ApplyProfileEnvOverrides(&db->options_);
   PXQ_ASSIGN_OR_RETURN(storage::DenseDocument dense, storage::ShredXml(xml));
   PXQ_ASSIGN_OR_RETURN(
@@ -107,7 +86,7 @@ StatusOr<std::unique_ptr<Database>> Database::Open(Options options) {
   }
   auto db = std::unique_ptr<Database>(new Database());
   db->options_ = std::move(options);
-  ApplyIndexEnvOverrides(&db->options_.index);
+  if (ForcedCrossCheck()) db->options_.index.cross_check = true;
   ApplyProfileEnvOverrides(&db->options_);
   const auto recovery_t0 = std::chrono::steady_clock::now();
   PXQ_ASSIGN_OR_RETURN(

@@ -41,17 +41,14 @@ class Database {
     std::string name = "pxq";
     txn::TxnOptions txn;
     /// Secondary indexes (qname postings + value/attribute dictionaries
-    /// + the depth-k qname path-chain index) consulted by
-    /// Query/QueryStrings; maintained through commits, rebuilt on
-    /// Open(). Probes read sharded immutable snapshots lock-free;
-    /// `index.shards` tunes the shard count and
-    /// `index.path_chain_depth` the chain depth k (deep absolute paths
-    /// cascade in ceil((d-1)/(k-1)) probes). Disable to always scan.
-    /// Environment overrides applied at Create/Open:
+    /// + the (parent, self) qname pair path index) consulted by
+    /// Query/QueryStrings; maintained in place through commits,
+    /// rebuilt on Open(). Probes read the index lock-free under the
+    /// database's shared lock. Disable (`index.enabled = false`) to
+    /// always scan. Environment override applied at Create/Open:
     /// PXQ_FORCE_CROSS_CHECK=1 flips `index.cross_check` on for every
     /// database in the process (CI leg: the whole suite runs with
-    /// divergence detection), and PXQ_PATH_CHAIN_DEPTH=<k> overrides
-    /// `index.path_chain_depth` (bench/CI A-B runs without a rebuild).
+    /// divergence detection).
     index::IndexConfig index;
     /// Query profiling sample rate: 0 = off (the default — Query pays
     /// one relaxed atomic load and nothing else), N = every Nth query

@@ -16,37 +16,37 @@ CardEstimate CardinalityEstimator::FromKeyStats(
 
 CardEstimate CardinalityEstimator::Tag(QnameId qn) const {
   if (!active()) return {};
-  return FromKeyStats(index_->ChainStats({qn}));
+  return FromKeyStats(index_->TagStats(qn));
 }
 
-CardEstimate CardinalityEstimator::Chain(
-    const std::vector<QnameId>& chain) const {
+CardEstimate CardinalityEstimator::Pair(QnameId parent_qn,
+                                        QnameId self_qn) const {
   if (!active()) return {};
-  return FromKeyStats(index_->ChainStats(chain));
+  return FromKeyStats(index_->PairStats(parent_qn, self_qn));
 }
 
 CardEstimate CardinalityEstimator::Cascade(
-    const std::vector<std::vector<QnameId>>& chains) const {
+    const std::vector<std::pair<QnameId, QnameId>>& pairs) const {
   CardEstimate e;
-  if (!active() || chains.empty()) return e;
-  CardEstimate lead = Chain(chains.front());
+  if (!active() || pairs.empty()) return e;
+  CardEstimate lead = Pair(pairs.front().first, pairs.front().second);
   if (!lead.known) return e;
   // Degree-constraint product: each continuation contributes its
-  // "matches per overlap element" degree — chain count over the
-  // overlap tag's posting count. A missing overlap posting (count 0)
-  // forces the whole product to 0: no overlap elements exist, so no
-  // join output can either.
+  // "matches per parent element" degree — pair count over the parent
+  // tag's posting count. A missing parent posting (count 0) forces the
+  // whole product to 0: no parent elements exist, so no join output
+  // can either.
   double point = lead.point;
-  for (size_t i = 1; i < chains.size(); ++i) {
-    CardEstimate cont = Chain(chains[i]);
-    CardEstimate overlap = Tag(chains[i].front());
-    if (!cont.known || !overlap.known) return e;
-    point *= overlap.point > 0 ? cont.point / overlap.point : 0.0;
+  CardEstimate last = lead;
+  for (size_t i = 1; i < pairs.size(); ++i) {
+    CardEstimate cont = Pair(pairs[i].first, pairs[i].second);
+    CardEstimate parent = Tag(pairs[i].first);
+    if (!cont.known || !parent.known) return e;
+    point *= parent.point > 0 ? cont.point / parent.point : 0.0;
+    last = cont;
   }
-  CardEstimate last = chains.size() > 1 ? Chain(chains.back()) : lead;
-  if (!last.known) return e;
   e.known = true;
-  // The join output at the final tag is a subset of the final chain's
+  // The join output at the final tag is a subset of the final pair's
   // own bucket — the cheap pessimistic bound.
   e.upper = last.upper;
   e.point = std::min(point, static_cast<double>(e.upper));
@@ -61,7 +61,7 @@ CardEstimate CardinalityEstimator::ChildValue(
 
 CardEstimate CardinalityEstimator::ChildExists(QnameId child_qn) const {
   if (!active()) return {};
-  return FromKeyStats(index_->ChainStats({child_qn}));
+  return FromKeyStats(index_->TagStats(child_qn));
 }
 
 CardEstimate CardinalityEstimator::Attr(QnameId attr_qn, bool any_value,

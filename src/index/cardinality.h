@@ -2,26 +2,25 @@
 // read side of selectivity-driven planning (DESIGN.md §9).
 //
 // The index already maintains every input the estimator needs, for
-// free or nearly so: qname posting lengths, per-chain-key bucket
-// sizes, value/attr-dictionary distinct-key posting lengths, and a
+// free or nearly so: qname posting lengths, per-(parent, self) pair
+// bucket sizes, value/attr-dictionary distinct-key posting lengths, and a
 // small equi-width histogram over each numeric sidecar. This class
 // turns those raw counts into the two numbers the compiler consumes
 // per candidate operator:
 //
-//   point — the expected output cardinality. For chain cascades this
+//   point — the expected output cardinality. For pair cascades this
 //           is the degree-constraint product rule (Im et al.): the
-//           leading chain's count times, per continuation chain, its
-//           count divided by the posting count of the overlap tag —
-//           i.e. the conditional "children per overlap element"
+//           leading pair's count times, per continuation pair, its
+//           count divided by the posting count of its parent tag —
+//           i.e. the conditional "children per parent element"
 //           degree, multiplied through the join.
 //   upper — a pessimistic bound that holds whenever the stats are
-//           current (Sidorenko-style): the output of an overlapping
-//           chain join cannot exceed the final chain's own bucket
-//           size, and a predicate's candidates cannot exceed its
+//           current (Sidorenko-style): the output of a pair-cascade
+//           join cannot exceed the final pair's own bucket size, and a predicate's candidates cannot exceed its
 //           posting/dictionary/histogram count.
 //
-// Every read is lock-free off the published shard snapshots (the same
-// acquire-load the probes use) and counted in `estimator_probes`.
+// Every read is lock-free off the index's buckets (the same reads the
+// probes make) and counted in `estimator_probes`.
 // Estimates are advisory: plans keep their scan fallbacks, and plans
 // whose SHAPE depended on an estimate stamp the stats epoch so a
 // publication recompiles them rather than risking a stale ordering
@@ -31,6 +30,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -50,15 +50,13 @@ struct CardEstimate {
 
 class CardinalityEstimator {
  public:
-  /// A null index (or one with stats disabled) answers nothing.
+  /// A null (or disabled) index answers nothing.
   explicit CardinalityEstimator(const IndexManager* index) : index_(index) {}
 
-  /// True when estimates may steer plan shape: the index is live and
-  /// selectivity planning is on. When false the compiler must emit
-  /// pure syntactic plans (the A/B lever for BM_PredicateReorder).
+  /// True when estimates may steer plan shape: the index is live. When
+  /// false the compiler emits pure syntactic plans.
   bool active() const {
-    return index_ != nullptr && index_->config().enabled &&
-           index_->config().selectivity_planning;
+    return index_ != nullptr && index_->config().enabled;
   }
 
   /// The epoch a shape-steering estimate must be stamped with.
@@ -69,15 +67,16 @@ class CardinalityEstimator {
   /// Elements tagged `qn` anywhere in the document.
   CardEstimate Tag(QnameId qn) const;
 
-  /// Elements matching one chain key (path order, farthest ancestor
-  /// first; -1 = above the document root).
-  CardEstimate Chain(const std::vector<QnameId>& chain) const;
+  /// Elements tagged `self_qn` under a `parent_qn` parent (-1 = the
+  /// document root has no parent).
+  CardEstimate Pair(QnameId parent_qn, QnameId self_qn) const;
 
-  /// Product-rule estimate for an overlapping chain cascade (each
-  /// chain's first tag is the previous chain's last): point = leading
-  /// count x prod(continuation count / overlap-tag posting count),
-  /// upper = the final chain's own count.
-  CardEstimate Cascade(const std::vector<std::vector<QnameId>>& chains) const;
+  /// Product-rule estimate for a pair cascade (each pair's parent tag
+  /// is the previous pair's self tag), given as (parent, self) pairs:
+  /// point = leading count x prod(continuation count / parent-tag
+  /// posting count), upper = the final pair's own count.
+  CardEstimate Cascade(
+      const std::vector<std::pair<QnameId, QnameId>>& pairs) const;
 
   /// Candidates a [child op literal] predicate probe would materialize
   /// (matching simple elements plus the bucket's complex remainder).

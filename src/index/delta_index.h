@@ -28,10 +28,9 @@
 //           key comes from the index's reverse map, the new one from
 //           the merged base, so both dictionary keys' generations move
 //           and both memoized probes invalidate.
-//   kPath   the element's ANCESTOR tag chain changed (an ancestor
-//           within IndexConfig::path_chain_depth - 1 levels was
-//           renamed): only the path-chain keys need re-deriving — the
-//           node's own qname postings, value dictionary, and attribute
+//   kPath   the element's PARENT tag changed (the parent was
+//           renamed): only the (parent, self) pair key needs
+//           re-deriving — the node's own qname postings, value dictionary, and attribute
 //           entries are provably untouched, so their buckets (and warm
 //           memo entries) must survive. Set only commit-side by
 //           IndexManager::ApplyDirty's rename expansion, never by the
@@ -74,7 +73,7 @@ class DeltaIndex {
     kEntry = 0x1,  // qname postings / path membership (or liveness)
     kValue = 0x2,  // string value (value dictionary + sidecar)
     kAttrs = 0x4,  // attribute owners/dictionaries
-    kPath = 0x8,   // ancestor tag chain (path-chain keys only)
+    kPath = 0x8,   // parent tag (the path-index pair key only)
     kAll = kEntry | kValue | kAttrs | kPath,
   };
 

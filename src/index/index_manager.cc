@@ -52,12 +52,6 @@ void PostingsErase(Map* m, const Key& key, NodeId n, uint64_t gen) {
   }
 }
 
-int RoundShards(int requested) {
-  int n = 1;
-  while (n < requested && n < 256) n <<= 1;
-  return n;
-}
-
 const std::vector<PreId> kEmptyPres;
 
 /// Value-index view of one element: simple (no element children) plus
@@ -89,67 +83,28 @@ Derived DeriveValue(const storage::PagedStore& store, PreId pre) {
   return d;
 }
 
-}  // namespace
-
-IndexManager::IndexManager(IndexConfig config)
-    : config_(config), nshards_(RoundShards(std::max(1, config.shards))) {
-  config_.shards = nshards_;
-  config_.path_chain_depth =
-      std::clamp(config_.path_chain_depth, 2, kMaxChainDepth);
-  shards_ = std::make_unique<Shard[]>(static_cast<size_t>(nshards_));
+/// Tag of `pre`'s parent element, -1 for the document root.
+QnameId ParentTagOf(const storage::PagedStore& store, PreId pre) {
+  const PreId parent = store.ParentOf(pre);
+  return parent == kNullPre ? -1 : store.RefAt(parent);
 }
 
+}  // namespace
+
+IndexManager::IndexManager(IndexConfig config) : config_(config) {}
+
 IndexManager::~IndexManager() {
-  for (int i = 0; i < nshards_; ++i) {
-    const MemoTable* t = shards_[i].memo.load(std::memory_order_acquire);
-    while (t != nullptr) {
-      const MemoTable* prev = t->prev;
-      delete t;
-      t = prev;
-    }
+  const MemoTable* t = memo_.load(std::memory_order_acquire);
+  while (t != nullptr) {
+    const MemoTable* prev = t->prev;
+    delete t;
+    t = prev;
   }
 }
 
 // ---------------------------------------------------------------------------
 // Writer side: in-place maintenance inside the exclusive window
 // ---------------------------------------------------------------------------
-
-std::array<QnameId, IndexManager::kMaxChainDepth - 1> IndexManager::AncTagsOf(
-    const storage::PagedStore& store, PreId pre) const {
-  std::array<QnameId, kMaxChainDepth - 1> anc;
-  anc.fill(-1);
-  // AncestorChain returns root..parent; ancestor at distance i+1 is the
-  // (i+1)-th element from the back.
-  std::vector<PreId> chain = store.AncestorChain(pre);
-  const int depth = config_.path_chain_depth - 1;
-  for (int i = 0; i < depth && i < static_cast<int>(chain.size()); ++i) {
-    anc[static_cast<size_t>(i)] =
-        store.RefAt(chain[chain.size() - 1 - static_cast<size_t>(i)]);
-  }
-  return anc;
-}
-
-void IndexManager::AddChainEntries(NodeId node, const NodeState& st) {
-  auto& paths = DataOf(st.qn).paths;  // chains shard by self qname
-  ChainKey key;
-  key.qn[0] = st.qn;
-  for (int len = 2; len <= config_.path_chain_depth; ++len) {
-    key.qn[static_cast<size_t>(len - 1)] = st.anc[static_cast<size_t>(len - 2)];
-    key.len = static_cast<uint8_t>(len);
-    PostingsInsert(&paths, key, node, ++next_gen_);
-  }
-}
-
-void IndexManager::RemoveChainEntries(NodeId node, const NodeState& st) {
-  auto& paths = DataOf(st.qn).paths;
-  ChainKey key;
-  key.qn[0] = st.qn;
-  for (int len = 2; len <= config_.path_chain_depth; ++len) {
-    key.qn[static_cast<size_t>(len - 1)] = st.anc[static_cast<size_t>(len - 2)];
-    key.len = static_cast<uint8_t>(len);
-    PostingsErase(&paths, key, node, ++next_gen_);
-  }
-}
 
 void IndexManager::AddValueEntry(ValueBucket* vb,
                                  const storage::PagedStore& store,
@@ -215,7 +170,7 @@ void IndexManager::AddAttrEntries(const storage::PagedStore& store,
     as.qn = row.qname;
     as.value = store.pools().Prop(row.prop);
     as.numeric = xpath::detail::ParseNumber(as.value, &as.num);
-    AttrBucket* ab = &DataOf(as.qn).attrs[as.qn];
+    AttrBucket* ab = &data_.attrs[as.qn];
     const uint64_t g = ++next_gen_;
     SortedInsert(&ab->owners, node);
     ab->owners_gen = g;
@@ -235,7 +190,7 @@ void IndexManager::AddAttrEntries(const storage::PagedStore& store,
 
 void IndexManager::RemoveAttrEntries(NodeId node, const NodeState& st) {
   for (const AttrState& as : st.attrs) {
-    auto& attrs = DataOf(as.qn).attrs;
+    auto& attrs = data_.attrs;
     auto ait = attrs.find(as.qn);
     if (ait == attrs.end()) continue;
     AttrBucket* ab = &ait->second;
@@ -300,15 +255,14 @@ void IndexManager::HistRemove(NumericHistogram* h, double v) {
 }
 
 void IndexManager::AddNode(const storage::PagedStore& store, NodeId node,
-                           PreId pre,
-                           const std::array<QnameId, kMaxChainDepth - 1>& anc) {
+                           PreId pre, QnameId parent_qn) {
   NodeState st;
   st.qn = store.RefAt(pre);
-  st.anc = anc;
-  ShardData& d = DataOf(st.qn);
-  PostingsInsert(&d.postings, st.qn, node, ++next_gen_);
-  AddChainEntries(node, st);
-  AddValueEntry(&d.values[st.qn], store, node, pre, &st);
+  st.parent_qn = parent_qn;
+  PostingsInsert(&data_.postings, st.qn, node, ++next_gen_);
+  PostingsInsert(&data_.paths, PairKey(st.parent_qn, st.qn), node,
+                 ++next_gen_);
+  AddValueEntry(&data_.values[st.qn], store, node, pre, &st);
   AddAttrEntries(store, node, &st);
   node_state_[node] = std::move(st);
 }
@@ -318,12 +272,12 @@ void IndexManager::RemoveNode(NodeId node) {
   if (it == node_state_.end()) return;
   const NodeState& st = it->second;
 
-  ShardData& d = DataOf(st.qn);
-  PostingsErase(&d.postings, st.qn, node, ++next_gen_);
-  RemoveChainEntries(node, st);
-  if (auto vit = d.values.find(st.qn); vit != d.values.end()) {
+  PostingsErase(&data_.postings, st.qn, node, ++next_gen_);
+  PostingsErase(&data_.paths, PairKey(st.parent_qn, st.qn), node,
+                ++next_gen_);
+  if (auto vit = data_.values.find(st.qn); vit != data_.values.end()) {
     RemoveValueEntry(&vit->second, node, st);
-    if (vit->second.empty()) d.values.erase(vit);
+    if (vit->second.empty()) data_.values.erase(vit);
   }
   RemoveAttrEntries(node, st);
   node_state_.erase(it);
@@ -335,21 +289,19 @@ void IndexManager::PruneMemos() {
   // the value-key admission cap is dropped wholesale, so memoization
   // of new literals resumes instead of staying disabled forever (the
   // hot entries re-admit on their next probe).
-  for (int i = 0; i < nshards_; ++i) {
-    const MemoTable* newest = shards_[i].memo.load(std::memory_order_acquire);
-    if (newest == nullptr) continue;
-    const MemoTable* t = newest->prev;
-    while (t != nullptr) {
-      const MemoTable* prev = t->prev;
-      delete t;
-      t = prev;
-    }
-    if (newest->value_entries >= kValueMemoCapPerShard) {
-      shards_[i].memo.store(nullptr, std::memory_order_release);
-      delete newest;
-    } else {
-      const_cast<MemoTable*>(newest)->prev = nullptr;
-    }
+  const MemoTable* newest = memo_.load(std::memory_order_acquire);
+  if (newest == nullptr) return;
+  const MemoTable* t = newest->prev;
+  while (t != nullptr) {
+    const MemoTable* prev = t->prev;
+    delete t;
+    t = prev;
+  }
+  if (newest->value_entries >= kValueMemoCap) {
+    memo_.store(nullptr, std::memory_order_release);
+    delete newest;
+  } else {
+    const_cast<MemoTable*>(newest)->prev = nullptr;
   }
 }
 
@@ -367,7 +319,7 @@ void IndexManager::Rebuild(const storage::PagedStore& store) {
   const auto t0 = std::chrono::steady_clock::now();
   MutexLock lock(&writer_mu_);
   node_state_.clear();
-  for (int i = 0; i < nshards_; ++i) shards_[i].data = ShardData();
+  data_ = Buckets();
   if (config_.enabled) {
     // Pre-order walk tracking the enclosing element chain, so each
     // element's parent qname is O(1) instead of an ancestor descent.
@@ -380,16 +332,8 @@ void IndexManager::Rebuild(const storage::PagedStore& store) {
     for (PreId p = store.SkipHoles(0); p < end; p = store.SkipHoles(p + 1)) {
       while (!stack.empty() && p > stack.back().end) stack.pop_back();
       if (store.KindAt(p) != NodeKind::kElement) continue;
-      // The enclosing-element stack IS the ancestor chain: the nearest
-      // k-1 tags come off its back, no per-node store walk.
-      std::array<QnameId, kMaxChainDepth - 1> anc;
-      anc.fill(-1);
-      const int depth = config_.path_chain_depth - 1;
-      for (int i = 0; i < depth && i < static_cast<int>(stack.size()); ++i) {
-        anc[static_cast<size_t>(i)] =
-            stack[stack.size() - 1 - static_cast<size_t>(i)].qn;
-      }
-      AddNode(store, store.NodeAt(p), p, anc);
+      AddNode(store, store.NodeAt(p), p,
+              stack.empty() ? -1 : stack.back().qn);
       stack.push_back({p + store.SizeAt(p), store.RefAt(p)});
     }
   }
@@ -420,7 +364,7 @@ void IndexManager::ApplyDirty(const storage::PagedStore& store,
     auto st = node_state_.find(n);
     const bool known = st != node_state_.end();
 
-    // Granular path for value-/attr-/chain-only dirt: the node's qname
+    // Granular path for value-/attr-/path-only dirt: the node's qname
     // postings membership is provably unchanged, so leave that bucket
     // (and every warm memo entry sourced from it) alone and refresh
     // just the sides the kind mask names. Falls through to the full
@@ -432,20 +376,23 @@ void IndexManager::ApplyDirty(const storage::PagedStore& store,
       if (gpre.ok() && store.KindAt(gpre.value()) == NodeKind::kElement &&
           store.RefAt(gpre.value()) == st->second.qn) {
         if ((kind & DeltaIndex::kPath) != 0) {
-          // An ancestor within k-1 levels was renamed: re-key the
-          // chain entries from the merged base. Skipped when the
-          // recomputed ancestor tags match the reverse map — a
-          // duplicate expansion (nested renames) must not bump bucket
-          // generations and shoot down warm chain memos for nothing.
-          auto anc = AncTagsOf(store, gpre.value());
-          if (anc != st->second.anc) {
-            RemoveChainEntries(n, st->second);
-            st->second.anc = anc;
-            AddChainEntries(n, st->second);
+          // The parent was renamed: re-key the pair entry from the
+          // merged base. Skipped when the recomputed parent tag matches
+          // the reverse map — a duplicate expansion must not bump the
+          // bucket generation and shoot down a warm path memo for
+          // nothing.
+          NodeState& ns = st->second;
+          const QnameId parent_qn = ParentTagOf(store, gpre.value());
+          if (parent_qn != ns.parent_qn) {
+            PostingsErase(&data_.paths, PairKey(ns.parent_qn, ns.qn), n,
+                          ++next_gen_);
+            ns.parent_qn = parent_qn;
+            PostingsInsert(&data_.paths, PairKey(ns.parent_qn, ns.qn), n,
+                           ++next_gen_);
           }
         }
         if ((kind & DeltaIndex::kValue) != 0) {
-          ValueBucket* vb = &DataOf(st->second.qn).values[st->second.qn];
+          ValueBucket* vb = &data_.values[st->second.qn];
           RemoveValueEntry(vb, n, st->second);
           AddValueEntry(vb, store, n, gpre.value(), &st->second);
         }
@@ -457,8 +404,8 @@ void IndexManager::ApplyDirty(const storage::PagedStore& store,
           std::vector<std::pair<QnameId, uint64_t>> prior_owner_gens;
           prior_owner_gens.reserve(st->second.attrs.size());
           for (const AttrState& as : st->second.attrs) {
-            prior_owner_gens.emplace_back(
-                as.qn, DataOf(as.qn).attrs[as.qn].owners_gen);
+            prior_owner_gens.emplace_back(as.qn,
+                                          data_.attrs[as.qn].owners_gen);
           }
           RemoveAttrEntries(n, st->second);
           st->second.attrs.clear();
@@ -472,7 +419,7 @@ void IndexManager::ApplyDirty(const storage::PagedStore& store,
           for (const auto& [qn, gen] : prior_owner_gens) {
             for (const AttrState& na : st->second.attrs) {
               if (na.qn == qn) {
-                DataOf(qn).attrs[qn].owners_gen = gen;
+                data_.attrs[qn].owners_gen = gen;
                 break;
               }
             }
@@ -483,12 +430,11 @@ void IndexManager::ApplyDirty(const storage::PagedStore& store,
     }
 
     // Detect renames against the reverse map BEFORE removal: the
-    // transaction marks only the renamed node, but the chain keys of
-    // every element descendant within k-1 levels changed with it.
-    // Enumerating that neighborhood from the MERGED base (not the
-    // transaction's clone) keeps concurrent commits convergent — a
-    // descendant inserted by a rival commit is re-keyed here even
-    // though the renamer's clone never saw it.
+    // transaction marks only the renamed node, but the pair keys of its
+    // element children changed with it. Enumerating the children from
+    // the MERGED base (not the transaction's clone) keeps concurrent
+    // commits convergent — a child inserted by a rival commit is
+    // re-keyed here even though the renamer's clone never saw it.
     QnameId old_qn = -1;
     if (known) old_qn = st->second.qn;
     RemoveNode(n);
@@ -497,36 +443,26 @@ void IndexManager::ApplyDirty(const storage::PagedStore& store,
     if (!pre.ok()) continue;
     if (store.KindAt(pre.value()) != NodeKind::kElement) continue;
     if (known && old_qn != store.RefAt(pre.value())) {
-      // Re-enqueue the k-1-deep element neighborhood with kPath-only
-      // dirt: exactly the chain entries mention the renamed tag, so
-      // the descendants' postings/value/attr buckets (and their warm
-      // memos) must survive the re-key. Works regardless of the
-      // descendant's own marks or processing order — a kPath pass is
-      // idempotent (it re-derives the ancestor tags from the merged
-      // base and no-ops when they already match the reverse map), so
-      // duplicates from nested renames are cheap, and a descendant the
-      // same transaction also value-edited or renamed keeps its other
-      // kind bits on its own work item.
-      const int reach = config_.path_chain_depth - 1;
+      // Re-enqueue the element children with kPath-only dirt: exactly
+      // their pair entries mention the renamed tag, so their postings/
+      // value/attr buckets (and their warm memos) must survive the
+      // re-key. Works regardless of a child's own marks or processing
+      // order — a kPath pass is idempotent (it re-derives the parent
+      // tag from the merged base and no-ops when it already matches the
+      // reverse map), and a child the same transaction also
+      // value-edited or renamed keeps its other kind bits on its own
+      // work item.
       const PreId self = pre.value();
       const PreId end = self + store.SizeAt(self);
-      const int32_t base_level = store.LevelAt(self);
-      for (PreId c = store.SkipHoles(self + 1); c <= end;) {
-        const bool is_elem = store.KindAt(c) == NodeKind::kElement;
-        const int32_t rel = store.LevelAt(c) - base_level;
-        if (is_elem && rel <= reach) {
+      for (PreId c = store.SkipHoles(self + 1); c <= end;
+           c = store.SkipHoles(c + store.SizeAt(c) + 1)) {
+        if (store.KindAt(c) == NodeKind::kElement) {
           work.push_back(store.NodeAt(c));
           kinds.push_back(DeltaIndex::kPath);
         }
-        if (is_elem && rel >= reach) {
-          // Deeper elements are out of chain reach: skip the subtree.
-          c = store.SkipHoles(c + store.SizeAt(c) + 1);
-        } else {
-          c = store.SkipHoles(c + 1);
-        }
       }
     }
-    AddNode(store, n, pre.value(), AncTagsOf(store, pre.value()));
+    AddNode(store, n, pre.value(), ParentTagOf(store, pre.value()));
   }
   Publish(delta.structural());
   maintenance_ops_ += static_cast<int64_t>(work.size());
@@ -544,7 +480,7 @@ void IndexManager::ApplyDirty(const storage::PagedStore& store,
 bool IndexManager::Gate(int64_t candidates, int64_t scan_cost) const {
   if (config_.cross_check) return true;  // always exercise the index
   return static_cast<double>(candidates) <=
-         config_.gate_ratio * static_cast<double>(scan_cost);
+         kGateRatio * static_cast<double>(scan_cost);
 }
 
 std::vector<PreId> IndexManager::ToPres(const storage::PagedStore& store,
@@ -560,16 +496,15 @@ std::vector<PreId> IndexManager::ToPres(const storage::PagedStore& store,
 }
 
 const IndexManager::MemoEntry* IndexManager::LookupMemo(
-    const Shard& shard, const MemoKey& key) const {
-  const MemoTable* memo = shard.memo.load(std::memory_order_acquire);
+    const MemoKey& key) const {
+  const MemoTable* memo = memo_.load(std::memory_order_acquire);
   if (memo == nullptr) return nullptr;
   auto it = memo->entries.find(key);
   return it == memo->entries.end() ? nullptr : it->second.get();
 }
 
 const IndexManager::MemoEntry* IndexManager::PublishMemo(
-    const Shard& shard, const MemoKey& key,
-    std::shared_ptr<const MemoEntry> entry) const {
+    const MemoKey& key, std::shared_ptr<const MemoEntry> entry) const {
   // CAS-publish a new table version. Readers race only with readers
   // (writers prune inside the exclusive window); a loser deletes its
   // never-published candidate and retries against the latest table, so
@@ -582,28 +517,26 @@ const IndexManager::MemoEntry* IndexManager::PublishMemo(
   // commit window, which a read-only workload never opens. A full
   // table therefore stops admitting NEW value keys (existing keys may
   // still be refreshed in place: same map size), bounding both the
-  // retained chain and the per-insert copy cost. Qname/path/chain keys
-  // are exempt: their space is bounded by the document's tag
+  // retained chain and the per-insert copy cost. Qname/path keys are
+  // exempt: their space is bounded by the document's tag
   // structure, and MemoizedPres relies on publication to keep its
   // returned pointer alive.
   const MemoEntry* raw = entry.get();
-  const bool value_ns = key.ns != MemoNs::kQname &&
-                        key.ns != MemoNs::kPath && key.ns != MemoNs::kChain;
-  const MemoTable* cur = shard.memo.load(std::memory_order_acquire);
+  const bool value_ns = key.ns != MemoNs::kQname && key.ns != MemoNs::kPath;
+  const MemoTable* cur = memo_.load(std::memory_order_acquire);
   for (;;) {
     const bool fresh_key =
         cur == nullptr || cur->entries.find(key) == cur->entries.end();
     if (value_ns && fresh_key && cur != nullptr &&
-        cur->value_entries >= kValueMemoCapPerShard) {
+        cur->value_entries >= kValueMemoCap) {
       return nullptr;  // table full: serve the result unmemoized
     }
     auto* next = cur ? new MemoTable(*cur) : new MemoTable();
     next->prev = cur;
     next->entries[key] = entry;
     if (value_ns && fresh_key) next->value_entries += 1;
-    if (shard.memo.compare_exchange_strong(cur, next,
-                                           std::memory_order_acq_rel,
-                                           std::memory_order_acquire)) {
+    if (memo_.compare_exchange_strong(cur, next, std::memory_order_acq_rel,
+                                      std::memory_order_acquire)) {
       return raw;  // kept alive by the published table chain
     }
     delete next;
@@ -611,10 +544,10 @@ const IndexManager::MemoEntry* IndexManager::PublishMemo(
 }
 
 const std::vector<PreId>* IndexManager::MemoizedPres(
-    const Shard& shard, const storage::PagedStore& store, const MemoKey& mk,
+    const storage::PagedStore& store, const MemoKey& mk,
     const Postings& src) const {
   const uint64_t sepoch = structure_epoch_.load(std::memory_order_acquire);
-  if (const MemoEntry* e = LookupMemo(shard, mk);
+  if (const MemoEntry* e = LookupMemo(mk);
       e != nullptr && e->src_gen == src.gen &&
       e->structure_epoch == sepoch) {
     memo_hits_.Inc();
@@ -626,7 +559,7 @@ const std::vector<PreId>* IndexManager::MemoizedPres(
   entry->structure_epoch = sepoch;
   entry->candidates = static_cast<int64_t>(src.nodes.size());
   entry->pres = ToPres(store, src.nodes);
-  return &PublishMemo(shard, mk, std::move(entry))->pres;
+  return &PublishMemo(mk, std::move(entry))->pres;
 }
 
 IndexManager::MemoKey IndexManager::ValueMemoKey(MemoNs ns, QnameId qn,
@@ -665,86 +598,44 @@ uint64_t IndexManager::SourceGenFor(const Bucket& b, const MemoKey& key) {
   return b.range_gen;
 }
 
-int64_t IndexManager::PostingsCount(QnameId qn) const {
-  if (!config_.enabled || qn < 0) return 0;
-  const ShardData& d = DataOf(qn);
-  auto it = d.postings.find(qn);
-  return it == d.postings.end()
-             ? 0
-             : static_cast<int64_t>(it->second.nodes.size());
-}
-
 const std::vector<PreId>* IndexManager::ElementsByQname(
     const storage::PagedStore& store, QnameId qn, int64_t scan_cost) const {
   if (!config_.enabled || qn < 0) return nullptr;
   probes_.Inc();
-  const Shard& shard = shards_[ShardOf(qn)];
-  const ShardData& d = shard.data;
-  auto it = d.postings.find(qn);
-  const int64_t k = it == d.postings.end()
+  auto it = data_.postings.find(qn);
+  const int64_t k = it == data_.postings.end()
                         ? 0
                         : static_cast<int64_t>(it->second.nodes.size());
   if (!Gate(k, scan_cost)) {
     probe_declines_.Inc();
     return nullptr;
   }
-  if (it == d.postings.end()) return &kEmptyPres;
+  if (it == data_.postings.end()) return &kEmptyPres;
   MemoKey mk;
   mk.ns = MemoNs::kQname;
   mk.key = static_cast<uint64_t>(static_cast<uint32_t>(qn));
-  return MemoizedPres(shard, store, mk, it->second);
+  return MemoizedPres(store, mk, it->second);
 }
 
 const std::vector<PreId>* IndexManager::PathPairProbe(
     const storage::PagedStore& store, QnameId parent_qn, QnameId self_qn,
     int64_t scan_cost) const {
-  if (self_qn < 0) return nullptr;
-  return PathChainProbe(store, {parent_qn, self_qn}, scan_cost);
-}
-
-const std::vector<PreId>* IndexManager::PathChainProbe(
-    const storage::PagedStore& store, const std::vector<QnameId>& chain,
-    int64_t scan_cost) const {
-  const size_t len = chain.size();
-  if (!config_.enabled || len < 2 ||
-      len > static_cast<size_t>(config_.path_chain_depth)) {
-    return nullptr;
-  }
-  if (chain.back() < 0) return nullptr;  // self must be a real tag
-  const PaddedCounter& probes = len == 2 ? path_probes_ : chain_probes_;
-  const PaddedCounter& declines = len == 2 ? path_declines_ : chain_declines_;
-  probes.Inc();
-  // chain is in PATH order (farthest ancestor first); the key stores
-  // self first.
-  ChainKey key;
-  key.len = static_cast<uint8_t>(len);
-  for (size_t i = 0; i < len; ++i) key.qn[i] = chain[len - 1 - i];
-  const Shard& shard = shards_[ShardOf(key.qn[0])];
-  const ShardData& d = shard.data;
-  auto it = d.paths.find(key);
-  const int64_t k = it == d.paths.end()
+  if (!config_.enabled || self_qn < 0) return nullptr;
+  path_probes_.Inc();
+  const uint64_t key = PairKey(parent_qn, self_qn);
+  auto it = data_.paths.find(key);
+  const int64_t k = it == data_.paths.end()
                         ? 0
                         : static_cast<int64_t>(it->second.nodes.size());
   if (!Gate(k, scan_cost)) {
-    declines.Inc();
+    path_declines_.Inc();
     return nullptr;
   }
-  if (it == d.paths.end()) return &kEmptyPres;
+  if (it == data_.paths.end()) return &kEmptyPres;
   MemoKey mk;
-  if (len == 2) {
-    mk.ns = MemoNs::kPath;
-    mk.key = PackedPairOf(key);
-  } else {
-    // Longer chains carry the raw key bytes as the operand; the chain
-    // space is bounded by the document's tag structure, so these keys
-    // are exempt from the value-memo admission cap like qname/pair
-    // keys.
-    mk.ns = MemoNs::kChain;
-    mk.cls = OperandClass::kString;
-    mk.operand.assign(reinterpret_cast<const char*>(key.qn.data()),
-                      len * sizeof(QnameId));
-  }
-  return MemoizedPres(shard, store, mk, it->second);
+  mk.ns = MemoNs::kPath;
+  mk.key = key;
+  return MemoizedPres(store, mk, it->second);
 }
 
 void IndexManager::CollectMatches(
@@ -834,77 +725,62 @@ bool IndexManager::ChildValueProbe(const storage::PagedStore& store,
   probes_.Inc();
   simple->clear();
   complex_rest->clear();
-  const Shard& shard = shards_[ShardOf(qn)];
-  const ShardData& d = shard.data;
-  auto vit = d.values.find(qn);
-  if (vit == d.values.end()) {
+  auto vit = data_.values.find(qn);
+  if (vit == data_.values.end()) {
     // No element carries this tag: the empty result is exact.
     return true;
   }
   const ValueBucket& vb = vit->second;
   const uint64_t sepoch = structure_epoch_.load(std::memory_order_acquire);
-  MemoKey mk;
-  if (config_.memo_values) {
-    mk = ValueMemoKey(MemoNs::kValue, qn, op, literal);
-    // Count-only (negative-cache) entries validate on generations
-    // alone: a candidate COUNT depends only on dictionary content,
-    // never on pre ranks, so structural commits that touched other
-    // keys leave a warm decline warm.
-    if (const MemoEntry* e = LookupMemo(shard, mk);
-        e != nullptr && e->src_gen == SourceGenFor(vb, mk) &&
-        e->aux_gen == vb.complex_gen &&
-        (!e->materialized || e->structure_epoch == sepoch)) {
-      if (!Gate(e->candidates, scan_cost)) {
-        // Warm decline: the gate ran off the cached count — no
-        // CollectMatches, no dictionary walk.
-        value_neg_hits_.Inc();
-        probe_declines_.Inc();
-        return false;
-      }
-      if (e->materialized) {
-        memo_value_hits_.Inc();
-        *simple = e->pres;
-        *complex_rest = e->complex_pres;
-        return true;
-      }
-      // Count-only entry, but the caller's scan estimate now passes
-      // the gate: fall through and materialize.
+  const MemoKey mk = ValueMemoKey(MemoNs::kValue, qn, op, literal);
+  // Count-only (negative-cache) entries validate on generations alone:
+  // a candidate COUNT depends only on dictionary content, never on pre
+  // ranks, so structural commits that touched other keys leave a warm
+  // decline warm.
+  if (const MemoEntry* e = LookupMemo(mk);
+      e != nullptr && e->src_gen == SourceGenFor(vb, mk) &&
+      e->aux_gen == vb.complex_gen &&
+      (!e->materialized || e->structure_epoch == sepoch)) {
+    if (!Gate(e->candidates, scan_cost)) {
+      // Warm decline: the gate ran off the cached count — no
+      // CollectMatches, no dictionary walk.
+      value_neg_hits_.Inc();
+      probe_declines_.Inc();
+      return false;
     }
+    if (e->materialized) {
+      memo_value_hits_.Inc();
+      *simple = e->pres;
+      *complex_rest = e->complex_pres;
+      return true;
+    }
+    // Count-only entry, but the caller's scan estimate now passes the
+    // gate: fall through and materialize.
   }
   std::vector<NodeId> matches;
   CollectMatches(vb.by_string, vb.by_number, op, literal, &matches);
   const int64_t k = static_cast<int64_t>(matches.size()) +
                     static_cast<int64_t>(vb.complex_elems.size());
+  auto entry = std::make_shared<MemoEntry>();
+  entry->src_gen = SourceGenFor(vb, mk);
+  entry->aux_gen = vb.complex_gen;
+  entry->structure_epoch = sepoch;
+  entry->candidates = k;
   if (!Gate(k, scan_cost)) {
+    // Negative cache: remember the candidate count so the key's next
+    // warm decline skips CollectMatches entirely. The entry invalidates
+    // like any other when a commit re-stamps the key's generation.
     probe_declines_.Inc();
-    if (config_.memo_values) {
-      // Negative cache (ROADMAP): remember the candidate count so the
-      // key's next warm decline skips CollectMatches entirely. The
-      // entry invalidates like any other when a commit re-stamps the
-      // key's generation.
-      auto entry = std::make_shared<MemoEntry>();
-      entry->src_gen = SourceGenFor(vb, mk);
-      entry->aux_gen = vb.complex_gen;
-      entry->structure_epoch = sepoch;
-      entry->candidates = k;
-      entry->materialized = false;
-      PublishMemo(shard, mk, std::move(entry));
-    }
+    entry->materialized = false;
+    PublishMemo(mk, std::move(entry));
     return false;
   }
   *simple = ToPres(store, matches);
   *complex_rest = ToPres(store, vb.complex_elems);
-  if (config_.memo_values) {
-    memo_value_misses_.Inc();
-    auto entry = std::make_shared<MemoEntry>();
-    entry->src_gen = SourceGenFor(vb, mk);
-    entry->aux_gen = vb.complex_gen;
-    entry->structure_epoch = sepoch;
-    entry->candidates = k;
-    entry->pres = *simple;
-    entry->complex_pres = *complex_rest;
-    PublishMemo(shard, mk, std::move(entry));
-  }
+  memo_value_misses_.Inc();
+  entry->pres = *simple;
+  entry->complex_pres = *complex_rest;
+  PublishMemo(mk, std::move(entry));
   return true;
 }
 
@@ -912,10 +788,8 @@ std::optional<std::vector<PreId>> IndexManager::AttrOwners(
     const storage::PagedStore& store, QnameId qn, int64_t scan_cost) const {
   if (!config_.enabled || qn < 0) return std::nullopt;
   probes_.Inc();
-  const Shard& shard = shards_[ShardOf(qn)];
-  const ShardData& d = shard.data;
-  auto it = d.attrs.find(qn);
-  if (it == d.attrs.end()) return std::vector<PreId>{};
+  auto it = data_.attrs.find(qn);
+  if (it == data_.attrs.end()) return std::vector<PreId>{};
   const AttrBucket& ab = it->second;
   const int64_t k = static_cast<int64_t>(ab.owners.size());
   if (!Gate(k, scan_cost)) {
@@ -926,24 +800,20 @@ std::optional<std::vector<PreId>> IndexManager::AttrOwners(
   MemoKey mk;
   mk.ns = MemoNs::kAttrOwners;
   mk.key = static_cast<uint64_t>(static_cast<uint32_t>(qn));
-  if (config_.memo_values) {
-    if (const MemoEntry* e = LookupMemo(shard, mk);
-        e != nullptr && e->src_gen == ab.owners_gen &&
-        e->structure_epoch == sepoch) {
-      memo_value_hits_.Inc();
-      return e->pres;
-    }
+  if (const MemoEntry* e = LookupMemo(mk);
+      e != nullptr && e->src_gen == ab.owners_gen &&
+      e->structure_epoch == sepoch) {
+    memo_value_hits_.Inc();
+    return e->pres;
   }
-  std::vector<PreId> pres = ToPres(store, ab.owners);
-  if (config_.memo_values) {
-    memo_value_misses_.Inc();
-    auto entry = std::make_shared<MemoEntry>();
-    entry->src_gen = ab.owners_gen;
-    entry->structure_epoch = sepoch;
-    entry->candidates = k;
-    entry->pres = pres;
-    PublishMemo(shard, mk, std::move(entry));
-  }
+  memo_value_misses_.Inc();
+  auto entry = std::make_shared<MemoEntry>();
+  entry->src_gen = ab.owners_gen;
+  entry->structure_epoch = sepoch;
+  entry->candidates = k;
+  entry->pres = ToPres(store, ab.owners);
+  std::vector<PreId> pres = entry->pres;
+  PublishMemo(mk, std::move(entry));
   return pres;
 }
 
@@ -954,56 +824,43 @@ std::optional<std::vector<PreId>> IndexManager::AttrValueProbe(
     return std::nullopt;
   }
   probes_.Inc();
-  const Shard& shard = shards_[ShardOf(qn)];
-  const ShardData& d = shard.data;
-  auto it = d.attrs.find(qn);
-  if (it == d.attrs.end()) return std::vector<PreId>{};
+  auto it = data_.attrs.find(qn);
+  if (it == data_.attrs.end()) return std::vector<PreId>{};
   const AttrBucket& ab = it->second;
   const uint64_t sepoch = structure_epoch_.load(std::memory_order_acquire);
-  MemoKey mk;
-  if (config_.memo_values) {
-    mk = ValueMemoKey(MemoNs::kAttrValue, qn, op, literal);
-    // Same negative-cache protocol as ChildValueProbe: count-only
-    // entries validate on the key generation alone.
-    if (const MemoEntry* e = LookupMemo(shard, mk);
-        e != nullptr && e->src_gen == SourceGenFor(ab, mk) &&
-        (!e->materialized || e->structure_epoch == sepoch)) {
-      if (!Gate(e->candidates, scan_cost)) {
-        value_neg_hits_.Inc();
-        probe_declines_.Inc();
-        return std::nullopt;
-      }
-      if (e->materialized) {
-        memo_value_hits_.Inc();
-        return e->pres;
-      }
+  const MemoKey mk = ValueMemoKey(MemoNs::kAttrValue, qn, op, literal);
+  // Same negative-cache protocol as ChildValueProbe: count-only entries
+  // validate on the key generation alone.
+  if (const MemoEntry* e = LookupMemo(mk);
+      e != nullptr && e->src_gen == SourceGenFor(ab, mk) &&
+      (!e->materialized || e->structure_epoch == sepoch)) {
+    if (!Gate(e->candidates, scan_cost)) {
+      value_neg_hits_.Inc();
+      probe_declines_.Inc();
+      return std::nullopt;
+    }
+    if (e->materialized) {
+      memo_value_hits_.Inc();
+      return e->pres;
     }
   }
   std::vector<NodeId> matches;
   CollectMatches(ab.by_string, ab.by_number, op, literal, &matches);
   const int64_t k = static_cast<int64_t>(matches.size());
+  auto entry = std::make_shared<MemoEntry>();
+  entry->src_gen = SourceGenFor(ab, mk);
+  entry->structure_epoch = sepoch;
+  entry->candidates = k;
   if (!Gate(k, scan_cost)) {
     probe_declines_.Inc();
-    if (config_.memo_values) {
-      auto entry = std::make_shared<MemoEntry>();
-      entry->src_gen = SourceGenFor(ab, mk);
-      entry->structure_epoch = sepoch;
-      entry->candidates = k;
-      entry->materialized = false;
-      PublishMemo(shard, mk, std::move(entry));
-    }
+    entry->materialized = false;
+    PublishMemo(mk, std::move(entry));
     return std::nullopt;
   }
-  std::vector<PreId> pres = ToPres(store, matches);
-  if (config_.memo_values) {
-    memo_value_misses_.Inc();
-    auto entry = std::make_shared<MemoEntry>();
-    entry->src_gen = SourceGenFor(ab, mk);
-    entry->structure_epoch = sepoch;
-    entry->candidates = k;
-    entry->pres = pres;
-    PublishMemo(shard, mk, std::move(entry));
-  }
+  memo_value_misses_.Inc();
+  entry->pres = ToPres(store, matches);
+  std::vector<PreId> pres = entry->pres;
+  PublishMemo(mk, std::move(entry));
   return pres;
 }
 
@@ -1012,7 +869,7 @@ void IndexManager::NoteCrossCheckMismatch() const {
 }
 
 // ---------------------------------------------------------------------------
-// Cardinality statistics: stat reads off the shard buckets
+// Cardinality statistics: stat reads off the buckets
 // ---------------------------------------------------------------------------
 
 int64_t IndexManager::HistEstimate(const NumericHistogram& h, xpath::CmpOp op,
@@ -1090,36 +947,26 @@ IndexManager::KeyStats IndexManager::DictStats(
   return ks;
 }
 
-IndexManager::KeyStats IndexManager::ChainStats(
-    const std::vector<QnameId>& chain) const {
+IndexManager::KeyStats IndexManager::TagStats(QnameId qn) const {
   KeyStats ks;
-  const size_t len = chain.size();
-  if (!config_.enabled || len < 1 ||
-      len > static_cast<size_t>(config_.path_chain_depth)) {
-    return ks;
-  }
-  if (chain.back() < 0) return ks;  // self must be a real tag
+  if (!config_.enabled || qn < 0) return ks;
   estimator_probes_.Inc();
-  if (len == 1) {
-    // Single tag: the qname posting length (degree-constraint input).
-    const QnameId qn = chain[0];
-    const ShardData& d = DataOf(qn);
-    auto it = d.postings.find(qn);
-    ks.count = it == d.postings.end()
-                   ? 0
-                   : static_cast<int64_t>(it->second.nodes.size());
-    ks.exact = true;
-    ks.known = true;
-    return ks;
-  }
-  // Same key construction as PathChainProbe: chain is in PATH order
-  // (farthest ancestor first), the key stores self first.
-  ChainKey key;
-  key.len = static_cast<uint8_t>(len);
-  for (size_t i = 0; i < len; ++i) key.qn[i] = chain[len - 1 - i];
-  const ShardData& d = DataOf(key.qn[0]);
-  auto it = d.paths.find(key);
-  ks.count = it == d.paths.end()
+  auto it = data_.postings.find(qn);
+  ks.count = it == data_.postings.end()
+                 ? 0
+                 : static_cast<int64_t>(it->second.nodes.size());
+  ks.exact = true;
+  ks.known = true;
+  return ks;
+}
+
+IndexManager::KeyStats IndexManager::PairStats(QnameId parent_qn,
+                                               QnameId self_qn) const {
+  KeyStats ks;
+  if (!config_.enabled || self_qn < 0) return ks;
+  estimator_probes_.Inc();
+  auto it = data_.paths.find(PairKey(parent_qn, self_qn));
+  ks.count = it == data_.paths.end()
                  ? 0
                  : static_cast<int64_t>(it->second.nodes.size());
   ks.exact = true;
@@ -1132,9 +979,8 @@ IndexManager::KeyStats IndexManager::ValueStats(
   KeyStats ks;
   if (!config_.enabled || qn < 0) return ks;
   estimator_probes_.Inc();
-  const ShardData& d = DataOf(qn);
-  auto it = d.values.find(qn);
-  if (it == d.values.end()) {
+  auto it = data_.values.find(qn);
+  if (it == data_.values.end()) {
     // No element carries this tag: zero, exactly.
     ks.known = true;
     ks.exact = true;
@@ -1157,9 +1003,8 @@ IndexManager::KeyStats IndexManager::AttrStats(
   KeyStats ks;
   if (!config_.enabled || qn < 0) return ks;
   estimator_probes_.Inc();
-  const ShardData& d = DataOf(qn);
-  auto it = d.attrs.find(qn);
-  if (it == d.attrs.end()) {
+  auto it = data_.attrs.find(qn);
+  if (it == data_.attrs.end()) {
     ks.known = true;
     ks.exact = true;
     return ks;
@@ -1196,9 +1041,6 @@ IndexStats IndexManager::Stats() const {
   const int64_t path_declines = path_declines_.Value();
   s.path_probes = path_probes_.Value();
   s.path_hits = s.path_probes - path_declines;
-  const int64_t chain_declines = chain_declines_.Value();
-  s.chain_probes = chain_probes_.Value();
-  s.chain_hits = s.chain_probes - chain_declines;
   s.value_neg_hits = value_neg_hits_.Value();
   s.child_step_hits = child_step_hits_.Value();
   s.memo_hits = memo_hits_.Value();
@@ -1208,7 +1050,6 @@ IndexStats IndexManager::Stats() const {
   s.cross_check_mismatches = cross_check_mismatches_.Value();
   s.estimator_probes = estimator_probes_.Value();
   s.plan_reorders = plan_reorders_.Value();
-  s.shards = nshards_;
   s.publish_epoch =
       static_cast<int64_t>(publish_epoch_.load(std::memory_order_acquire));
   s.structure_epoch =
@@ -1226,54 +1067,46 @@ IndexStats IndexManager::Stats() const {
              static_cast<int64_t>(st.value.size()) +
              static_cast<int64_t>(st.attrs.size()) * 48;
   }
-  for (int i = 0; i < nshards_; ++i) {
-    const ShardData& d = shards_[i].data;
-    s.qname_keys += static_cast<int64_t>(d.postings.size());
-    for (const auto& [qn, p] : d.postings) {
-      s.postings_entries += static_cast<int64_t>(p.nodes.size());
-      bytes += static_cast<int64_t>(p.nodes.size()) * 8;
+  s.qname_keys = static_cast<int64_t>(data_.postings.size());
+  for (const auto& [qn, p] : data_.postings) {
+    s.postings_entries += static_cast<int64_t>(p.nodes.size());
+    bytes += static_cast<int64_t>(p.nodes.size()) * 8;
+  }
+  s.path_keys = static_cast<int64_t>(data_.paths.size());
+  for (const auto& [key, p] : data_.paths) {
+    bytes += static_cast<int64_t>(p.nodes.size()) * 8 +
+             static_cast<int64_t>(sizeof(key));
+  }
+  // Every posting/path bucket is a stat key (its length IS its
+  // cardinality stat); dictionary keys and owner lists join below.
+  s.stat_keys += static_cast<int64_t>(data_.postings.size()) +
+                 static_cast<int64_t>(data_.paths.size());
+  for (const auto& [qn, vb] : data_.values) {
+    s.value_keys += static_cast<int64_t>(vb.by_string.size());
+    s.complex_entries += static_cast<int64_t>(vb.complex_elems.size());
+    s.stat_keys += static_cast<int64_t>(vb.by_string.size());
+    for (const int64_t c : vb.hist.counts) {
+      if (c > 0) s.histogram_buckets += 1;
     }
-    for (const auto& [key, p] : d.paths) {
-      if (key.len == 2) {
-        s.path_keys += 1;
-      } else {
-        s.chain_keys += 1;
-        s.chain_postings += static_cast<int64_t>(p.nodes.size());
-      }
-      bytes += static_cast<int64_t>(p.nodes.size()) * 8 +
-               static_cast<int64_t>(sizeof(ChainKey));
+    for (const auto& [v, e] : vb.by_string) {
+      bytes += static_cast<int64_t>(v.size()) + 48 +
+               static_cast<int64_t>(e.nodes.size()) * 8;
     }
-    // Every posting/path bucket is a stat key (its length IS its
-    // cardinality stat); dictionary keys and owner lists join below.
-    s.stat_keys += static_cast<int64_t>(d.postings.size()) +
-                   static_cast<int64_t>(d.paths.size());
-    for (const auto& [qn, vb] : d.values) {
-      s.value_keys += static_cast<int64_t>(vb.by_string.size());
-      s.complex_entries += static_cast<int64_t>(vb.complex_elems.size());
-      s.stat_keys += static_cast<int64_t>(vb.by_string.size());
-      for (const int64_t c : vb.hist.counts) {
-        if (c > 0) s.histogram_buckets += 1;
-      }
-      for (const auto& [v, e] : vb.by_string) {
-        bytes += static_cast<int64_t>(v.size()) + 48 +
-                 static_cast<int64_t>(e.nodes.size()) * 8;
-      }
-      bytes += static_cast<int64_t>(vb.by_number.size()) * 48 +
-               static_cast<int64_t>(vb.complex_elems.size()) * 8;
+    bytes += static_cast<int64_t>(vb.by_number.size()) * 48 +
+             static_cast<int64_t>(vb.complex_elems.size()) * 8;
+  }
+  for (const auto& [qn, ab] : data_.attrs) {
+    s.attr_value_keys += static_cast<int64_t>(ab.by_string.size());
+    s.stat_keys += static_cast<int64_t>(ab.by_string.size()) + 1;
+    for (const int64_t c : ab.hist.counts) {
+      if (c > 0) s.histogram_buckets += 1;
     }
-    for (const auto& [qn, ab] : d.attrs) {
-      s.attr_value_keys += static_cast<int64_t>(ab.by_string.size());
-      s.stat_keys += static_cast<int64_t>(ab.by_string.size()) + 1;
-      for (const int64_t c : ab.hist.counts) {
-        if (c > 0) s.histogram_buckets += 1;
-      }
-      for (const auto& [v, e] : ab.by_string) {
-        bytes += static_cast<int64_t>(v.size()) + 48 +
-                 static_cast<int64_t>(e.nodes.size()) * 8;
-      }
-      bytes += static_cast<int64_t>(ab.by_number.size()) * 48 +
-               static_cast<int64_t>(ab.owners.size()) * 8;
+    for (const auto& [v, e] : ab.by_string) {
+      bytes += static_cast<int64_t>(v.size()) + 48 +
+               static_cast<int64_t>(e.nodes.size()) * 8;
     }
+    bytes += static_cast<int64_t>(ab.by_number.size()) * 48 +
+             static_cast<int64_t>(ab.owners.size()) * 8;
   }
   s.bytes = bytes;
   return s;
@@ -1286,8 +1119,6 @@ void IndexManager::RegisterMetrics(obs::MetricsRegistry* reg) const {
   reg->RegisterCounter("pxq_index_probe_declines_total", &probe_declines_);
   reg->RegisterCounter("pxq_index_path_probes_total", &path_probes_);
   reg->RegisterCounter("pxq_index_path_declines_total", &path_declines_);
-  reg->RegisterCounter("pxq_index_chain_probes_total", &chain_probes_);
-  reg->RegisterCounter("pxq_index_chain_declines_total", &chain_declines_);
   reg->RegisterCounter("pxq_index_child_step_hits_total", &child_step_hits_);
   reg->RegisterCounter("pxq_index_memo_hits_total", &memo_hits_);
   reg->RegisterCounter("pxq_index_memo_misses_total", &memo_misses_);
@@ -1310,16 +1141,13 @@ void IndexManager::RegisterMetrics(obs::MetricsRegistry* reg) const {
     o->emplace_back("pxq_index_value_keys", s.value_keys);
     o->emplace_back("pxq_index_attr_value_keys", s.attr_value_keys);
     o->emplace_back("pxq_index_path_keys", s.path_keys);
-    o->emplace_back("pxq_index_chain_keys", s.chain_keys);
     o->emplace_back("pxq_index_postings_entries", s.postings_entries);
-    o->emplace_back("pxq_index_chain_postings", s.chain_postings);
     o->emplace_back("pxq_index_complex_entries", s.complex_entries);
     o->emplace_back("pxq_index_node_states", s.node_states);
     o->emplace_back("pxq_index_bytes", s.bytes);
     o->emplace_back("pxq_index_build_micros", s.build_micros);
     o->emplace_back("pxq_index_maintenance_ops", s.maintenance_ops);
     o->emplace_back("pxq_index_applied_commits", s.applied_commits);
-    o->emplace_back("pxq_index_shards", s.shards);
     o->emplace_back("pxq_index_publish_epoch", s.publish_epoch);
     o->emplace_back("pxq_index_structure_epoch", s.structure_epoch);
     o->emplace_back("pxq_index_stat_keys", s.stat_keys);

@@ -32,24 +32,18 @@
 //                       values (attribute values are atomic, so probes
 //                       are exact with no complex remainder).
 //
-//   4. Path index       qname *chain* key -> sorted NodeId postings of
-//                       every element whose tag and nearest-ancestor
-//                       tags match the chain. Chains of every length in
-//                       [2, IndexConfig::path_chain_depth] are indexed
-//                       (length 2 is the classic (parent, self) pair;
-//                       positions above the document root key as -1),
-//                       so a multi-step absolute path
-//                       (/site/people/person/...) becomes a cascade of
-//                       MAXIMAL chain probes — each probe consumes up
-//                       to k-1 steps instead of one, i.e.
-//                       ceil((d-1)/(k-1)) cascade levels for a d-step
-//                       path — see xpath::Evaluator. The trade-off is
-//                       rename fan-out: renaming an element re-keys
-//                       the chains of every element DESCENDANT within
-//                       k-1 levels; ApplyDirty expands that
-//                       neighborhood commit-side with kPath-only dirty
-//                       marks so the descendants' value/attr entries
-//                       (and their warm memos) survive the re-key.
+//   4. Path index       (parent qname, self qname) pair -> sorted NodeId
+//                       postings of every element with that tag whose
+//                       parent element carries the parent tag (-1 for
+//                       the document root, which has no parent). A
+//                       multi-step absolute path (/site/people/person)
+//                       becomes a cascade of pair probes, one per level
+//                       — see xpath::Executor::RunChainProbe. Renaming
+//                       an element re-keys the pairs of its direct
+//                       element children only; ApplyDirty expands that
+//                       commit-side with kPath-only dirty marks so the
+//                       children's value/attr entries (and their warm
+//                       memos) survive the re-key.
 //
 // Postings store immutable NodeIds, not pre ranks: structural edits
 // shift pre values wholesale (within-page shifts, page stitching), but
@@ -63,44 +57,43 @@
 //
 // Concurrency — in-place maintenance under the commit window:
 //
-//   The key space is hash-sharded into `IndexConfig::shards` segments
-//   (by qname); each shard owns its bucket maps and a memo table.
-//   Probes read the buckets with NO lock of the index's own and NO
-//   reference-count traffic, so concurrent probes never serialize on
-//   each other. That is safe because every probe runs under the
-//   database's shared (read) lock, and the only writers — Rebuild and
-//   ApplyDirty — run inside the exclusive commit window: ApplyDirty
-//   mutates exactly the buckets the dirty set touches, in place, so a
-//   commit costs O(edit), not O(bucket). Every touched postings/path
-//   bucket gets a fresh generation stamp from one monotone counter
-//   (value/attr dictionaries stamp the keys they touch), and
-//   `publish_epoch` increases monotonically with every commit.
+//   All four structures live in one set of bucket maps. Probes read
+//   them with NO lock of the index's own and NO reference-count
+//   traffic, so concurrent probes never serialize on each other. That
+//   is safe because every probe runs under the database's shared
+//   (read) lock, and the only writers — Rebuild and ApplyDirty — run
+//   inside the exclusive commit window: ApplyDirty mutates exactly the
+//   buckets the dirty set touches, in place, so a commit costs
+//   O(edit), not O(bucket). Every touched postings/path bucket gets a
+//   fresh generation stamp from one monotone counter (value/attr
+//   dictionaries stamp the keys they touch), and `publish_epoch`
+//   increases monotonically with every commit.
 //
 //   LIFETIME CONTRACT: probes must run either under the database's
 //   shared (read) lock, or while no Rebuild/ApplyDirty can run (e.g.
 //   a quiescent index in tests and benchmarks). Pointers returned by
-//   ElementsByQname / PathPairProbe / PathChainProbe stay valid until
-//   the next commit.
+//   ElementsByQname / PathPairProbe stay valid until the next commit.
 //
-//   Pre materializations are memoized per shard in a lock-free side
-//   table: readers CAS-publish a new table version whose predecessor
-//   stays reachable through an intrusive chain, so a concurrent
-//   reader's pointer into an older table stays valid; writers prune
-//   the chain inside the exclusive window. The memo is heterogeneous —
-//   entries are keyed on (namespace, qname-or-path key, op,
-//   operand-class, operand) and cover qname postings, path postings,
-//   child-value probes, attribute-owner probes, and attribute-value
-//   probes. An entry is valid iff (a) the generation of its source —
-//   the postings bucket, the matching value-dictionary key for
-//   equality probes, the numeric sidecar for numeric-equality probes,
-//   or the whole dictionary for range probes — matches the current
-//   buckets (catches content changes without pointer ABA) and (b) the
+//   Pre materializations are memoized in one lock-free side table:
+//   readers CAS-publish a new table version whose predecessor stays
+//   reachable through an intrusive chain, so a concurrent reader's
+//   pointer into an older table stays valid; writers prune the chain
+//   inside the exclusive window. The memo is heterogeneous — entries
+//   are keyed on (namespace, qname-or-pair key, op, operand-class,
+//   operand) and cover qname postings, path postings, child-value
+//   probes, attribute-owner probes, and attribute-value probes. An
+//   entry is valid iff (a) the generation of its source — the
+//   postings bucket, the matching value-dictionary key for equality
+//   probes, the numeric sidecar for numeric-equality probes, or the
+//   whole dictionary for range probes — matches the current buckets
+//   (catches content changes without pointer ABA) and (b) the
 //   structure epoch it was swizzled under is current (catches pre
 //   shifts). Value-only commits do not bump the structure epoch and
 //   generation stamps move only on the dictionary keys a commit
 //   actually touched, so such commits invalidate only the touched
 //   keys' entries instead of the whole memo — the memo is maintained
-//   incrementally, never rebuilt wholesale.
+//   incrementally, never rebuilt wholesale. DESIGN.md §3 records the
+//   end-to-end measurements that keep the memo.
 #ifndef PXQ_INDEX_INDEX_MANAGER_H_
 #define PXQ_INDEX_INDEX_MANAGER_H_
 
@@ -125,42 +118,13 @@
 namespace pxq::index {
 
 struct IndexConfig {
-  /// Master switch; a disabled index declines every probe.
+  /// Master switch; a disabled index declines every probe (the
+  /// Database's scan-only mode).
   bool enabled = true;
-  /// Cost gate: a probe is accepted only when its estimated candidate
-  /// work is below `gate_ratio` times the estimated scan work. 0 makes
-  /// the planner always scan; large values make it always probe.
-  double gate_ratio = 0.5;
   /// Paranoia mode: every accepted probe also runs the scan path and a
   /// divergence fails the query with Corruption. Bypasses the cost gate
   /// so tests exercise the index even on tiny documents.
   bool cross_check = false;
-  /// Key-space shards (clamped to a power of two in [1, 256]), each
-  /// with its own memo table. More shards are expected to mean fewer
-  /// memo-publication CAS collisions and less false sharing between
-  /// concurrent probes of different qnames; that effect is unmeasured.
-  int shards = 16;
-  /// Memoize value/attribute probe materializations (pre vectors keyed
-  /// by (qname, op, operand-class, operand)). Off = re-collect and
-  /// re-swizzle on every probe, the pre-memo behavior — kept as a knob
-  /// so benchmarks can measure the warm/cold gap directly.
-  bool memo_values = true;
-  /// Path-chain key depth k (clamped to [2, 6]): chains of every length
-  /// in [2, k] are indexed, so the evaluator's cascade answers a d-step
-  /// absolute path in ceil((d-1)/(k-1)) probes instead of d-1. Higher k
-  /// = fewer cascade levels on deep paths, but (k-1) path entries per
-  /// element and a k-1-level descendant re-key fan-out on renames. 2
-  /// reproduces the pairwise (parent, self) index exactly.
-  int path_chain_depth = 3;
-  /// Cost-based planning: the compiler consults the CardinalityEstimator
-  /// (cardinality.h) to reorder conjunctive predicates by estimated
-  /// selectivity, pick the cascade probe order by estimated intermediate
-  /// cardinality, and fuse ChainProbe -> ValueProbeGate so the rarer
-  /// side drives the probe. Off = syntactic source order everywhere
-  /// (the A/B knob for BM_PredicateReorder / BM_CascadeOrder). Folded
-  /// into the plan-environment fingerprint, so flipping it mid-flight
-  /// recompiles rather than mixing plan shapes.
-  bool selectivity_planning = true;
 };
 
 struct IndexStats {
@@ -168,9 +132,7 @@ struct IndexStats {
   int64_t value_keys = 0;        // distinct (qname, string value) keys
   int64_t attr_value_keys = 0;   // distinct (attr qname, value) keys
   int64_t path_keys = 0;         // distinct (parent qname, qname) pair keys
-  int64_t chain_keys = 0;        // distinct chain keys of length > 2
   int64_t postings_entries = 0;  // NodeIds across qname postings
-  int64_t chain_postings = 0;    // NodeIds across length-(>2) chain buckets
   int64_t complex_entries = 0;   // elements excluded from the value index
   int64_t node_states = 0;       // reverse-map entries (== live elements)
   int64_t bytes = 0;             // rough structure footprint
@@ -179,10 +141,13 @@ struct IndexStats {
   int64_t applied_commits = 0;   // ApplyDirty calls (one per commit)
   int64_t probes = 0;            // planner consultations
   int64_t probe_hits = 0;        // probes the gate accepted
-  int64_t path_probes = 0;       // path-index pair (length-2) consultations
+  int64_t path_probes = 0;       // path-index pair consultations
   int64_t path_hits = 0;         // accepted pair probes
-  int64_t chain_probes = 0;      // chain (length > 2) consultations
-  int64_t chain_hits = 0;        // accepted chain probes
+  // Always 0: the path index holds pairs only. Kept because
+  // bench/e2e/main.cc still reads them; dropped with the next benchmark
+  // change (ROADMAP, bench_e2e item).
+  int64_t chain_probes = 0;
+  int64_t chain_hits = 0;
   int64_t child_step_hits = 0;   // child-axis name steps answered
   int64_t memo_hits = 0;         // qname/path materializations from memo
   int64_t memo_misses = 0;       // ... recomputed (cold or invalidated)
@@ -193,7 +158,7 @@ struct IndexStats {
   int64_t cross_check_mismatches = 0;
   // --- selectivity statistics (cardinality.h) -------------------------
   int64_t stat_keys = 0;         // distinct keys with cardinality stats
-                                 // (postings + chains + value/attr dict
+                                 // (postings + pairs + value/attr dict
                                  // keys + attr owner lists)
   int64_t histogram_buckets = 0; // non-empty numeric-histogram buckets
   int64_t estimator_probes = 0;  // cardinality-stat consultations
@@ -206,7 +171,6 @@ struct IndexStats {
   int64_t plan_misses = 0;       // cold compiles + epoch-invalidated
   int64_t plan_evictions = 0;    // LRU capacity evictions
   // --- publication counters ------------------------------------------
-  int64_t shards = 0;            // configured shard count
   int64_t publish_epoch = 0;     // index publications, monotone
   int64_t structure_epoch = 0;   // publications that shifted pre ranks
 };
@@ -220,6 +184,10 @@ class IndexManager {
 
   const IndexConfig& config() const { return config_; }
 
+  /// Cost gate: a probe is accepted only when its candidate count is at
+  /// most kGateRatio times the caller's estimated scan work.
+  static constexpr double kGateRatio = 0.5;
+
   /// Drop everything and re-derive from a full store scan (initial
   /// build, and crash recovery after the WAL replay reconstructed the
   /// base store). Must be serialized against probes (lifetime contract
@@ -228,7 +196,7 @@ class IndexManager {
 
   /// Commit-time merge of a transaction's DeltaIndex overlay: each dirty
   /// node's entries are removed and re-derived against the *merged* base
-  /// store, in place in the shards' buckets.
+  /// store, in place in the buckets.
   /// Honors the overlay's per-node kind masks: kValue/kAttrs-only nodes
   /// refresh just their value/attribute entries, leaving postings and
   /// path buckets (and therefore their warm memo entries) untouched.
@@ -237,8 +205,8 @@ class IndexManager {
   void ApplyDirty(const storage::PagedStore& store, const DeltaIndex& delta);
 
   // --- probes (consulted by xpath::Evaluator) -------------------------
-  // Probes take no lock of their own: they read one shard's buckets,
-  // which only the exclusive commit window mutates. Every probe returns
+  // Probes take no lock of their own: they read the buckets, which
+  // only the exclusive commit window mutates. Every probe returns
   // an empty result handle (nullptr / std::nullopt / false) when the
   // index declines (disabled, unsupported operator, or the cost gate
   // chose the scan); the caller then evaluates by scanning. Returned
@@ -252,38 +220,21 @@ class IndexManager {
                                             QnameId qn,
                                             int64_t scan_cost) const;
 
-  /// Number of elements tagged `qn` (0 when unknown / disabled).
-  int64_t PostingsCount(QnameId qn) const;
-
   /// All elements tagged `self_qn` whose parent element is tagged
   /// `parent_qn` (path index), in document order. Pass parent_qn = -1
-  /// for root elements (no parent). Equivalent to a length-2
-  /// PathChainProbe.
+  /// for root elements (no parent). The returned pres are NOT
+  /// level-anchored — a /a/b/c plan must still filter by level (and
+  /// region-containment against survivors) on the caller side.
   const std::vector<PreId>* PathPairProbe(const storage::PagedStore& store,
                                           QnameId parent_qn, QnameId self_qn,
                                           int64_t scan_cost) const;
-
-  /// Chain probe: all elements whose tag is `chain.back()` and whose
-  /// nearest ancestors carry the remaining tags in order (chain[0] is
-  /// the FARTHEST ancestor, at distance chain.size()-1; -1 entries
-  /// match "above the document root"). Supported lengths are
-  /// [2, config().path_chain_depth]; anything else declines. The
-  /// returned pres are NOT level-anchored — a /a/b/c plan must still
-  /// filter by level (and region-containment against survivors) on the
-  /// caller side, exactly like the pair cascade.
-  const std::vector<PreId>* PathChainProbe(const storage::PagedStore& store,
-                                           const std::vector<QnameId>& chain,
-                                           int64_t scan_cost) const;
-
-  /// Configured chain depth k (>= 2) after clamping.
-  int chain_depth() const { return config_.path_chain_depth; }
 
   /// Value probe for elements tagged `qn` whose string value satisfies
   /// (`op`, `literal`). Fills `simple` with exact matches and `complex`
   /// with the pre ranks of same-tag elements the value index does not
   /// cover (the caller must evaluate those individually). Declines kNe.
   /// Repeat probes with no intervening commit touching the probed keys
-  /// are served from the per-shard memo (memo_value_hits) — warm cost
+  /// are served from the memo (memo_value_hits) — warm cost
   /// is a hash lookup + vector copy, not a re-collect + re-swizzle.
   bool ChildValueProbe(const storage::PagedStore& store, QnameId qn,
                        xpath::CmpOp op, const std::string& literal,
@@ -301,8 +252,8 @@ class IndexManager {
       const std::string& literal, int64_t scan_cost) const;
 
   // --- cardinality statistics (consulted by CardinalityEstimator) -----
-  // Stat reads follow the probe pattern — read one shard's buckets, no
-  // lock of the index's own — but never gate, never materialize,
+  // Stat reads follow the probe pattern — read the buckets, no lock of
+  // the index's own — but never gate, never materialize,
   // and never touch the memo: they are O(1)-ish bookkeeping lookups the
   // compiler can afford on every compile. Each call bumps
   // `estimator_probes`.
@@ -315,9 +266,11 @@ class IndexManager {
     bool exact = false;
     bool known = false;  // false: index disabled / no stats for the key
   };
-  /// Elements whose tag + nearest-ancestor tags match `chain` (same key
-  /// space as PathChainProbe; lengths [2, path_chain_depth]).
-  KeyStats ChainStats(const std::vector<QnameId>& chain) const;
+  /// Elements tagged `qn` (the qname posting length).
+  KeyStats TagStats(QnameId qn) const;
+  /// Elements tagged `self_qn` under a `parent_qn` parent (same key
+  /// space as PathPairProbe).
+  KeyStats PairStats(QnameId parent_qn, QnameId self_qn) const;
   /// Elements tagged `qn` whose string value satisfies (op, literal).
   /// Numeric operands are canonicalized exactly like the value memo
   /// ("17" == "17.0", -0 == +0) before the histogram/sidecar lookup.
@@ -348,11 +301,11 @@ class IndexManager {
 
   IndexStats Stats() const;
 
-  /// Total probes issued across every family (qname + pair + chain).
+  /// Total probes issued across every family (qname/value/attr + pair).
   /// The executor reads this before/after an operator when tracing, so
   /// a profile attributes probes to the operator that issued them.
   int64_t ProbesIssued() const {
-    return probes_.Value() + path_probes_.Value() + chain_probes_.Value();
+    return probes_.Value() + path_probes_.Value();
   }
 
   /// Latency of commit-side index maintenance (ApplyDirty, ns).
@@ -372,52 +325,12 @@ class IndexManager {
     std::vector<NodeId> nodes;  // sorted
     uint64_t gen = 0;
   };
-  /// Hard ceiling on the configurable chain depth: bounds the fixed
-  /// chain-key width and the per-element path-entry count (k-1).
-  static constexpr int kMaxChainDepth = 6;
-  /// Sentinel for chain-key slots beyond the key's length. Distinct
-  /// from -1, which is a REAL chain element ("above the document
-  /// root") so a root-anchored pair key (-1, self) stays probeable.
-  static constexpr QnameId kUnusedSlot = -2;
-
-  /// Path-index key: the element's own tag (qn[0]) plus its nearest
-  /// ancestors' tags outward (qn[1] = parent, qn[2] = grandparent, ...)
-  /// for `len` positions total; -1 marks positions above the document
-  /// root, kUnusedSlot pads beyond `len` so equality is a plain member
-  /// compare. One element owns k-1 keys (lengths 2..k), all sharded by
-  /// qn[0].
-  struct ChainKey {
-    std::array<QnameId, kMaxChainDepth> qn;
-    uint8_t len = 0;
-    ChainKey() { qn.fill(kUnusedSlot); }
-    bool operator==(const ChainKey& o) const {
-      return len == o.len && qn == o.qn;
-    }
-  };
-  struct ChainKeyHash {
-    size_t operator()(const ChainKey& k) const {
-      uint64_t h = 0x9e3779b97f4a7c15ULL ^ k.len;
-      for (int i = 0; i < k.len; ++i) {
-        h ^= static_cast<uint64_t>(static_cast<uint32_t>(k.qn[i])) +
-             0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-      }
-      return static_cast<size_t>(h);
-    }
-  };
-  /// The classic (parent, self) pair as a chain key of length 2.
-  static ChainKey PairKeyOf(QnameId parent_qn, QnameId self_qn) {
-    ChainKey k;
-    k.len = 2;
-    k.qn[0] = self_qn;
-    k.qn[1] = parent_qn;
-    return k;
-  }
-  /// Pair keys keep the PR 2 packed-64-bit memo key (allocation-free on
-  /// the hot tail-probe path); longer chains memoize in MemoNs::kChain
-  /// with the chain bytes as the operand.
-  static uint64_t PackedPairOf(const ChainKey& k) {
-    return (static_cast<uint64_t>(static_cast<uint32_t>(k.qn[1])) << 32) |
-           static_cast<uint32_t>(k.qn[0]);
+  /// Path-index key: the (parent tag, own tag) pair packed into 64
+  /// bits (-1 parent = the document root), so a pair probe and its memo
+  /// key are allocation-free.
+  static uint64_t PairKey(QnameId parent_qn, QnameId self_qn) {
+    return (static_cast<uint64_t>(static_cast<uint32_t>(parent_qn)) << 32) |
+           static_cast<uint32_t>(self_qn);
   }
 
   /// Value-dictionary entry, generation-stamped like Postings: `gen`
@@ -487,12 +400,9 @@ class IndexManager {
   /// pre-edit store state. Writer-only (commit window).
   struct NodeState {
     QnameId qn = -1;
-    /// Nearest-ancestor tags outward (anc[0] = parent, anc[1] =
-    /// grandparent, ...), -1 above the document root; only the first
-    /// path_chain_depth - 1 slots are meaningful. Together with `qn`
-    /// this reconstructs every chain key the node owns, so removal
-    /// never re-reads pre-edit store state.
-    std::array<QnameId, kMaxChainDepth - 1> anc{-1, -1, -1, -1, -1};
+    /// Parent element's tag (-1 for the document root): with `qn` the
+    /// node's pair key, so removal never re-reads pre-edit store state.
+    QnameId parent_qn = -1;
     bool simple = false;
     bool numeric = false;
     double num = 0;
@@ -500,18 +410,18 @@ class IndexManager {
     std::vector<AttrState> attrs;
   };
 
-  /// One shard's buckets, mutated in place by the writer inside the
+  /// The index's buckets, mutated in place by the writer inside the
   /// exclusive window. A bucket that empties drops its key, so probe
   /// misses stay O(1) map lookups and memory is reclaimed.
-  struct ShardData {
+  struct Buckets {
     std::unordered_map<QnameId, Postings> postings;
     std::unordered_map<QnameId, ValueBucket> values;
     std::unordered_map<QnameId, AttrBucket> attrs;
-    std::unordered_map<ChainKey, Postings, ChainKeyHash> paths;
+    std::unordered_map<uint64_t, Postings> paths;  // keyed by PairKey
   };
 
   /// Heterogeneous memo key: one namespace per probe family sharing the
-  /// per-shard table. `key` is the qname (or packed path key); value
+  /// one table. `key` is the qname (or the PairKey); value
   /// and attr-value probes additionally carry the comparison operator
   /// and the operand. Numeric-equality probes canonicalize the operand
   /// to the parsed double's bit pattern, so "17" and "17.0" share one
@@ -524,14 +434,13 @@ class IndexManager {
     kValue = 2,      // ChildValueProbe results
     kAttrOwners = 3, // AttrOwners results
     kAttrValue = 4,  // AttrValueProbe results
-    kChain = 5,      // length-(>2) chain postings materialization
   };
   enum class OperandClass : uint8_t { kNone = 0, kString = 1, kNumeric = 2 };
   struct MemoKey {
     MemoNs ns = MemoNs::kQname;
     uint8_t op = 0;  // xpath::CmpOp for value namespaces, else 0
     OperandClass cls = OperandClass::kNone;
-    uint64_t key = 0;       // qname or packed path key
+    uint64_t key = 0;       // qname or PairKey
     uint64_t num_bits = 0;  // canonical numeric operand (cls == kNumeric)
     std::string operand;    // raw string operand (cls == kString)
     bool operator==(const MemoKey& o) const {
@@ -585,37 +494,24 @@ class IndexManager {
     size_t value_entries = 0;  // entries outside the qname/path namespaces
     const MemoTable* prev = nullptr;
   };
-  /// Admission cap for value/attr memo keys per shard table: operands
+  /// Admission cap for value/attr memo keys: operands
   /// are user-controlled, the retained chain is only pruned at commit,
   /// and every insert copies the table — so a read-only flood of
   /// distinct literals must stop growing the memo once the table is
-  /// full (see PublishMemo). Qname/path/chain keys are exempt and do
-  /// not count against the cap (their space is bounded by the
-  /// document's tag structure, not by user-supplied operands). A
-  /// shard that hit the cap is reset wholesale in the next commit's
+  /// full (see PublishMemo). Qname/path keys are exempt and do not
+  /// count against the cap (their space is bounded by the document's
+  /// tag structure, not by user-supplied operands). A table that hit
+  /// the cap is reset wholesale in the next commit's
   /// exclusive window (PruneMemos), so memoization of new literals
   /// resumes — only a commitless workload keeps the full table, and
   /// then its 256 admitted keys stay warm forever anyway.
-  static constexpr size_t kValueMemoCapPerShard = 256;
+  static constexpr size_t kValueMemoCap = 256;
 
-  struct alignas(64) Shard {
-    ShardData data;
-    mutable std::atomic<const MemoTable*> memo{nullptr};
-  };
   /// The probe counters ARE the observability counters: obs::Counter is
   /// the same cache-line-padded relaxed atomic the index always used
   /// (PR 2's PaddedCounter, hoisted into src/obs so every subsystem
   /// shares one primitive and RegisterMetrics needs no translation).
   using PaddedCounter = obs::Counter;
-
-  int ShardOf(QnameId qn) const {
-    return static_cast<int>(static_cast<uint32_t>(qn) &
-                            static_cast<uint32_t>(nshards_ - 1));
-  }
-  ShardData& DataOf(QnameId qn) { return shards_[ShardOf(qn)].data; }
-  const ShardData& DataOf(QnameId qn) const {
-    return shards_[ShardOf(qn)].data;
-  }
 
   // Writer helpers: REQUIRES(writer_mu_) — callers (Rebuild/ApplyDirty/
   // Stats) must hold the writer lock, and the analysis proves they do.
@@ -633,19 +529,8 @@ class IndexManager {
       PXQ_REQUIRES(writer_mu_);
   void RemoveNode(NodeId node) PXQ_REQUIRES(writer_mu_);
   void AddNode(const storage::PagedStore& store, NodeId node, PreId pre,
-               const std::array<QnameId, kMaxChainDepth - 1>& anc)
-      PXQ_REQUIRES(writer_mu_);
-  /// Insert/erase the node's chain keys (lengths 2..k) derived from
-  /// (st.qn, st.anc) — the shared piece of full re-derivation and the
-  /// granular kPath-only refresh.
-  void AddChainEntries(NodeId node, const NodeState& st)
-      PXQ_REQUIRES(writer_mu_);
-  void RemoveChainEntries(NodeId node, const NodeState& st)
-      PXQ_REQUIRES(writer_mu_);
-  /// Nearest-ancestor tags of `pre` outward, -1-padded (store walk).
-  std::array<QnameId, kMaxChainDepth - 1> AncTagsOf(
-      const storage::PagedStore& store, PreId pre) const;
-  /// End of a Rebuild/ApplyDirty: prune the memo chains and bump the
+               QnameId parent_qn) PXQ_REQUIRES(writer_mu_);
+  /// End of a Rebuild/ApplyDirty: prune the memo chain and bump the
   /// epochs.
   void Publish(bool structural) PXQ_REQUIRES(writer_mu_);
   void PruneMemos() PXQ_REQUIRES(writer_mu_);
@@ -655,16 +540,15 @@ class IndexManager {
   std::vector<PreId> ToPres(const storage::PagedStore& store,
                             const std::vector<NodeId>& nodes) const;
   // Lock-free memo plumbing shared by every probe family: a raw lookup
-  // in the shard's current table, and the CAS-chain publication of one
-  // new entry (the returned pointer stays valid until the next
+  // in the current table, and the CAS-chain publication of one new
+  // entry (the returned pointer stays valid until the next
   // publication — the table chain owns the entry).
-  const MemoEntry* LookupMemo(const Shard& shard, const MemoKey& key) const;
-  const MemoEntry* PublishMemo(const Shard& shard, const MemoKey& key,
+  const MemoEntry* LookupMemo(const MemoKey& key) const;
+  const MemoEntry* PublishMemo(const MemoKey& key,
                                std::shared_ptr<const MemoEntry> entry) const;
   /// Memoized pre materialization of one postings bucket, keyed by the
-  /// caller-built MemoKey (qname, pair, or chain namespace).
-  const std::vector<PreId>* MemoizedPres(const Shard& shard,
-                                         const storage::PagedStore& store,
+  /// caller-built MemoKey (qname or pair namespace).
+  const std::vector<PreId>* MemoizedPres(const storage::PagedStore& store,
                                          const MemoKey& mk,
                                          const Postings& src) const;
   /// Memo key for a value/attr probe over (qn, op, literal); fills the
@@ -703,8 +587,8 @@ class IndexManager {
                             const std::string& literal);
 
   IndexConfig config_;
-  int nshards_;
-  std::unique_ptr<Shard[]> shards_;
+  Buckets data_;
+  mutable std::atomic<const MemoTable*> memo_{nullptr};
 
   /// Serializes writers (Rebuild vs direct test callers; commits are
   /// already exclusive) and guards the writer-only state below. Stats()
@@ -730,8 +614,6 @@ class IndexManager {
   PaddedCounter probe_declines_;
   PaddedCounter path_probes_;
   PaddedCounter path_declines_;
-  PaddedCounter chain_probes_;
-  PaddedCounter chain_declines_;
   PaddedCounter value_neg_hits_;
   PaddedCounter child_step_hits_;
   PaddedCounter memo_hits_;

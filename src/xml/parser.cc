@@ -221,6 +221,10 @@ class Parser {
 
   Status ParseElement() {
     // Caller guarantees Peek() == '<' and this is a start tag.
+    if (depth_ == kMaxNestingDepth) {
+      return Err(StrFormat("element nesting deeper than %d levels",
+                           kMaxNestingDepth));
+    }
     Advance();  // '<'
     std::string name;
     PXQ_RETURN_IF_ERROR(ParseName(&name));
@@ -229,7 +233,9 @@ class Parser {
     PXQ_RETURN_IF_ERROR(ParseAttributes(&attrs, &self_closing));
     PXQ_RETURN_IF_ERROR(handler_->OnStartElement(name, attrs));
     if (self_closing) return handler_->OnEndElement(name);
+    ++depth_;
     PXQ_RETURN_IF_ERROR(ParseContent(name));
+    --depth_;
     return Status::OK();
   }
 
@@ -314,6 +320,7 @@ class Parser {
   EventHandler* handler_;
   ParseOptions options_;
   size_t pos_ = 0;
+  int depth_ = 0;  // elements currently open (ParseElement frames)
 };
 
 }  // namespace

@@ -42,8 +42,16 @@ struct ParseOptions {
   bool skip_whitespace_text = true;
 };
 
+/// Deepest element nesting Parse accepts (the root element is level 1).
+/// The parser recurses once per level, and so do the trees callers
+/// build from its events (the XUpdate fragment tree, its destructor),
+/// so deeper input is refused before it can exhaust the stack.
+/// libxml2's default limit is the same.
+inline constexpr int kMaxNestingDepth = 256;
+
 /// Parse a complete document; events are delivered in document order.
-/// Returns ParseError with a byte offset on malformed input.
+/// Returns ParseError with a byte offset on malformed input, including
+/// elements nested deeper than kMaxNestingDepth.
 Status Parse(std::string_view input, EventHandler* handler,
              const ParseOptions& options = {});
 

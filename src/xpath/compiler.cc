@@ -70,10 +70,10 @@ class Compiler {
   /// consumed (the whole chain prefix, or just step 0).
   size_t CompileLeading(Plan* plan) {
     const auto& steps = plan->path.steps;
-    // A run of >= 2 leading plain child-name steps compiles to the
-    // maximal chain-probe cascade when an index environment exists;
-    // the decomposition depends only on the configured chain depth k,
-    // so it bakes here. The gate still decides per execution.
+    // A run of >= 2 leading plain child-name steps compiles to a
+    // cascade of (parent, self) pair probes, one per level below the
+    // root, when an index environment exists. The gate still decides
+    // per execution.
     size_t m = 0;
     while (m < steps.size() && PlainName(steps[m], Axis::kChild)) ++m;
     if (index_ != nullptr && m >= 2) {
@@ -87,27 +87,12 @@ class Compiler {
         if (qns[i] < 0) op.missing_name = true;
       }
       if (!op.missing_name) {
-        const auto k = static_cast<size_t>(index_->chain_depth());
-        const size_t l0 = std::min(k, m);
-        ChainProbeSpec lead;
-        lead.chain.assign(qns.begin(), qns.begin() + static_cast<long>(l0));
-        lead.from_step = 0;
-        lead.n_steps = l0;
-        lead.anchor_level = static_cast<int32_t>(l0) - 1;
-        op.probes.push_back(std::move(lead));
-        size_t pos = l0;
-        while (pos < m) {
-          // Continuations re-anchor on the last consumed tag (overlap
-          // of 1) and consume up to k-1 new steps each.
-          const size_t t = std::min(k - 1, m - pos);
-          ChainProbeSpec cont;
-          cont.chain.assign(qns.begin() + static_cast<long>(pos - 1),
-                            qns.begin() + static_cast<long>(pos + t));
-          cont.from_step = pos;
-          cont.n_steps = t;
-          cont.rel_depth = static_cast<int32_t>(t);
-          op.probes.push_back(std::move(cont));
-          pos += t;
+        for (size_t i = 1; i < m; ++i) {
+          ChainProbeSpec sp;
+          sp.parent_qn = qns[i - 1];
+          sp.self_qn = qns[i];
+          sp.abs_level = static_cast<int32_t>(i);
+          op.probes.push_back(sp);
         }
       }
       plan->ops.push_back(std::move(op));
@@ -368,8 +353,8 @@ class Compiler {
           gate.est < 0) {
         continue;
       }
-      const QnameId parent_qn = chain.probes.back().chain.back();
-      index::CardEstimate structural = est.Chain({parent_qn, child.qn});
+      const QnameId parent_qn = chain.probes.back().self_qn;
+      index::CardEstimate structural = est.Pair(parent_qn, child.qn);
       if (!structural.known || structural.upper < 16 ||
           gate.est * 4 > structural.upper) {
         continue;
@@ -400,25 +385,20 @@ class Compiler {
       break;  // at most one from_root prefix per plan
     }
 
-    // Cascade order: absolute levels + per-spec estimates; seed from
-    // the rarest bucket and join outward when that differs from
-    // syntactic left-to-right.
+    // Cascade order: per-spec estimates; seed from the rarest bucket
+    // and join outward when that differs from syntactic left-to-right.
     for (PlanOp& op : plan->ops) {
       if (op.kind != OpKind::kChainProbe || op.missing_name) continue;
-      int32_t level = -1;
       bool all_known = true;
+      std::vector<std::pair<QnameId, QnameId>> pairs;
+      pairs.reserve(op.probes.size());
       for (ChainProbeSpec& sp : op.probes) {
-        level =
-            sp.anchor_level >= 0 ? sp.anchor_level : level + sp.rel_depth;
-        sp.abs_level = level;
-        index::CardEstimate ce = est.Chain(sp.chain);
+        index::CardEstimate ce = est.Pair(sp.parent_qn, sp.self_qn);
         sp.est = ce.known ? ce.upper : -1;
         if (!ce.known) all_known = false;
+        pairs.emplace_back(sp.parent_qn, sp.self_qn);
       }
-      std::vector<std::vector<QnameId>> chains;
-      chains.reserve(op.probes.size());
-      for (const ChainProbeSpec& sp : op.probes) chains.push_back(sp.chain);
-      index::CardEstimate casc = est.Cascade(chains);
+      index::CardEstimate casc = est.Cascade(pairs);
       if (casc.known) op.est = static_cast<int64_t>(casc.point + 0.5);
       if (op.probes.size() < 2 || !all_known || !op.from_root) continue;
       std::vector<size_t> order(op.probes.size());
@@ -464,17 +444,11 @@ StatusOr<Plan> CompileText(std::string_view text,
 
 uint64_t PlanEnvFingerprint(const index::IndexManager* index) {
   if (index == nullptr) return 0;
-  // Chain depth shapes the baked cascade; enabled/disabled flips the
-  // whole planning posture. Everything else (gate ratio, memo knobs,
-  // cross-check) is a run-time decision and shares plans.
+  // Enabled/disabled flips the whole planning posture (cascades and
+  // estimate-driven reshaping). Cross-check is a run-time decision and
+  // shares plans.
   uint64_t fp = 0x100;
   if (index->config().enabled) fp |= 0x200;
-  // Selectivity planning reshapes plans (reorder/fusion), so plans are
-  // not shareable across the A/B knob.
-  if (index->config().enabled && index->config().selectivity_planning) {
-    fp |= 0x400;
-  }
-  fp |= static_cast<uint64_t>(static_cast<uint32_t>(index->chain_depth()));
   return fp;
 }
 

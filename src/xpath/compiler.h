@@ -37,7 +37,8 @@ StatusOr<Plan> CompileText(std::string_view text,
 
 /// Fingerprint of the compile environment: plans are only reusable
 /// under the environment they were compiled for (index present or not,
-/// and its chain depth — the chain decomposition is baked in).
+/// and enabled or not — the pair cascade and estimate-driven reshaping
+/// are baked in).
 uint64_t PlanEnvFingerprint(const index::IndexManager* index);
 
 }  // namespace pxq::xpath

@@ -13,7 +13,7 @@
 // compiled path; there is exactly one evaluation engine.
 //
 // Index-awareness, the cost gate, per-operator cross-checking, and the
-// scan fallbacks live in the Executor; strategy selection (chain
+// scan fallbacks live in the Executor; strategy selection (cascade
 // decomposition, qname resolution, predicate shape detection) lives in
 // the Compiler and is baked into the Plan once per query text instead
 // of being re-derived per call. The index describes ONE specific store
@@ -260,7 +260,7 @@ class Evaluator {
   }
 
   Executor<Store> exec_;
-  /// Compile environment (chain depth, fingerprint); usually the
+  /// Compile environment (fingerprint); usually the
   /// execution index, but see the constructor comment.
   const index::IndexManager* env_ = nullptr;
   PlanCache* cache_ = nullptr;

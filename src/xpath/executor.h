@@ -17,7 +17,7 @@
 //
 // The executor also owns the interpretive core (EvalStep/EvalRelative):
 // predicate relative paths, per-origin positional steps, and declined
-// chain cascades evaluate step-by-step through the same scan/index
+// pair cascades evaluate step-by-step through the same scan/index
 // helpers, so the compiled and interpreted paths can never drift apart.
 #ifndef PXQ_XPATH_EXECUTOR_H_
 #define PXQ_XPATH_EXECUTOR_H_
@@ -214,7 +214,7 @@ class Executor {
       if (index_ == nullptr) return "gate: no index attached";
       if (!index_->config().enabled) return "gate: index disabled";
       return "gate declined: candidates > " +
-             std::to_string(index_->config().gate_ratio) + " * scan=" +
+             std::to_string(index::IndexManager::kGateRatio) + " * scan=" +
              std::to_string(scan_cost);
     } else {
       (void)scan_cost;
@@ -382,11 +382,10 @@ class Executor {
     return out;
   }
 
-  /// Compiled chain cascade: the baked maximal-probe decomposition,
-  /// each probe gated against the live span estimate. Any decline
-  /// falls back to step-by-step evaluation of the consumed prefix
-  /// (which still uses the per-step index plans, exactly like the
-  /// interpreter did).
+  /// Compiled pair cascade: one (parent, self) probe per level, each
+  /// gated against the live span estimate. Any decline falls back to
+  /// step-by-step evaluation of the consumed prefix (which still uses
+  /// the per-step index plans, exactly like the interpreter did).
   StatusOr<std::vector<PreId>> RunChainProbe(const Plan& plan,
                                              const PlanOp& op,
                                              std::string* strategy) const {
@@ -395,22 +394,25 @@ class Executor {
       if (index_ != nullptr) {
         bool answered = true;
         std::vector<PreId> res;
-        if (!op.missing_name && !op.exec_order.empty()) {
-          // Cost-ordered cascade: seed from the estimated-rarest spec
-          // (exec_order[0]; a level filter pins its candidates to
-          // their absolute level). Specs ABOVE the seed then verify by
-          // containment merge: probe their (larger) buckets with an
-          // unbounded budget — the merge is one linear pass over
-          // bucket + survivors, always cheaper than the O(doc) scan
-          // fallback, so no gate applies — and keep survivors with a
-          // bucket member as their fixed-depth ancestor. The chains
-          // tile every level above the seed, so the merges verify the
-          // whole prefix. Specs DEEPER than the seed join downward in
-          // level order, exactly the incremental cascade restarted
-          // from the seed's level.
-          const ChainProbeSpec& s0 = op.probes[op.exec_order[0]];
-          auto c0 = index_->PathChainProbe(
-              store_, s0.chain, store_.SizeAt(store_.Root()) + 1);
+        if (!op.missing_name) {
+          // Seed from the leading pair, or — when the compiler
+          // cost-ordered the cascade — from the estimated-rarest spec
+          // (exec_order[0]); a level filter pins the seed's candidates
+          // to their absolute level, gated against the document span.
+          // Specs ABOVE the seed then verify by containment merge:
+          // probe their (larger) buckets with an unbounded budget — the
+          // merge is one linear pass over bucket + survivors, always
+          // cheaper than the O(doc) scan fallback, so no gate applies —
+          // and keep survivors with a bucket member as their
+          // fixed-depth ancestor. The pairs tile every level above the
+          // seed, so the merges verify the whole prefix. Specs DEEPER
+          // than the seed join downward in level order, each gated
+          // against the surviving regions' span.
+          const ChainProbeSpec& s0 =
+              op.probes[op.exec_order.empty() ? 0 : op.exec_order[0]];
+          const int64_t doc_span = store_.SizeAt(store_.Root()) + 1;
+          auto c0 = index_->PathPairProbe(store_, s0.parent_qn, s0.self_qn,
+                                          doc_span);
           if (c0 == nullptr) {
             answered = false;
           } else {
@@ -421,8 +423,8 @@ class Executor {
             for (const ChainProbeSpec& sp : op.probes) {
               if (sp.abs_level >= s0.abs_level) continue;
               if (res.empty()) break;  // empty result is exact
-              auto ui = index_->PathChainProbe(
-                  store_, sp.chain, store_.SizeAt(store_.Root()) + 1);
+              auto ui = index_->PathPairProbe(store_, sp.parent_qn,
+                                              sp.self_qn, doc_span);
               if (ui == nullptr) {
                 answered = false;
                 break;
@@ -437,7 +439,8 @@ class Executor {
               if (res.empty()) break;  // empty result is exact
               int64_t span = 0;
               for (PreId c : res) span += store_.SizeAt(c) + 1;
-              auto li = index_->PathChainProbe(store_, sp.chain, span);
+              auto li = index_->PathPairProbe(store_, sp.parent_qn,
+                                              sp.self_qn, span);
               if (li == nullptr) {
                 answered = false;
                 break;
@@ -445,36 +448,6 @@ class Executor {
               res = KeepDescendantsAtDepth(*li, res,
                                            sp.abs_level - cur_level);
               cur_level = sp.abs_level;
-            }
-          }
-        } else if (!op.missing_name) {
-          for (size_t pi = 0; pi < op.probes.size(); ++pi) {
-            const ChainProbeSpec& sp = op.probes[pi];
-            if (pi == 0) {
-              // Leading probe, gated against the document span. Chain
-              // postings are not level-anchored: keep only candidates
-              // at the absolute level the prefix demands.
-              auto c0 = index_->PathChainProbe(
-                  store_, sp.chain, store_.SizeAt(store_.Root()) + 1);
-              if (c0 == nullptr) {
-                answered = false;
-                break;
-              }
-              res.reserve(c0->size());
-              for (PreId p : *c0) {
-                if (store_.LevelAt(p) == sp.anchor_level) res.push_back(p);
-              }
-            } else {
-              if (res.empty()) break;
-              // Deeper probes gate against the surviving regions' span.
-              int64_t span = 0;
-              for (PreId c : res) span += store_.SizeAt(c) + 1;
-              auto li = index_->PathChainProbe(store_, sp.chain, span);
-              if (li == nullptr) {
-                answered = false;
-                break;
-              }
-              res = KeepDescendantsAtDepth(*li, res, sp.rel_depth);
             }
           }
         }
@@ -1257,7 +1230,7 @@ class Executor {
   }
 
   /// Candidates (sorted pres) lying in some ancestor's region exactly
-  /// `depth` levels below it — the chain-cascade generalization of the
+  /// `depth` levels below it — the cascade generalization of the
   /// child filter. Two distinct elements at the same level can never
   /// contain each other, so region + level containment identifies the
   /// candidate's distance-`depth` ancestor uniquely among `parents`.

@@ -49,23 +49,19 @@ enum class OpKind : uint8_t {
 
 const char* OpKindName(OpKind k);
 
-/// One probe of a compiled chain cascade. `chain` is the PathChainProbe
-/// argument (chain[0] = farthest ancestor tag, chain.back() = the
-/// probed element's own tag). The leading probe is anchored to the
-/// document root by an absolute level filter; each continuation keeps
-/// postings lying exactly `rel_depth` levels below a survivor.
+/// One probe of a compiled pair cascade: the (parent, self) tag pair
+/// PathPairProbe takes. Probe i covers path steps i and i+1, so its
+/// self-tag elements sit at absolute level i+1. The leading probe is
+/// anchored to the document root by that level filter; each later
+/// probe keeps postings lying exactly one level below a survivor.
 struct ChainProbeSpec {
-  std::vector<QnameId> chain;
-  size_t from_step = 0;      // first path step this probe consumes
-  size_t n_steps = 0;        // steps this probe consumes
-  int32_t anchor_level = -1; // leading probe: required absolute level
-  int32_t rel_depth = 0;     // continuation: distance below survivors
-  /// Absolute level of the spec's final-tag elements (always known for
-  /// a from_root cascade) — lets a cost-ordered cascade seed from ANY
-  /// spec (level filter) and join the rest bidirectionally, since a
-  /// fixed-level ancestor is unique.
+  QnameId parent_qn = -1;
+  QnameId self_qn = -1;
+  /// Absolute level of the self-tag elements — lets a cost-ordered
+  /// cascade seed from ANY spec (level filter) and join the rest
+  /// bidirectionally, since a fixed-level ancestor is unique.
   int32_t abs_level = -1;
-  /// Estimated chain-bucket size stamped by the compiler (-1: no
+  /// Estimated pair-bucket size stamped by the compiler (-1: no
   /// estimate). Advisory: the executor re-gates every probe at run
   /// time against live counts.
   int64_t est = -1;
@@ -99,11 +95,11 @@ struct PlanOp {
   // --- kChainProbe ----------------------------------------------------
   std::vector<ChainProbeSpec> probes;
   size_t consumed = 0;       // leading steps the cascade consumes
-  bool missing_name = false; // a chain tag was never interned: empty, exact
+  bool missing_name = false; // a path tag was never interned: empty, exact
   /// Cost-based cascade order (indexes into `probes`, rarest first).
-  /// Empty = syntactic left-to-right execution (the PR 4 incremental
-  /// cascade). Non-empty = the executor seeds from exec_order[0] and
-  /// joins the remaining specs bidirectionally by absolute level.
+  /// Empty = syntactic left-to-right execution. Non-empty = the
+  /// executor seeds from exec_order[0] and joins the remaining specs
+  /// bidirectionally by absolute level.
   std::vector<size_t> exec_order;
   // --- kValueProbeGate ------------------------------------------------
   PredShape shape = PredShape::kNone;

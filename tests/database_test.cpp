@@ -5,6 +5,7 @@
 #include <filesystem>
 
 #include "database.h"
+#include "xml/parser.h"
 
 namespace pxq {
 namespace {
@@ -24,6 +25,41 @@ TEST(DatabaseTest, QueryAndStrings) {
   EXPECT_EQ(db->Query("/shop/items/item[price>20]").value().size(), 1u);
   // Bad path surfaces a parse error, not a crash.
   EXPECT_TRUE(db->Query("/shop[").status().IsParseError());
+}
+
+std::string Nested(const char* tag, int levels) {
+  std::string xml;
+  for (int i = 0; i < levels; ++i) xml += std::string("<") + tag + ">";
+  for (int i = 0; i < levels; ++i) xml += std::string("</") + tag + ">";
+  return xml;
+}
+
+// Hostile nesting depth surfaces as a ParseError, never a stack
+// overflow — both at load time and through an XUpdate insert, which
+// leaves the database exactly as it was.
+TEST(DatabaseTest, OverDeepInputIsParseError) {
+  for (int levels : {xml::kMaxNestingDepth + 1, 100000}) {
+    auto created = Database::CreateFromXml(Nested("e", levels));
+    EXPECT_TRUE(created.status().IsParseError())
+        << levels << ": " << created.status().ToString();
+  }
+
+  auto db = std::move(Database::CreateFromXml(kDoc).value());
+  const std::string before = db->Serialize().value();
+  const int64_t commits = db->IndexStats().applied_commits;
+  for (int levels : {xml::kMaxNestingDepth, 100000}) {
+    auto stats = db->Update(
+        "<xupdate:modifications version=\"1.0\" "
+        "xmlns:xupdate=\"http://www.xmldb.org/xupdate\">"
+        "<xupdate:append select=\"/shop/orders\">" +
+        Nested("order", levels) +
+        "</xupdate:append></xupdate:modifications>");
+    EXPECT_TRUE(stats.status().IsParseError())
+        << levels << ": " << stats.status().ToString();
+  }
+  EXPECT_EQ(db->Serialize().value(), before);
+  EXPECT_EQ(db->IndexStats().applied_commits, commits);
+  EXPECT_EQ(db->Query("/shop/orders/order").value().size(), 0u);
 }
 
 TEST(DatabaseTest, AutoCommitUpdate) {

@@ -1,7 +1,7 @@
-// Differential fuzz harness (satellite of the path-chain index PR):
-// a seeded, deterministic randomized workload — interleaved XPath
-// queries, XUpdate edits, interior renames (k-deep chain re-key
-// fan-out), and aborted transactions — that pins the indexed evaluator
+// Differential fuzz harness: a seeded, deterministic randomized
+// workload — interleaved XPath queries, XUpdate edits, interior
+// renames (the path index's child re-key fan-out), and aborted
+// transactions — that pins the indexed evaluator
 // against the brute-force xpath/reference_eval after every commit.
 //
 // Two independent oracles check every step:
@@ -65,7 +65,7 @@ std::vector<uint64_t> SeedList() {
   return seeds;
 }
 
-/// Depth-5 seed document: /site/regions/zone/area/item/price chains
+/// Depth-5 seed document: /site/regions/zone/area/item/price paths
 /// exercise multi-probe cascades; people carry attrs + simple values.
 std::string SeedDoc() {
   std::string xml = "<site><people>";
@@ -99,7 +99,7 @@ std::string Wrap(const std::string& body) {
 }
 
 // The query pool covers every index plan the evaluator owns: deep
-// absolute chains (>= 4 steps -> multi-probe cascade at k=3),
+// absolute paths (one pair probe per level below the root),
 // descendant and child name steps, value/attr predicate shapes, the
 // rename-flip spellings of every renameable tag, and positional
 // predicates (never index-answered — scan/reference agreement only).
@@ -169,22 +169,15 @@ class Fuzzer {
     VerifyPool("final", /*full=*/true);
     const auto stats = db_->IndexStats();
     EXPECT_EQ(stats.cross_check_mismatches, 0) << Where("final");
-    // The workload must have exercised the machinery it pins: chain
-    // cascades (only at k > 2 — the pairwise configuration has no
-    // chain buckets), pair tails, value/attr probes, and commits.
-    if (EnvInt("PXQ_PATH_CHAIN_DEPTH", 3) > 2) {
-      EXPECT_GT(stats.chain_probes, 0);
-    } else {
-      EXPECT_GT(stats.path_probes, 0);
-    }
+    // The workload must have exercised the machinery it pins: pair
+    // cascades, value/attr probes, and commits.
+    EXPECT_GT(stats.path_probes, 0);
     EXPECT_GT(stats.probes, 0);
     EXPECT_GT(stats.applied_commits, 0);
     // Selectivity planning was live: at least one plan in the pool was
     // reshaped by estimates (and still never diverged from reference).
-    if (EnvInt("PXQ_SELECTIVITY_PLANNING", 1) != 0) {
-      EXPECT_GT(stats.plan_reorders, 0);
-      EXPECT_GT(stats.estimator_probes, 0);
-    }
+    EXPECT_GT(stats.plan_reorders, 0);
+    EXPECT_GT(stats.estimator_probes, 0);
     EXPECT_GT(commits, 0);
     EXPECT_GT(aborts, 0);
     EXPECT_GT(queries, 0);
@@ -253,8 +246,9 @@ class Fuzzer {
                    : "<xupdate:rename select=\"//personx[1]\">person"
                      "</xupdate:rename>";
       case 8:
-        // INTERIOR rename flips: re-key the k-deep chain neighborhood
-        // below (items and prices two levels down from a zone).
+        // INTERIOR rename flips: re-key the children's pairs below
+        // (a zone's areas) while the items and prices deeper down keep
+        // their keys.
         return rng_.Bernoulli(0.5)
                    ? "<xupdate:rename select=\"//zone[1]\">zonex"
                      "</xupdate:rename>"
@@ -294,7 +288,7 @@ class Fuzzer {
     ASSERT_TRUE(stats.ok()) << Where("commit: " + stats.status().ToString());
     live_nodes_ += stats.value().nodes_inserted - stats.value().nodes_deleted;
     // Oracle sweep after EVERY commit: the full pool after renames
-    // (chain re-key fan-out is the riskiest maintenance path) and
+    // (the rename re-key fan-out is the riskiest maintenance path) and
     // periodically, a rotating subset otherwise.
     const bool full = renames || (step_ % 97) == 0;
     VerifyPool("post-commit", full);
@@ -395,26 +389,6 @@ TEST(DifferentialFuzzTest, IndexedMatchesReferenceUnderChurn) {
     Fuzzer fuzzer(seed, ops);
     fuzzer.Run();
     if (::testing::Test::HasFatalFailure()) return;
-  }
-}
-
-// The pairwise configuration (k = 2) must stay just as exact: the
-// chain generalization cannot regress the PR 2 cascade. A shorter run
-// over one seed keeps the suite's runtime bounded.
-TEST(DifferentialFuzzTest, PairwiseConfigurationStaysExact) {
-  // Restore (not unset) any externally-set depth afterwards: the CI
-  // k=2 leg runs the whole binary with PXQ_PATH_CHAIN_DEPTH=2, and
-  // clobbering it here would silently change what later tests cover
-  // under --gtest_repeat/--gtest_shuffle.
-  const char* prior = std::getenv("PXQ_PATH_CHAIN_DEPTH");
-  const std::string saved = prior != nullptr ? prior : "";
-  setenv("PXQ_PATH_CHAIN_DEPTH", "2", 1);
-  Fuzzer fuzzer(SeedList()[0], EnvInt("PXQ_FUZZ_OPS", 10000) / 5);
-  fuzzer.Run();
-  if (prior != nullptr) {
-    setenv("PXQ_PATH_CHAIN_DEPTH", saved.c_str(), 1);
-  } else {
-    unsetenv("PXQ_PATH_CHAIN_DEPTH");
   }
 }
 

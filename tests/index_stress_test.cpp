@@ -1,11 +1,11 @@
 // Multi-threaded probe-vs-commit stress test: reader threads evaluate
-// cross-checked queries against the published index snapshots while
+// cross-checked queries against the lock-free index while
 // writer threads commit a mix of structural and value-only updates
 // (plus explicit aborts). Asserts:
 //
 //   (a) no torn reads — cross-check mode re-runs every accepted probe
 //       on the scan path inside the same shared-lock section, so a
-//       probe observing a half-published snapshot fails the query;
+//       probe observing a half-applied commit fails the query;
 //   (b) epochs are monotone — a monitor thread samples IndexStats()
 //       concurrently with commits and checks publish/structure epochs
 //       never move backwards;
@@ -57,7 +57,6 @@ int main() {
   pxq::Database::Options opt;
   opt.store.page_tuples = 64;
   opt.index.cross_check = true;  // every probe verified against the scan
-  opt.index.shards = 8;
 
   auto db_or = pxq::Database::CreateFromXml(BuildDoc(64), opt);
   CHECK(db_or.ok());
@@ -110,11 +109,10 @@ int main() {
                    "</xupdate:rename>";
             break;
           default:
-            // Chain-churn phase: flip-rename the INTERIOR <list>
-            // element while readers run depth-4 chain cascades below
-            // it — the k-deep descendant re-key (items at distance 1,
-            // <v> leaves at distance 2 with k=3) races lock-free chain
-            // probes and their memoized materializations.
+            // Rename-churn phase: flip-rename the INTERIOR <list>
+            // element while readers run depth-4 pair cascades below
+            // it — the re-key of its <item> children races lock-free
+            // pair probes and their memoized materializations.
             body = (i % 2 == 0)
                        ? "<xupdate:rename select=\"//list[1]\">listx"
                          "</xupdate:rename>"
@@ -146,7 +144,7 @@ int main() {
               // must never outlive the commits that invalidate them.
               "//item[v>='50']", "//item[@k]", "//aux[tag='x']",
               // Depth-4 cascades under BOTH spellings of the flipping
-              // interior tag: chain probes race the k-deep re-key.
+              // interior tag: pair probes race the children's re-key.
               "/r/listx/item/v", "//listx/item"}) {
           auto res = db->Query(q);
           if (!res.ok()) {

@@ -174,8 +174,8 @@ TEST(IndexManagerTest, QnamePostingsMatchScan) {
     ASSERT_TRUE(want.ok());
     EXPECT_EQ(*pres, want.value()) << tag;
   }
-  EXPECT_EQ(idx.PostingsCount(store->pools().FindQname("n")), 3);
-  EXPECT_EQ(idx.PostingsCount(store->pools().FindQname("id")), 0);
+  EXPECT_EQ(idx.TagStats(store->pools().FindQname("n")).count, 3);
+  EXPECT_EQ(idx.TagStats(store->pools().FindQname("id")).count, 0);
 }
 
 TEST(IndexManagerTest, ValueProbesEqualityAndRange) {
@@ -359,122 +359,52 @@ TEST(IndexManagerTest, RenameRekeysValueDirtyChildren) {
 }
 
 // ---------------------------------------------------------------------------
-// Tentpole: configurable-depth path-chain index (k > 2)
+// Pair cascades over deep paths, and the rename re-key of children
 // ---------------------------------------------------------------------------
 
-// A depth-5 document exercising chains deeper than the pair index:
-// /site/a/b/c/d with fanout at every level.
+// A depth-5 document: /site/a/b/c/d with fanout at every level.
 constexpr const char* kDeepDoc =
     "<site>"
     "<a><b><c><d>1</d><d>2</d></c><c><d>3</d></c></b>"
     "<b><c><d>4</d></c></b></a>"
     "<a><b><c><d>5</d></c></b></a>"
-    "<x><b><c><d>99</d></c></b></x>"  // same (b,c,d) chain, other root arm
+    "<x><b><c><d>99</d></c></b></x>"  // same (b,c,d) tail, other root arm
     "</site>";
 
-TEST(IndexManagerTest, ChainProbeMatchesScan) {
-  auto store = BuildStore(kDeepDoc);
-  index::IndexManager idx(index::IndexConfig{});  // default k = 3
-  ASSERT_EQ(idx.chain_depth(), 3);
-  idx.Rebuild(*store);
-  const int64_t big = 1 << 20;
-  QnameId a = store->pools().FindQname("a");
-  QnameId b = store->pools().FindQname("b");
-  QnameId c = store->pools().FindQname("c");
-  QnameId d = store->pools().FindQname("d");
-
-  // (b, c, d): every <d> under a <c> under a <b> — BOTH root arms.
-  auto pres = idx.PathChainProbe(*store, {b, c, d}, big);
-  ASSERT_NE(pres, nullptr);
-  auto want = xpath::EvaluatePath(*store, "//b/c/d");
-  ASSERT_TRUE(want.ok());
-  EXPECT_EQ(*pres, want.value());
-  EXPECT_EQ(pres->size(), 6u);
-
-  // (a, b, c): excludes the <x> arm's <c>.
-  auto abc = idx.PathChainProbe(*store, {a, b, c}, big);
-  ASSERT_NE(abc, nullptr);
-  EXPECT_EQ(*abc, xpath::EvaluatePath(*store, "//a/b/c").value());
-
-  // A chain that never occurs is exactly empty; lengths outside
-  // [2, k] decline.
-  auto none = idx.PathChainProbe(*store, {c, b, d}, big);
-  ASSERT_NE(none, nullptr);
-  EXPECT_TRUE(none->empty());
-  EXPECT_EQ(idx.PathChainProbe(*store, {d}, big), nullptr);
-  EXPECT_EQ(idx.PathChainProbe(*store, {a, b, c, d}, big), nullptr);
-
-  auto s = idx.Stats();
-  EXPECT_EQ(s.chain_probes, 3);  // the len-3 probes (declines don't count)
-  EXPECT_EQ(s.chain_hits, 3);
-  EXPECT_GT(s.chain_keys, 0);
-  EXPECT_GT(s.chain_postings, 0);
-}
-
-// Acceptance: a depth-d absolute path is answered in
-// ceil((d-1)/(k-1)) cascade probes. d=5, k=3 -> 2 chain probes (and no
-// pair probes); the pairwise cascade (k=2) needs 4.
+// A depth-d absolute path is answered in d-1 pair probes, one per
+// level below the root.
 TEST(IndexManagerTest, DeepPathCascadeProbeCount) {
   auto store = BuildStore(kDeepDoc);
   auto want = xpath::EvaluatePath(*store, "/site/a/b/c/d");
   ASSERT_TRUE(want.ok());
   ASSERT_EQ(want.value().size(), 5u);  // the <x> arm is excluded
 
-  {
-    index::IndexManager idx(index::IndexConfig{});  // k = 3
-    idx.Rebuild(*store);
-    auto res = xpath::EvaluatePath(*store, "/site/a/b/c/d", &idx);
-    ASSERT_TRUE(res.ok());
-    EXPECT_EQ(res.value(), want.value());
-    auto s = idx.Stats();
-    EXPECT_EQ(s.chain_probes, 2);  // ceil(4/2)
-    EXPECT_EQ(s.chain_hits, 2);
-    EXPECT_EQ(s.path_probes, 0);  // no pair-probe tail needed
-  }
-  {
-    index::IndexConfig cfg;
-    cfg.path_chain_depth = 2;  // pairwise: PR 2 behavior exactly
-    index::IndexManager idx(cfg);
-    idx.Rebuild(*store);
-    auto res = xpath::EvaluatePath(*store, "/site/a/b/c/d", &idx);
-    ASSERT_TRUE(res.ok());
-    EXPECT_EQ(res.value(), want.value());
-    auto s = idx.Stats();
-    EXPECT_EQ(s.path_probes, 4);  // one per level
-    EXPECT_EQ(s.chain_probes, 0);
-  }
-  {
-    index::IndexConfig cfg;
-    cfg.path_chain_depth = 5;  // whole path in ONE probe
-    index::IndexManager idx(cfg);
-    idx.Rebuild(*store);
-    auto res = xpath::EvaluatePath(*store, "/site/a/b/c/d", &idx);
-    ASSERT_TRUE(res.ok());
-    EXPECT_EQ(res.value(), want.value());
-    auto s = idx.Stats();
-    EXPECT_EQ(s.chain_probes, 1);
-    EXPECT_EQ(s.path_probes, 0);
-  }
+  index::IndexManager idx(index::IndexConfig{});
+  idx.Rebuild(*store);
+  auto res = xpath::EvaluatePath(*store, "/site/a/b/c/d", &idx);
+  ASSERT_TRUE(res.ok());
+  EXPECT_EQ(res.value(), want.value());
+  auto s = idx.Stats();
+  EXPECT_EQ(s.path_probes, 4);  // one per level
+  EXPECT_EQ(s.path_hits, 4);
 }
 
-// Deep-path rename fan-out: renaming an element re-keys the chain
-// entries of every element descendant within k-1 levels — from the
-// MERGED base, with a dirty set holding only the renamed node — while
-// descendants' value/attr buckets (and their warm memos) survive.
-TEST(IndexManagerTest, DeepRenameRekeysChainNeighborhood) {
-  auto store = BuildStore("<r><g><p><c>1</c><c>2</c></p></g></r>");
-  index::IndexManager idx(index::IndexConfig{});  // k = 3
+// Renaming an element re-keys the pairs of exactly its direct element
+// children — from the MERGED base, with a dirty set holding only the
+// renamed node — while the children's value/attr buckets (and their
+// warm memos) survive.
+TEST(IndexManagerTest, RenameRekeysChildPairsKeepsValueMemo) {
+  auto store = BuildStore("<r><g><c>1</c><c>2</c></g></r>");
+  index::IndexManager idx(index::IndexConfig{});
   idx.Rebuild(*store);
   const int64_t big = 1 << 20;
-  QnameId r = store->pools().FindQname("r");
   QnameId g = store->pools().FindQname("g");
-  QnameId p = store->pools().FindQname("p");
   QnameId c = store->pools().FindQname("c");
 
-  ASSERT_EQ(idx.PathChainProbe(*store, {r, g, p}, big)->size(), 1u);
-  ASSERT_EQ(idx.PathChainProbe(*store, {g, p, c}, big)->size(), 2u);
-  // Warm a value probe under <c>: the rename below must NOT invalidate
-  // it (kPath-only re-key leaves the value bucket untouched).
+  ASSERT_EQ(idx.PathPairProbe(*store, g, c, big)->size(), 2u);
+  // Warm a value probe over the children: the rename below must NOT
+  // invalidate it (the kPath-only re-key leaves the value bucket
+  // untouched).
   std::vector<PreId> simple, rest;
   ASSERT_TRUE(idx.ChildValueProbe(*store, c, CmpOp::kEq, "1", big, &simple,
                                   &rest));
@@ -491,19 +421,11 @@ TEST(IndexManagerTest, DeepRenameRekeysChainNeighborhood) {
   delta.MarkDirty(g_node);
   idx.ApplyDirty(*store, delta);
 
-  // Distance-1 descendant <p>: pair AND chain keys moved.
-  EXPECT_EQ(idx.PathPairProbe(*store, g, p, big)->size(), 0u);
-  EXPECT_EQ(idx.PathPairProbe(*store, h, p, big)->size(), 1u);
-  EXPECT_EQ(idx.PathChainProbe(*store, {r, g, p}, big)->size(), 0u);
-  EXPECT_EQ(idx.PathChainProbe(*store, {r, h, p}, big)->size(), 1u);
-  // Distance-2 descendants <c>: chain keys moved (the pair (p, c) is
-  // untouched — its parent tag did not change).
-  EXPECT_EQ(idx.PathChainProbe(*store, {g, p, c}, big)->size(), 0u);
-  EXPECT_EQ(idx.PathChainProbe(*store, {h, p, c}, big)->size(), 2u);
-  EXPECT_EQ(idx.PathPairProbe(*store, p, c, big)->size(), 2u);
+  // The children's pair keys moved.
+  EXPECT_EQ(idx.PathPairProbe(*store, g, c, big)->size(), 0u);
+  EXPECT_EQ(idx.PathPairProbe(*store, h, c, big)->size(), 2u);
 
-  // The warm value probe under <c> survived the fan-out: served from
-  // memo, no re-materialization, same result.
+  // The warm value probe survived: served from memo, same result.
   ASSERT_TRUE(idx.ChildValueProbe(*store, c, CmpOp::kEq, "1", big, &simple,
                                   &rest));
   EXPECT_EQ(simple.size(), 1u);
@@ -512,77 +434,63 @@ TEST(IndexManagerTest, DeepRenameRekeysChainNeighborhood) {
   EXPECT_EQ(s.memo_value_hits, warm.memo_value_hits + 1);
   EXPECT_EQ(s.structure_epoch, warm.structure_epoch);  // rename: no shift
 
-  // End-to-end: the chain cascade sees the renamed path.
-  EXPECT_EQ(xpath::EvaluatePath(*store, "/r/h/p/c", &idx).value().size(),
-            2u);
+  // End-to-end: the pair cascade sees the renamed path.
+  EXPECT_EQ(xpath::EvaluatePath(*store, "/r/h/c", &idx).value().size(), 2u);
 }
 
-// Same-transaction rename + descendant edit: the grandchild's own dirt
-// is kValue-only, the rename expansion adds kPath — both sides must
-// apply (new chain key AND new value), regardless of processing order.
-TEST(IndexManagerTest, RenameWithDescendantEditSameTxn) {
+// The rename fan-out stops at the direct children: a grandchild's pair
+// (its parent's tag, its own tag) did not change, so its bucket keeps
+// its generation and the warm path memo keeps serving it.
+TEST(IndexManagerTest, RenameLeavesGrandchildPathMemoWarm) {
   auto store = BuildStore("<r><g><p><c>1</c><c>2</c></p></g></r>");
-  index::IndexManager idx(index::IndexConfig{});  // k = 3
+  index::IndexManager idx(index::IndexConfig{});
   idx.Rebuild(*store);
   const int64_t big = 1 << 20;
-  QnameId g = store->pools().FindQname("g");
   QnameId p = store->pools().FindQname("p");
   QnameId c = store->pools().FindQname("c");
 
-  index::DeltaIndex delta;
-  store->AttachIndexDelta(&delta);
-  // Text-edit the first <c> ("1" -> "9"): dirties it kValue-only.
-  auto c_pres = xpath::EvaluatePath(*store, "//c");
-  ASSERT_TRUE(c_pres.ok());
-  PreId text = store->SkipHoles(c_pres.value()[0] + 1);
-  ASSERT_EQ(store->KindAt(text), NodeKind::kText);
-  ASSERT_TRUE(store->SetRef(text, store->pools().AddText("9")).ok());
-  EXPECT_EQ(delta.KindOf(store->NodeAt(c_pres.value()[0])),
-            index::DeltaIndex::kValue);
-  // Rename the grandparent <g> -> <h> in the same transaction.
+  const std::vector<PreId>* warm_ptr = idx.PathPairProbe(*store, p, c, big);
+  ASSERT_NE(warm_ptr, nullptr);
+  ASSERT_EQ(warm_ptr->size(), 2u);
+  const auto warm = idx.Stats();
+
   auto g_pre = xpath::EvaluatePath(*store, "//g");
   ASSERT_TRUE(g_pre.ok());
-  QnameId h = store->pools().InternQname("h");
-  ASSERT_TRUE(store->SetRef(g_pre.value()[0], h).ok());
+  NodeId g_node = store->NodeAt(g_pre.value()[0]);
+  ASSERT_TRUE(
+      store->SetRef(g_pre.value()[0], store->pools().InternQname("h")).ok());
+  index::DeltaIndex delta;
+  delta.MarkDirty(g_node);
   idx.ApplyDirty(*store, delta);
-  store->AttachIndexDelta(nullptr);
 
-  // Chain re-key applied to BOTH <c> grandchildren...
-  EXPECT_EQ(idx.PathChainProbe(*store, {g, p, c}, big)->size(), 0u);
-  EXPECT_EQ(idx.PathChainProbe(*store, {h, p, c}, big)->size(), 2u);
-  // ...and the value edit is visible.
-  std::vector<PreId> simple, rest;
-  ASSERT_TRUE(idx.ChildValueProbe(*store, c, CmpOp::kEq, "9", big, &simple,
-                                  &rest));
-  EXPECT_EQ(simple.size(), 1u);
-  ASSERT_TRUE(idx.ChildValueProbe(*store, c, CmpOp::kEq, "1", big, &simple,
-                                  &rest));
-  EXPECT_TRUE(simple.empty());
+  // Exactly two work items: <g> itself and its one element child <p>.
+  EXPECT_EQ(idx.Stats().maintenance_ops, 2);
+  // The grandchildren's (p, c) materialization is still the warm one.
+  EXPECT_EQ(idx.PathPairProbe(*store, p, c, big), warm_ptr);
+  EXPECT_EQ(idx.Stats().memo_misses, warm.memo_misses);
 }
 
-// Chain-memo per-bucket invalidation: a warm chain materialization
+// Path-memo per-bucket invalidation: a warm pair materialization
 // survives value-only commits on other keys, and invalidates exactly
-// when ITS bucket is re-keyed or pre ranks shift.
-TEST(IndexManagerTest, ChainMemoPerBucketInvalidation) {
+// when ITS bucket is re-keyed.
+TEST(IndexManagerTest, PathMemoPerBucketInvalidation) {
   auto store = BuildStore("<r><g><p><c>1</c></p></g><u>5</u></r>");
-  index::IndexManager idx(index::IndexConfig{});  // k = 3
+  index::IndexManager idx(index::IndexConfig{});
   idx.Rebuild(*store);
   const int64_t big = 1 << 20;
-  QnameId r = store->pools().FindQname("r");
   QnameId g = store->pools().FindQname("g");
   QnameId p = store->pools().FindQname("p");
 
-  const std::vector<PreId>* warm_ptr =
-      idx.PathChainProbe(*store, {r, g, p}, big);
+  const std::vector<PreId>* warm_ptr = idx.PathPairProbe(*store, g, p, big);
   ASSERT_NE(warm_ptr, nullptr);
   ASSERT_EQ(warm_ptr->size(), 1u);
   // Repeat: served from memo, same pointer.
-  EXPECT_EQ(idx.PathChainProbe(*store, {r, g, p}, big), warm_ptr);
+  EXPECT_EQ(idx.PathPairProbe(*store, g, p, big), warm_ptr);
   const auto warm = idx.Stats();
   EXPECT_GE(warm.memo_hits, 1);
 
-  // Value-only commit on an unrelated tag (<u>'s text): the chain
-  // bucket and the structure epoch are untouched, so the memoized
+  // Value-only commit on an unrelated tag (<u>'s text): the pair bucket
+  // and the structure epoch are untouched, so the memoized
   // materialization stays warm (same pointer).
   {
     index::DeltaIndex delta;
@@ -595,12 +503,12 @@ TEST(IndexManagerTest, ChainMemoPerBucketInvalidation) {
     idx.ApplyDirty(*store, delta);
     store->AttachIndexDelta(nullptr);
   }
-  EXPECT_EQ(idx.PathChainProbe(*store, {r, g, p}, big), warm_ptr);
+  EXPECT_EQ(idx.PathPairProbe(*store, g, p, big), warm_ptr);
   EXPECT_EQ(idx.Stats().memo_misses, warm.memo_misses);
 
-  // Rename <g> -> <h>: the (r, g, p) bucket vanishes and (r, h, p)
-  // appears under a fresh generation — the stale materialization must
-  // not serve either probe.
+  // Rename <g> -> <h>: the (g, p) bucket vanishes and (h, p) appears
+  // under a fresh generation — the stale materialization must not
+  // serve either probe.
   {
     index::DeltaIndex delta;
     store->AttachIndexDelta(&delta);
@@ -610,8 +518,8 @@ TEST(IndexManagerTest, ChainMemoPerBucketInvalidation) {
     ASSERT_TRUE(store->SetRef(g_pre.value()[0], h).ok());
     idx.ApplyDirty(*store, delta);
     store->AttachIndexDelta(nullptr);
-    EXPECT_EQ(idx.PathChainProbe(*store, {r, g, p}, big)->size(), 0u);
-    EXPECT_EQ(idx.PathChainProbe(*store, {r, h, p}, big)->size(), 1u);
+    EXPECT_EQ(idx.PathPairProbe(*store, g, p, big)->size(), 0u);
+    EXPECT_EQ(idx.PathPairProbe(*store, h, p, big)->size(), 1u);
   }
 }
 
@@ -621,7 +529,7 @@ TEST(IndexManagerTest, ChainMemoPerBucketInvalidation) {
 // commit.
 TEST(IndexManagerTest, NegativeCacheServesWarmDeclines) {
   auto store = BuildStore(kDoc);
-  index::IndexManager idx(index::IndexConfig{});  // gate_ratio 0.5
+  index::IndexManager idx(index::IndexConfig{});  // kGateRatio 0.5
   idx.Rebuild(*store);
   QnameId n = store->pools().FindQname("n");
   std::vector<PreId> simple, rest;
@@ -696,7 +604,7 @@ TEST(IndexManagerTest, MemoServesRepeatedProbes) {
 
 // Tentpole: value and attribute probes are memoized like qname/path
 // materializations. Repeats with no intervening commit are served from
-// the per-shard memo; numeric-equality operands canonicalize, so two
+// the memo; numeric-equality operands canonicalize, so two
 // spellings of the same number share one entry.
 TEST(IndexManagerTest, ValueMemoServesRepeatedProbes) {
   auto store = BuildStore(kDoc);
@@ -864,12 +772,10 @@ TEST(IndexManagerTest, AttrReplaceInvalidatesOldAndNewValueKeys) {
 
 TEST(IndexManagerTest, CostGateDeclinesUnselectiveProbes) {
   auto store = BuildStore(kDoc);
-  index::IndexConfig cfg;
-  cfg.gate_ratio = 0.25;
-  index::IndexManager idx(cfg);
+  index::IndexManager idx(index::IndexConfig{});
   idx.Rebuild(*store);
   QnameId n = store->pools().FindQname("n");
-  // 3 postings vs. a claimed scan of 4 tuples: 3 > 0.25*4 -> decline.
+  // 3 postings vs. a claimed scan of 4 tuples: 3 > 0.5*4 -> decline.
   EXPECT_EQ(idx.ElementsByQname(*store, n, 4), nullptr);
   // Generous scan estimate -> accept.
   EXPECT_NE(idx.ElementsByQname(*store, n, 1000), nullptr);
@@ -888,14 +794,9 @@ TEST(IndexManagerTest, StatsReportStructure) {
   EXPECT_GT(s.value_keys, 0);
   EXPECT_GT(s.attr_value_keys, 0);
   EXPECT_EQ(s.path_keys, 5);          // (-,r) (r,a) (a,n) (r,b) (b,c)
-  // Default k = 3 adds one length-3 chain key per distinct tag chain:
-  // (r,-,-) (a,r,-) (n,a,r) (b,r,-) (c,b,r).
-  EXPECT_EQ(s.chain_keys, 5);
-  EXPECT_EQ(s.chain_postings, 10);    // every element owns one len-3 key
   EXPECT_EQ(s.node_states, 10);
   EXPECT_GT(s.bytes, 0);
   EXPECT_GE(s.build_micros, 0);
-  EXPECT_EQ(s.shards, 16);            // default config, power of two
   EXPECT_EQ(s.publish_epoch, 1);      // the Rebuild publication
 }
 
@@ -915,17 +816,17 @@ TEST(IndexManagerTest, CardinalityStatsExactOnBuild) {
   QnameId id = store->pools().FindQname("id");
   QnameId p = store->pools().FindQname("p");
 
-  // Chain stats are EXACT bucket sizes, keyed like PathChainProbe.
-  auto cs = idx.ChainStats({n});
-  EXPECT_TRUE(cs.known);
-  EXPECT_TRUE(cs.exact);
-  EXPECT_EQ(cs.count, 3);
-  EXPECT_EQ(idx.ChainStats({a, n}).count, 3);
-  EXPECT_EQ(idx.ChainStats({r, a}).count, 2);
-  EXPECT_EQ(idx.ChainStats({b, c}).count, 3);
-  EXPECT_EQ(idx.ChainStats({r, a, n}).count, 3);
-  EXPECT_EQ(idx.ChainStats({a, c}).count, 0);  // no such pair, exactly
-  EXPECT_FALSE(idx.ChainStats({a, -1}).known);  // unresolved self tag
+  // Tag and pair stats are EXACT bucket sizes, keyed like the probes.
+  auto ts = idx.TagStats(n);
+  EXPECT_TRUE(ts.known);
+  EXPECT_TRUE(ts.exact);
+  EXPECT_EQ(ts.count, 3);
+  EXPECT_EQ(idx.PairStats(a, n).count, 3);
+  EXPECT_EQ(idx.PairStats(r, a).count, 2);
+  EXPECT_EQ(idx.PairStats(b, c).count, 3);
+  EXPECT_EQ(idx.PairStats(-1, r).count, 1);  // the root has no parent
+  EXPECT_EQ(idx.PairStats(a, c).count, 0);  // no such pair, exactly
+  EXPECT_FALSE(idx.PairStats(a, -1).known);  // unresolved self tag
 
   // String equality reads the dictionary posting length: exact.
   auto vs = idx.ValueStats(n, CmpOp::kEq, "abc");
@@ -957,14 +858,13 @@ TEST(IndexManagerTest, CardinalityStatsExactOnBuild) {
   EXPECT_GE(ap.count, 1);
 
   auto s = idx.Stats();
-  // stat_keys: 5 qname postings + 10 path/chain keys (5 pairs + 5
-  // len-3 chains) + value dicts (n: 3, c: 3) + attr dicts with their
-  // owner sets (id: 2+1, p: 3+1).
-  EXPECT_EQ(s.stat_keys, 28);
+  // stat_keys: 5 qname postings + 5 pair keys + value dicts (n: 3,
+  // c: 3) + attr dicts with their owner sets (id: 2+1, p: 3+1).
+  EXPECT_EQ(s.stat_keys, 23);
   // Non-empty equi-width buckets: n {5,17} -> 2, c {"17"} -> 1,
   // p {1,2,10} -> 3 (id values are non-numeric: no histogram).
   EXPECT_EQ(s.histogram_buckets, 6);
-  EXPECT_GT(s.estimator_probes, 0);  // the ChainStats/... calls above
+  EXPECT_GT(s.estimator_probes, 0);  // the TagStats/... calls above
 }
 
 TEST(IndexManagerTest, CardinalityStatsFollowRenameFanOut) {
@@ -974,11 +874,11 @@ TEST(IndexManagerTest, CardinalityStatsFollowRenameFanOut) {
   QnameId r = store->pools().FindQname("r");
   QnameId e = store->pools().FindQname("e");
   QnameId c = store->pools().FindQname("c");
-  ASSERT_EQ(idx.ChainStats({e, c}).count, 2);
-  ASSERT_EQ(idx.ChainStats({r, e}).count, 1);
+  ASSERT_EQ(idx.PairStats(e, c).count, 2);
+  ASSERT_EQ(idx.PairStats(r, e).count, 1);
 
   // Rename <e> -> <f> on the base with a one-node dirty set; the
-  // children's chain keys must fan out to the new tag and the stats
+  // children's pair keys must fan out to the new tag and the stats
   // must follow exactly.
   auto e_pre = xpath::EvaluatePath(*store, "//e");
   ASSERT_TRUE(e_pre.ok());
@@ -989,11 +889,11 @@ TEST(IndexManagerTest, CardinalityStatsFollowRenameFanOut) {
   delta.MarkDirty(e_node);
   idx.ApplyDirty(*store, delta);
 
-  EXPECT_EQ(idx.ChainStats({e, c}).count, 0);
-  EXPECT_EQ(idx.ChainStats({f, c}).count, 2);
-  EXPECT_EQ(idx.ChainStats({r, f}).count, 1);
-  EXPECT_EQ(idx.ChainStats({e}).count, 0);
-  EXPECT_EQ(idx.ChainStats({f}).count, 1);
+  EXPECT_EQ(idx.PairStats(e, c).count, 0);
+  EXPECT_EQ(idx.PairStats(f, c).count, 2);
+  EXPECT_EQ(idx.PairStats(r, f).count, 1);
+  EXPECT_EQ(idx.TagStats(e).count, 0);
+  EXPECT_EQ(idx.TagStats(f).count, 1);
   // The children's values are untouched by the rename.
   EXPECT_GE(idx.ValueStats(c, CmpOp::kEq, "1").count, 1);
   // Stats moved with the publication: estimate-stamped plans see a new
@@ -1009,7 +909,7 @@ TEST(IndexedQueryTest, CardinalityStatsStayExactThroughCommitAbort) {
   ASSERT_NE(idx, nullptr);
   QnameId n = db->txn_manager().Read(
       [](const storage::PagedStore& s) { return s.pools().FindQname("n"); });
-  ASSERT_EQ(idx->ChainStats({n}).count, 3);
+  ASSERT_EQ(idx->TagStats(n).count, 3);
   const uint64_t epoch0 = idx->stats_epoch();
 
   // An ABORTED transaction must not move the stats (or the epoch).
@@ -1025,7 +925,7 @@ TEST(IndexedQueryTest, CardinalityStatsStayExactThroughCommitAbort) {
             .ok());
     ASSERT_TRUE(txn.value()->Abort().ok());
   }
-  EXPECT_EQ(idx->ChainStats({n}).count, 3);
+  EXPECT_EQ(idx->TagStats(n).count, 3);
   EXPECT_EQ(idx->stats_epoch(), epoch0);
 
   // A COMMITTED append is reflected exactly: one more <n> posting, one
@@ -1037,16 +937,16 @@ TEST(IndexedQueryTest, CardinalityStatsStayExactThroughCommitAbort) {
                  "<xupdate:append select=\"//a\"><n>23</n>"
                  "</xupdate:append></xupdate:modifications>")
           .ok());
-  EXPECT_EQ(idx->ChainStats({n}).count, 5);  // //a matches both <a> owners
+  EXPECT_EQ(idx->TagStats(n).count, 5);  // //a matches both <a> owners
   EXPECT_GT(idx->stats_epoch(), epoch0);
   const auto after = db->IndexStats();
   EXPECT_GT(after.histogram_buckets, 0);
   EXPECT_GE(after.stat_keys, before.stat_keys);
   // Estimate via the public estimator facade too: point <= upper, and
-  // the pessimistic upper bound equals the final chain's bucket size.
+  // the pessimistic upper bound equals the tag's posting length.
   index::CardinalityEstimator est(idx);
   ASSERT_TRUE(est.active());
-  auto ce = est.Chain({n});
+  auto ce = est.Tag(n);
   EXPECT_TRUE(ce.known);
   EXPECT_EQ(ce.upper, 5);
   EXPECT_LE(ce.point, static_cast<double>(ce.upper));

@@ -61,11 +61,10 @@ std::vector<OpKind> Kinds(const Plan& plan) {
 
 TEST(CompilerTest, BakesChainDecompositionAndPredicateShapes) {
   auto store = BuildStore(kDoc);
-  index::IndexConfig cfg;  // default chain depth k = 3
-  index::IndexManager idx(cfg);
+  index::IndexManager idx(index::IndexConfig{});
   idx.Rebuild(*store);
 
-  // The plain child-name run stops at the predicated step: the chain
+  // The plain child-name run stops at the predicated step: the cascade
   // consumes /site/people, then person compiles to a child step + an
   // attribute-shaped gate, then name to a child step.
   auto plan =
@@ -82,18 +81,23 @@ TEST(CompilerTest, BakesChainDecompositionAndPredicateShapes) {
   EXPECT_GE(plan->ops[2].attr_qn, 0);
   EXPECT_TRUE(plan->fully_resolved);
 
-  // Depth-5 chain at k=3: a 3-chain leading probe + one 2-step
-  // continuation = ceil((5-1)/(3-1)) = 2 probes.
+  // Depth-5 path: one (parent, self) pair probe per level below the
+  // root = 4 probes, probe i's self tags at absolute level i+1.
   auto deep = xpath::CompileText("/site/regions/zone/area/item",
                                  store->pools(), &idx);
   ASSERT_TRUE(deep.ok());
   ASSERT_EQ(deep->ops.size(), 1u);
   EXPECT_EQ(deep->ops[0].kind, OpKind::kChainProbe);
   EXPECT_EQ(deep->ops[0].consumed, 5u);
-  EXPECT_EQ(deep->ops[0].probes.size(), 2u);
-  EXPECT_EQ(deep->ops[0].probes[0].chain.size(), 3u);
-  EXPECT_EQ(deep->ops[0].probes[0].anchor_level, 2);
-  EXPECT_EQ(deep->ops[0].probes[1].rel_depth, 2);
+  ASSERT_EQ(deep->ops[0].probes.size(), 4u);
+  EXPECT_EQ(deep->ops[0].probes[0].parent_qn,
+            store->pools().FindQname("site"));
+  EXPECT_EQ(deep->ops[0].probes[0].self_qn,
+            store->pools().FindQname("regions"));
+  EXPECT_EQ(deep->ops[0].probes[0].abs_level, 1);
+  EXPECT_EQ(deep->ops[0].probes[3].parent_qn,
+            store->pools().FindQname("area"));
+  EXPECT_EQ(deep->ops[0].probes[3].abs_level, 4);
 
   // Non-leading positional steps fold axis + predicates into one
   // per-origin op; a LEADING positional predicate stays a list filter
@@ -281,27 +285,26 @@ TEST(PlanCacheTest, QnamePoolGrowthRecompilesUnresolvedPlans) {
 
 TEST(PlanCacheTest, EnvironmentFingerprintChangeInvalidates) {
   auto store = BuildStore(kDoc);
-  index::IndexConfig c3;
-  c3.path_chain_depth = 3;
-  index::IndexManager i3(c3);
-  i3.Rebuild(*store);
-  index::IndexConfig c2;
-  c2.path_chain_depth = 2;
-  index::IndexManager i2(c2);
-  i2.Rebuild(*store);
+  index::IndexManager on(index::IndexConfig{});
+  on.Rebuild(*store);
+  index::IndexConfig off_cfg;
+  off_cfg.enabled = false;
+  index::IndexManager off(off_cfg);
+  off.Rebuild(*store);
 
   xpath::PlanCache cache;
   const char* q = "/site/regions/zone/area/item";
-  xpath::Evaluator<storage::PagedStore> e3(*store, &i3, &cache);
-  ASSERT_TRUE(e3.Eval(q).ok());
+  xpath::Evaluator<storage::PagedStore> e_on(*store, &on, &cache);
+  ASSERT_TRUE(e_on.Eval(q).ok());
   EXPECT_EQ(cache.stats().misses, 1);
-  // Same text under a different IndexConfig (chain depth): the baked
-  // cascade no longer matches the environment — recompile, not reuse.
-  xpath::Evaluator<storage::PagedStore> e2(*store, &i2, &cache);
-  ASSERT_TRUE(e2.Eval(q).ok());
+  // Same text under a different IndexConfig (index disabled): plans
+  // baked for a live index (estimate-driven shape) no longer match the
+  // environment — recompile, not reuse.
+  xpath::Evaluator<storage::PagedStore> e_off(*store, &off, &cache);
+  ASSERT_TRUE(e_off.Eval(q).ok());
   EXPECT_EQ(cache.stats().misses, 2);
   EXPECT_EQ(cache.stats().hits, 0);
-  ASSERT_TRUE(e2.Eval(q).ok());
+  ASSERT_TRUE(e_off.Eval(q).ok());
   EXPECT_EQ(cache.stats().hits, 1);
   // No-index environment is a third fingerprint.
   xpath::Evaluator<storage::PagedStore> e0(*store, nullptr, &cache);
@@ -338,7 +341,7 @@ TEST(ExplainTest, ReportsExecutedStrategiesAndCacheState) {
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
   EXPECT_NE(cold->find("cache: miss"), std::string::npos) << *cold;
   EXPECT_NE(cold->find("ChainProbe"), std::string::npos) << *cold;
-  EXPECT_NE(cold->find("index cascade (2 probes)"), std::string::npos)
+  EXPECT_NE(cold->find("index cascade (4 probes)"), std::string::npos)
       << *cold;
   EXPECT_NE(cold->find("result: 2 nodes"), std::string::npos) << *cold;
 
@@ -455,29 +458,19 @@ TEST(SelectivityTest, FusesRareValueProbeIntoChainPrefix) {
   ASSERT_TRUE(explain.ok());
   EXPECT_NE(explain->find("FusedProbe"), std::string::npos) << *explain;
   EXPECT_NE(explain->find("(value-first)"), std::string::npos) << *explain;
-
-  // The A/B knob: selectivity_planning off keeps the syntactic shape
-  // (and a distinct plan-env fingerprint, so caches never mix them).
-  index::IndexConfig off;
-  off.selectivity_planning = false;
-  index::IndexManager idx_off(off);
-  idx_off.Rebuild(*store);
-  auto syn = xpath::CompileText(q, store->pools(), &idx_off);
-  ASSERT_TRUE(syn.ok());
-  EXPECT_EQ(syn->ops[0].kind, OpKind::kChainProbe);
-  EXPECT_EQ(syn->stats_epoch, 0u);
-  EXPECT_NE(syn->env_fp, plan->env_fp);
 }
 
-TEST(SelectivityTest, CascadeSeedsFromRarestChain) {
-  // 21 zones match the lead chain (site,regions,zone); only one has
-  // the (zone,area,item) continuation. Cost order seeds from the
-  // rare continuation and verifies the two survivors' ancestors with
-  // a walk instead of probing the fat lead bucket.
-  std::string xml = "<site><regions>";
-  for (int i = 0; i < 20; ++i) xml += "<zone><filler>x</filler></zone>";
-  xml += "<zone><area><item k='1'>v</item><item k='2'>v</item></area>"
-         "</zone></regions></site>";
+TEST(SelectivityTest, CascadeSeedsFromRarestPair) {
+  // 21 <regions> each hold a <zone>; only one zone has the (zone, area)
+  // continuation. Cost order seeds from that rare pair and verifies
+  // the survivors' ancestors by containment merge instead of joining
+  // down from the fat leading pairs.
+  std::string xml = "<site>";
+  for (int i = 0; i < 20; ++i) {
+    xml += "<regions><zone><filler>x</filler></zone></regions>";
+  }
+  xml += "<regions><zone><area><item k='1'>v</item><item k='2'>v</item>"
+         "</area></zone></regions></site>";
   auto store = BuildStore(xml);
   index::IndexManager idx(index::IndexConfig{});
   idx.Rebuild(*store);
@@ -486,13 +479,14 @@ TEST(SelectivityTest, CascadeSeedsFromRarestChain) {
   ASSERT_TRUE(plan.ok());
   ASSERT_EQ(plan->ops.size(), 1u);
   ASSERT_EQ(plan->ops[0].kind, OpKind::kChainProbe);
-  ASSERT_EQ(plan->ops[0].probes.size(), 2u);
+  ASSERT_EQ(plan->ops[0].probes.size(), 4u);
   EXPECT_EQ(plan->ops[0].probes[0].est, 21);
-  EXPECT_EQ(plan->ops[0].probes[1].est, 2);
+  EXPECT_EQ(plan->ops[0].probes[1].est, 21);
+  EXPECT_EQ(plan->ops[0].probes[2].est, 1);
+  EXPECT_EQ(plan->ops[0].probes[3].est, 2);
   ASSERT_EQ(plan->ops[0].exec_order,
-            (std::vector<size_t>{1, 0}));  // continuation seeds
-  EXPECT_EQ(plan->ops[0].probes[0].abs_level, 2);
-  EXPECT_EQ(plan->ops[0].probes[1].abs_level, 4);
+            (std::vector<size_t>{2, 3, 0, 1}));  // (zone, area) seeds
+  EXPECT_EQ(plan->ops[0].probes[2].abs_level, 3);
   EXPECT_NE(plan->stats_epoch, 0u);
 
   xpath::Evaluator<storage::PagedStore> ev(*store, &idx);
@@ -505,7 +499,7 @@ TEST(SelectivityTest, CascadeSeedsFromRarestChain) {
   ASSERT_EQ(res->size(), 2u);
   auto explain = ev.Explain(q);
   ASSERT_TRUE(explain.ok());
-  EXPECT_NE(explain->find("[cost order: 1 0]"), std::string::npos)
+  EXPECT_NE(explain->find("[cost order: 2 3 0 1]"), std::string::npos)
       << *explain;
   EXPECT_NE(explain->find("[cost order]"), std::string::npos) << *explain;
 }

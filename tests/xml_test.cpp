@@ -95,6 +95,33 @@ TEST(XmlParserTest, MalformedInputsRejected) {
   }
 }
 
+std::string Nested(int levels) {
+  std::string xml;
+  for (int i = 0; i < levels; ++i) xml += "<e>";
+  for (int i = 0; i < levels; ++i) xml += "</e>";
+  return xml;
+}
+
+TEST(XmlParserTest, NestingAtTheLimitParses) {
+  TraceHandler h;
+  Status s = Parse(Nested(kMaxNestingDepth), &h);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+}
+
+// One level past the limit is a ParseError naming the byte offset of
+// the refused start tag, not a stack overflow.
+TEST(XmlParserTest, NestingPastTheLimitIsParseError) {
+  TraceHandler h;
+  Status s = Parse(Nested(kMaxNestingDepth + 1), &h);
+  ASSERT_TRUE(s.IsParseError()) << s.ToString();
+  const std::string offset =
+      "at byte " + std::to_string(3 * kMaxNestingDepth);
+  EXPECT_NE(s.ToString().find(offset), std::string::npos) << s.ToString();
+  // Far past the limit (deep enough to overflow an unbounded recursive
+  // descent) fails the same way.
+  EXPECT_TRUE(Parse(Nested(100000), &h).IsParseError());
+}
+
 TEST(XmlSerializerTest, EscapesAndSelfCloses) {
   Serializer out;
   out.StartElement("r", {{"k", "a<b\"c"}});

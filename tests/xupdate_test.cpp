@@ -6,6 +6,7 @@
 #include "storage/paged_store.h"
 #include "storage/shredder.h"
 #include "storage/store_serializer.h"
+#include "xml/parser.h"
 #include "xupdate/apply.h"
 
 namespace pxq {
@@ -55,6 +56,37 @@ TEST(XUpdateTest, PaperAppendExample) {
   EXPECT_EQ(Serialized(*store),
             "<a><b><c><d/><e/></c></b>"
             "<f><g><k><l/><m/></k></g><h><i/><j/></h></f></a>");
+}
+
+// A fragment nested past the XML parser's limit is refused with a
+// ParseError before anything is applied: the store is unchanged. The
+// fragment sits two levels below the modifications root, so depth
+// kMaxNestingDepth - 2 is the deepest that fits.
+TEST(XUpdateTest, OverDeepFragmentIsParseErrorAndStoreUnchanged) {
+  auto store = BuildStore();
+  const std::string before = Serialized(*store);
+  auto append = [](int levels) {
+    std::string doc =
+        "<xupdate:modifications version=\"1.0\" "
+        "xmlns:xupdate=\"http://www.xmldb.org/xupdate\">"
+        "<xupdate:append select=\"/a/f/g\">";
+    for (int i = 0; i < levels; ++i) doc += "<k>";
+    for (int i = 0; i < levels; ++i) doc += "</k>";
+    return doc + "</xupdate:append></xupdate:modifications>";
+  };
+  for (int levels : {xml::kMaxNestingDepth - 1, 100000}) {
+    auto stats = xupdate::ApplyXUpdate(store.get(), append(levels));
+    EXPECT_TRUE(stats.status().IsParseError())
+        << levels << ": " << stats.status().ToString();
+    EXPECT_EQ(Serialized(*store), before);
+    ExpectOk(*store);
+  }
+  // The deepest fragment that fits still applies.
+  auto fits = xupdate::ApplyXUpdate(store.get(),
+                                    append(xml::kMaxNestingDepth - 2));
+  ASSERT_TRUE(fits.ok()) << fits.status().ToString();
+  EXPECT_EQ(fits->nodes_inserted, xml::kMaxNestingDepth - 2);
+  ExpectOk(*store);
 }
 
 TEST(XUpdateTest, RemoveSubtree) {
