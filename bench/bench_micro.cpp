@@ -592,11 +592,11 @@ void BM_CascadeOrderCostBased(benchmark::State& state) {
 }
 BENCHMARK(BM_CascadeOrderCostBased);
 
-// Concurrent probes over one shared index at the mid scale. PR 1
-// serialized every probe on a single IndexManager mutex (throughput
-// flatlined with threads); probes now read the buckets lock-free, so
-// items/sec should grow with the thread count. UseRealTime
-// makes the per-thread time comparable across thread counts.
+// Concurrent probes over one shared index at the mid scale. Probes
+// read the buckets without a lock and take the memo's leaf mutex only
+// for one short lookup, so per-op time should stay flat and items/sec
+// grow with the thread count. UseRealTime makes the per-thread time
+// comparable across thread counts.
 void BM_ConcurrentDescendantProbe(benchmark::State& state) {
   const IndexedFixture& f = IndexedAt(1);
   xpath::Evaluator<storage::PagedStore> ev(*f.store, f.index.get());

@@ -217,6 +217,14 @@ int main(int argc, char** argv) {
     std::printf("index epochs:   publish %lld, structure %lld\n",
                 static_cast<long long>(ix.publish_epoch),
                 static_cast<long long>(ix.structure_epoch));
+    std::printf("memo:           %lld entries, %lld bytes, "
+                "%lld/%lld hits/misses, %lld/%lld value hits/misses\n",
+                static_cast<long long>(ix.memo_entries),
+                static_cast<long long>(ix.memo_bytes),
+                static_cast<long long>(ix.memo_hits),
+                static_cast<long long>(ix.memo_misses),
+                static_cast<long long>(ix.memo_value_hits),
+                static_cast<long long>(ix.memo_value_misses));
     std::printf("plan cache:     %lld hits, %lld misses, %lld evictions\n",
                 static_cast<long long>(ix.plan_hits),
                 static_cast<long long>(ix.plan_misses),

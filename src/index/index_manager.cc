@@ -93,15 +93,6 @@ QnameId ParentTagOf(const storage::PagedStore& store, PreId pre) {
 
 IndexManager::IndexManager(IndexConfig config) : config_(config) {}
 
-IndexManager::~IndexManager() {
-  const MemoTable* t = memo_.load(std::memory_order_acquire);
-  while (t != nullptr) {
-    const MemoTable* prev = t->prev;
-    delete t;
-    t = prev;
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Writer side: in-place maintenance inside the exclusive window
 // ---------------------------------------------------------------------------
@@ -283,35 +274,21 @@ void IndexManager::RemoveNode(NodeId node) {
   node_state_.erase(it);
 }
 
-void IndexManager::PruneMemos() {
-  // Exclusive window: no reader holds a memo table pointer, so every
-  // table except the newest can be reclaimed — and a table that hit
-  // the value-key admission cap is dropped wholesale, so memoization
-  // of new literals resumes instead of staying disabled forever (the
-  // hot entries re-admit on their next probe).
-  const MemoTable* newest = memo_.load(std::memory_order_acquire);
-  if (newest == nullptr) return;
-  const MemoTable* t = newest->prev;
-  while (t != nullptr) {
-    const MemoTable* prev = t->prev;
-    delete t;
-    t = prev;
-  }
-  if (newest->value_entries >= kValueMemoCap) {
-    memo_.store(nullptr, std::memory_order_release);
-    delete newest;
-  } else {
-    const_cast<MemoTable*>(newest)->prev = nullptr;
+void IndexManager::PruneMemos(bool structural) {
+  // Exclusive window: no probe holds an entry. Shifted pre ranks stale
+  // every materialization; a memo that hit the value-key cap is
+  // cleared so memoization of new literals resumes (the hot entries
+  // re-admit on their next probe).
+  MutexLock lock(&memo_mu_);
+  if (structural || memo_value_entries_ >= kValueMemoCap) {
+    memo_.clear();
+    memo_value_entries_ = 0;
   }
 }
 
 void IndexManager::Publish(bool structural) {
-  PruneMemos();
-  if (structural) {
-    // Pre ranks shifted: every memoized materialization is stale. Memo
-    // entries self-invalidate via the epoch check; no table touch here.
-    structure_epoch_.fetch_add(1, std::memory_order_acq_rel);
-  }
+  PruneMemos(structural);
+  if (structural) structure_epoch_ += 1;
   publish_epoch_.fetch_add(1, std::memory_order_acq_rel);
 }
 
@@ -495,71 +472,54 @@ std::vector<PreId> IndexManager::ToPres(const storage::PagedStore& store,
   return pres;
 }
 
-const IndexManager::MemoEntry* IndexManager::LookupMemo(
-    const MemoKey& key) const {
-  const MemoTable* memo = memo_.load(std::memory_order_acquire);
-  if (memo == nullptr) return nullptr;
-  auto it = memo->entries.find(key);
-  return it == memo->entries.end() ? nullptr : it->second.get();
+const IndexManager::MemoEntry* IndexManager::FindMemo(
+    const MemoKey& key, uint64_t src_gen, uint64_t aux_gen) const {
+  MutexLock lock(&memo_mu_);
+  auto it = memo_.find(key);
+  if (it == memo_.end() || it->second.src_gen != src_gen ||
+      it->second.aux_gen != aux_gen) {
+    return nullptr;
+  }
+  return &it->second;
 }
 
-const IndexManager::MemoEntry* IndexManager::PublishMemo(
-    const MemoKey& key, std::shared_ptr<const MemoEntry> entry) const {
-  // CAS-publish a new table version. Readers race only with readers
-  // (writers prune inside the exclusive window); a loser deletes its
-  // never-published candidate and retries against the latest table, so
-  // concurrently inserted entries for other keys are never lost.
-  // Entries are shared between versions, so each link in the retained
-  // chain costs map nodes only, never pre-list copies.
-  //
-  // Value/attr keys carry user-controlled operands, so their key space
-  // is unbounded — and the chain is pruned only inside the exclusive
-  // commit window, which a read-only workload never opens. A full
-  // table therefore stops admitting NEW value keys (existing keys may
-  // still be refreshed in place: same map size), bounding both the
-  // retained chain and the per-insert copy cost. Qname/path keys are
-  // exempt: their space is bounded by the document's tag
-  // structure, and MemoizedPres relies on publication to keep its
-  // returned pointer alive.
-  const MemoEntry* raw = entry.get();
-  const bool value_ns = key.ns != MemoNs::kQname && key.ns != MemoNs::kPath;
-  const MemoTable* cur = memo_.load(std::memory_order_acquire);
-  for (;;) {
-    const bool fresh_key =
-        cur == nullptr || cur->entries.find(key) == cur->entries.end();
-    if (value_ns && fresh_key && cur != nullptr &&
-        cur->value_entries >= kValueMemoCap) {
-      return nullptr;  // table full: serve the result unmemoized
+const IndexManager::MemoEntry* IndexManager::StoreMemo(
+    const MemoKey& key, MemoEntry entry) const {
+  MutexLock lock(&memo_mu_);
+  auto it = memo_.find(key);
+  if (it != memo_.end()) {
+    MemoEntry& cur = it->second;
+    // A racing filler got here first with the same generations: serve
+    // its entry, which another probe may already hold. Otherwise the
+    // entry is stale (its source moved in a commit), so no probe holds
+    // it, and it is refilled in place.
+    if (cur.src_gen != entry.src_gen || cur.aux_gen != entry.aux_gen) {
+      cur = std::move(entry);
     }
-    auto* next = cur ? new MemoTable(*cur) : new MemoTable();
-    next->prev = cur;
-    next->entries[key] = entry;
-    if (value_ns && fresh_key) next->value_entries += 1;
-    if (memo_.compare_exchange_strong(cur, next, std::memory_order_acq_rel,
-                                      std::memory_order_acquire)) {
-      return raw;  // kept alive by the published table chain
-    }
-    delete next;
+    return &cur;
   }
+  // Value/attr keys carry user-controlled operands: a full memo
+  // admits no new ones (the caller serves its result unmemoized).
+  if (key.ns != MemoNs::kQname && key.ns != MemoNs::kPath) {
+    if (memo_value_entries_ >= kValueMemoCap) return nullptr;
+    memo_value_entries_ += 1;
+  }
+  return &memo_.emplace(key, std::move(entry)).first->second;
 }
 
 const std::vector<PreId>* IndexManager::MemoizedPres(
     const storage::PagedStore& store, const MemoKey& mk,
     const Postings& src) const {
-  const uint64_t sepoch = structure_epoch_.load(std::memory_order_acquire);
-  if (const MemoEntry* e = LookupMemo(mk);
-      e != nullptr && e->src_gen == src.gen &&
-      e->structure_epoch == sepoch) {
+  if (const MemoEntry* e = FindMemo(mk, src.gen, 0)) {
     memo_hits_.Inc();
     return &e->pres;
   }
   memo_misses_.Inc();
-  auto entry = std::make_shared<MemoEntry>();
-  entry->src_gen = src.gen;
-  entry->structure_epoch = sepoch;
-  entry->candidates = static_cast<int64_t>(src.nodes.size());
-  entry->pres = ToPres(store, src.nodes);
-  return &PublishMemo(mk, std::move(entry))->pres;
+  MemoEntry entry;
+  entry.src_gen = src.gen;
+  entry.candidates = static_cast<int64_t>(src.nodes.size());
+  entry.pres = ToPres(store, src.nodes);
+  return &StoreMemo(mk, std::move(entry))->pres;
 }
 
 IndexManager::MemoKey IndexManager::ValueMemoKey(MemoNs ns, QnameId qn,
@@ -731,56 +691,38 @@ bool IndexManager::ChildValueProbe(const storage::PagedStore& store,
     return true;
   }
   const ValueBucket& vb = vit->second;
-  const uint64_t sepoch = structure_epoch_.load(std::memory_order_acquire);
   const MemoKey mk = ValueMemoKey(MemoNs::kValue, qn, op, literal);
-  // Count-only (negative-cache) entries validate on generations alone:
-  // a candidate COUNT depends only on dictionary content, never on pre
-  // ranks, so structural commits that touched other keys leave a warm
-  // decline warm.
-  if (const MemoEntry* e = LookupMemo(mk);
-      e != nullptr && e->src_gen == SourceGenFor(vb, mk) &&
-      e->aux_gen == vb.complex_gen &&
-      (!e->materialized || e->structure_epoch == sepoch)) {
+  const uint64_t src_gen = SourceGenFor(vb, mk);
+  if (const MemoEntry* e = FindMemo(mk, src_gen, vb.complex_gen)) {
+    // Warm: the gate re-runs off the cached count, so a decline costs
+    // no dictionary walk either.
     if (!Gate(e->candidates, scan_cost)) {
-      // Warm decline: the gate ran off the cached count — no
-      // CollectMatches, no dictionary walk.
-      value_neg_hits_.Inc();
       probe_declines_.Inc();
       return false;
     }
-    if (e->materialized) {
-      memo_value_hits_.Inc();
-      *simple = e->pres;
-      *complex_rest = e->complex_pres;
-      return true;
-    }
-    // Count-only entry, but the caller's scan estimate now passes the
-    // gate: fall through and materialize.
+    memo_value_hits_.Inc();
+    *simple = e->pres;
+    *complex_rest = e->complex_pres;
+    return true;
   }
   std::vector<NodeId> matches;
   CollectMatches(vb.by_string, vb.by_number, op, literal, &matches);
   const int64_t k = static_cast<int64_t>(matches.size()) +
                     static_cast<int64_t>(vb.complex_elems.size());
-  auto entry = std::make_shared<MemoEntry>();
-  entry->src_gen = SourceGenFor(vb, mk);
-  entry->aux_gen = vb.complex_gen;
-  entry->structure_epoch = sepoch;
-  entry->candidates = k;
   if (!Gate(k, scan_cost)) {
-    // Negative cache: remember the candidate count so the key's next
-    // warm decline skips CollectMatches entirely. The entry invalidates
-    // like any other when a commit re-stamps the key's generation.
     probe_declines_.Inc();
-    entry->materialized = false;
-    PublishMemo(mk, std::move(entry));
     return false;
   }
   *simple = ToPres(store, matches);
   *complex_rest = ToPres(store, vb.complex_elems);
   memo_value_misses_.Inc();
-  entry->pres = *simple;
-  entry->complex_pres = *complex_rest;
-  PublishMemo(mk, std::move(entry));
+  MemoEntry entry;
+  entry.src_gen = src_gen;
+  entry.aux_gen = vb.complex_gen;
+  entry.candidates = k;
+  entry.pres = *simple;
+  entry.complex_pres = *complex_rest;
+  StoreMemo(mk, std::move(entry));
   return true;
 }
 
@@ -796,24 +738,20 @@ std::optional<std::vector<PreId>> IndexManager::AttrOwners(
     probe_declines_.Inc();
     return std::nullopt;
   }
-  const uint64_t sepoch = structure_epoch_.load(std::memory_order_acquire);
   MemoKey mk;
   mk.ns = MemoNs::kAttrOwners;
   mk.key = static_cast<uint64_t>(static_cast<uint32_t>(qn));
-  if (const MemoEntry* e = LookupMemo(mk);
-      e != nullptr && e->src_gen == ab.owners_gen &&
-      e->structure_epoch == sepoch) {
+  if (const MemoEntry* e = FindMemo(mk, ab.owners_gen, 0)) {
     memo_value_hits_.Inc();
     return e->pres;
   }
   memo_value_misses_.Inc();
-  auto entry = std::make_shared<MemoEntry>();
-  entry->src_gen = ab.owners_gen;
-  entry->structure_epoch = sepoch;
-  entry->candidates = k;
-  entry->pres = ToPres(store, ab.owners);
-  std::vector<PreId> pres = entry->pres;
-  PublishMemo(mk, std::move(entry));
+  MemoEntry entry;
+  entry.src_gen = ab.owners_gen;
+  entry.candidates = k;
+  entry.pres = ToPres(store, ab.owners);
+  std::vector<PreId> pres = entry.pres;
+  StoreMemo(mk, std::move(entry));
   return pres;
 }
 
@@ -827,40 +765,30 @@ std::optional<std::vector<PreId>> IndexManager::AttrValueProbe(
   auto it = data_.attrs.find(qn);
   if (it == data_.attrs.end()) return std::vector<PreId>{};
   const AttrBucket& ab = it->second;
-  const uint64_t sepoch = structure_epoch_.load(std::memory_order_acquire);
   const MemoKey mk = ValueMemoKey(MemoNs::kAttrValue, qn, op, literal);
-  // Same negative-cache protocol as ChildValueProbe: count-only entries
-  // validate on the key generation alone.
-  if (const MemoEntry* e = LookupMemo(mk);
-      e != nullptr && e->src_gen == SourceGenFor(ab, mk) &&
-      (!e->materialized || e->structure_epoch == sepoch)) {
+  const uint64_t src_gen = SourceGenFor(ab, mk);
+  if (const MemoEntry* e = FindMemo(mk, src_gen, 0)) {
     if (!Gate(e->candidates, scan_cost)) {
-      value_neg_hits_.Inc();
       probe_declines_.Inc();
       return std::nullopt;
     }
-    if (e->materialized) {
-      memo_value_hits_.Inc();
-      return e->pres;
-    }
+    memo_value_hits_.Inc();
+    return e->pres;
   }
   std::vector<NodeId> matches;
   CollectMatches(ab.by_string, ab.by_number, op, literal, &matches);
   const int64_t k = static_cast<int64_t>(matches.size());
-  auto entry = std::make_shared<MemoEntry>();
-  entry->src_gen = SourceGenFor(ab, mk);
-  entry->structure_epoch = sepoch;
-  entry->candidates = k;
   if (!Gate(k, scan_cost)) {
     probe_declines_.Inc();
-    entry->materialized = false;
-    PublishMemo(mk, std::move(entry));
     return std::nullopt;
   }
   memo_value_misses_.Inc();
-  entry->pres = ToPres(store, matches);
-  std::vector<PreId> pres = entry->pres;
-  PublishMemo(mk, std::move(entry));
+  MemoEntry entry;
+  entry.src_gen = src_gen;
+  entry.candidates = k;
+  entry.pres = ToPres(store, matches);
+  std::vector<PreId> pres = entry.pres;
+  StoreMemo(mk, std::move(entry));
   return pres;
 }
 
@@ -1041,7 +969,6 @@ IndexStats IndexManager::Stats() const {
   const int64_t path_declines = path_declines_.Value();
   s.path_probes = path_probes_.Value();
   s.path_hits = s.path_probes - path_declines;
-  s.value_neg_hits = value_neg_hits_.Value();
   s.child_step_hits = child_step_hits_.Value();
   s.memo_hits = memo_hits_.Value();
   s.memo_misses = memo_misses_.Value();
@@ -1052,11 +979,18 @@ IndexStats IndexManager::Stats() const {
   s.plan_reorders = plan_reorders_.Value();
   s.publish_epoch =
       static_cast<int64_t>(publish_epoch_.load(std::memory_order_acquire));
-  s.structure_epoch =
-      static_cast<int64_t>(structure_epoch_.load(std::memory_order_acquire));
   // Structure walk under writer_mu_: writers mutate the buckets in
   // place, so Stats() must not walk them concurrently with a writer.
   MutexLock lock(&writer_mu_);
+  s.structure_epoch = static_cast<int64_t>(structure_epoch_);
+  {
+    MutexLock memo_lock(&memo_mu_);
+    s.memo_entries = static_cast<int64_t>(memo_.size());
+    for (const auto& [key, e] : memo_) {
+      s.memo_bytes += static_cast<int64_t>(
+          (e.pres.capacity() + e.complex_pres.capacity()) * sizeof(PreId));
+    }
+  }
   s.build_micros = build_micros_;
   s.maintenance_ops = maintenance_ops_;
   s.applied_commits = applied_commits_;
@@ -1125,7 +1059,6 @@ void IndexManager::RegisterMetrics(obs::MetricsRegistry* reg) const {
   reg->RegisterCounter("pxq_index_memo_value_hits_total", &memo_value_hits_);
   reg->RegisterCounter("pxq_index_memo_value_misses_total",
                        &memo_value_misses_);
-  reg->RegisterCounter("pxq_index_value_neg_hits_total", &value_neg_hits_);
   reg->RegisterCounter("pxq_index_cross_check_mismatches_total",
                        &cross_check_mismatches_);
   reg->RegisterCounter("pxq_estimator_probes_total", &estimator_probes_);
@@ -1152,6 +1085,8 @@ void IndexManager::RegisterMetrics(obs::MetricsRegistry* reg) const {
     o->emplace_back("pxq_index_structure_epoch", s.structure_epoch);
     o->emplace_back("pxq_index_stat_keys", s.stat_keys);
     o->emplace_back("pxq_index_histogram_buckets", s.histogram_buckets);
+    o->emplace_back("pxq_index_memo_entries", s.memo_entries);
+    o->emplace_back("pxq_index_memo_bytes", s.memo_bytes);
   });
 }
 

@@ -74,25 +74,22 @@
 //   a quiescent index in tests and benchmarks). Pointers returned by
 //   ElementsByQname / PathPairProbe stay valid until the next commit.
 //
-//   Pre materializations are memoized in one lock-free side table:
-//   readers CAS-publish a new table version whose predecessor stays
-//   reachable through an intrusive chain, so a concurrent reader's
-//   pointer into an older table stays valid; writers prune the chain
-//   inside the exclusive window. The memo is heterogeneous — entries
-//   are keyed on (namespace, qname-or-pair key, op, operand-class,
-//   operand) and cover qname postings, path postings, child-value
-//   probes, attribute-owner probes, and attribute-value probes. An
-//   entry is valid iff (a) the generation of its source — the
-//   postings bucket, the matching value-dictionary key for equality
-//   probes, the numeric sidecar for numeric-equality probes, or the
-//   whole dictionary for range probes — matches the current buckets
-//   (catches content changes without pointer ABA) and (b) the
-//   structure epoch it was swizzled under is current (catches pre
-//   shifts). Value-only commits do not bump the structure epoch and
-//   generation stamps move only on the dictionary keys a commit
-//   actually touched, so such commits invalidate only the touched
-//   keys' entries instead of the whole memo — the memo is maintained
-//   incrementally, never rebuilt wholesale. DESIGN.md §3 records the
+//   Pre materializations are memoized in one map guarded by a leaf
+//   mutex (memo_mu_). The memo is heterogeneous — entries are keyed on
+//   (namespace, qname-or-pair key, op, operand-class, operand) and
+//   cover qname postings, path postings, child-value probes,
+//   attribute-owner probes, and attribute-value probes. An entry is
+//   valid iff the generation of its source — the postings bucket, the
+//   matching value-dictionary key for equality probes, the numeric
+//   sidecar for numeric-equality probes, or the whole dictionary for
+//   range probes — matches the current buckets (generations are never
+//   reused, so there is no pointer ABA). Pre ranks only shift in a
+//   structural commit, and the commit window clears the map then, so
+//   every entry holds ranks of the current structure. Value-only
+//   commits re-stamp just the dictionary keys they touch and leave the
+//   map alone: the memo is maintained incrementally. A probe that
+//   finds a stale entry overwrites it in place; by the lifetime
+//   contract no reader can still hold it. DESIGN.md §3 records the
 //   end-to-end measurements that keep the memo.
 #ifndef PXQ_INDEX_INDEX_MANAGER_H_
 #define PXQ_INDEX_INDEX_MANAGER_H_
@@ -101,7 +98,6 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -153,8 +149,8 @@ struct IndexStats {
   int64_t memo_misses = 0;       // ... recomputed (cold or invalidated)
   int64_t memo_value_hits = 0;   // value/attr probes served from memo
   int64_t memo_value_misses = 0; // ... recomputed (cold or invalidated)
-  int64_t value_neg_hits = 0;    // warm declines served by the negative
-                                 // cache (no CollectMatches re-run)
+  int64_t memo_entries = 0;      // memo entries of every namespace
+  int64_t memo_bytes = 0;        // memoized pre vectors (capacity)
   int64_t cross_check_mismatches = 0;
   // --- selectivity statistics (cardinality.h) -------------------------
   int64_t stat_keys = 0;         // distinct keys with cardinality stats
@@ -178,7 +174,6 @@ struct IndexStats {
 class IndexManager {
  public:
   explicit IndexManager(IndexConfig config);
-  ~IndexManager();
   IndexManager(const IndexManager&) = delete;
   IndexManager& operator=(const IndexManager&) = delete;
 
@@ -205,8 +200,9 @@ class IndexManager {
   void ApplyDirty(const storage::PagedStore& store, const DeltaIndex& delta);
 
   // --- probes (consulted by xpath::Evaluator) -------------------------
-  // Probes take no lock of their own: they read the buckets, which
-  // only the exclusive commit window mutates. Every probe returns
+  // Probes read the buckets without a lock of their own (only the
+  // exclusive commit window mutates them); the memo takes its leaf
+  // memo_mu_ for a lookup or an insert. Every probe returns
   // an empty result handle (nullptr / std::nullopt / false) when the
   // index declines (disabled, unsupported operator, or the cost gate
   // chose the scan); the caller then evaluates by scanning. Returned
@@ -460,51 +456,29 @@ class IndexManager {
     }
   };
 
-  /// Memo of pre materializations. Entries are valid iff src_gen (and
+  /// Memo of pre materializations. An entry is valid iff src_gen (and
   /// aux_gen for child-value entries) matches the generation of the
-  /// entry's source in the current buckets AND structure_epoch is
-  /// current; which generation is "the source" depends on the key (see
-  /// the validation helpers in index_manager.cc). `candidates` is the
+  /// entry's source in the current buckets; which generation is "the
+  /// source" depends on the key (see SourceGenFor). `candidates` is the
   /// gate input, cached so a warm probe can re-run the cost gate
   /// against the caller's current scan estimate without re-collecting
-  /// matches. Tables are immutable once published; readers CAS in a
-  /// shallow copy with one more entry (entry objects are shared
-  /// between versions, so a retained table costs map nodes, never
-  /// pre-list copies). `prev` chains replaced tables so in-flight
-  /// readers of an older table stay safe; the writer prunes the chain
-  /// (keeping the newest) inside the exclusive window, when no reader
-  /// exists.
+  /// matches.
   struct MemoEntry {
     uint64_t src_gen = 0;
     uint64_t aux_gen = 0;  // complex-list generation (kValue only)
-    uint64_t structure_epoch = 0;
     int64_t candidates = 0;
-    /// Negative-cache entries (a gate decline) cache only `candidates`:
-    /// a warm repeat re-gates and declines without re-running
-    /// CollectMatches, but a repeat whose scan estimate now passes the
-    /// gate must re-materialize (pres were never built).
-    bool materialized = true;
     std::vector<PreId> pres;
     std::vector<PreId> complex_pres;  // kValue only
   };
-  struct MemoTable {
-    std::unordered_map<MemoKey, std::shared_ptr<const MemoEntry>,
-                       MemoKeyHash>
-        entries;
-    size_t value_entries = 0;  // entries outside the qname/path namespaces
-    const MemoTable* prev = nullptr;
-  };
-  /// Admission cap for value/attr memo keys: operands
-  /// are user-controlled, the retained chain is only pruned at commit,
-  /// and every insert copies the table — so a read-only flood of
-  /// distinct literals must stop growing the memo once the table is
-  /// full (see PublishMemo). Qname/path keys are exempt and do not
-  /// count against the cap (their space is bounded by the document's
-  /// tag structure, not by user-supplied operands). A table that hit
-  /// the cap is reset wholesale in the next commit's
-  /// exclusive window (PruneMemos), so memoization of new literals
-  /// resumes — only a commitless workload keeps the full table, and
-  /// then its 256 admitted keys stay warm forever anyway.
+  /// Admission cap for value/attr memo keys: operands are
+  /// user-controlled, so a read-only flood of distinct literals must
+  /// stop growing the memo once it holds this many of them (see
+  /// StoreMemo). Qname/path keys are exempt and do not count against
+  /// the cap (their space is bounded by the document's tag structure,
+  /// not by user-supplied operands). A memo that hit the cap is cleared
+  /// in the next commit's exclusive window (PruneMemos), so memoization
+  /// of new literals resumes — only a commitless workload keeps the
+  /// full memo, and then its 256 admitted keys stay warm anyway.
   static constexpr size_t kValueMemoCap = 256;
 
   /// The probe counters ARE the observability counters: obs::Counter is
@@ -530,22 +504,28 @@ class IndexManager {
   void RemoveNode(NodeId node) PXQ_REQUIRES(writer_mu_);
   void AddNode(const storage::PagedStore& store, NodeId node, PreId pre,
                QnameId parent_qn) PXQ_REQUIRES(writer_mu_);
-  /// End of a Rebuild/ApplyDirty: prune the memo chain and bump the
-  /// epochs.
+  /// End of a Rebuild/ApplyDirty: prune the memo and bump the epochs.
   void Publish(bool structural) PXQ_REQUIRES(writer_mu_);
-  void PruneMemos() PXQ_REQUIRES(writer_mu_);
+  /// Clear the memo when pre ranks shifted (`structural`) or the value
+  /// keys hit kValueMemoCap. Runs in the exclusive window, so no probe
+  /// holds an entry.
+  void PruneMemos(bool structural) PXQ_REQUIRES(writer_mu_);
 
   bool Gate(int64_t candidates, int64_t scan_cost) const;
   /// Swizzle a sorted NodeId postings list into a sorted pre list.
   std::vector<PreId> ToPres(const storage::PagedStore& store,
                             const std::vector<NodeId>& nodes) const;
-  // Lock-free memo plumbing shared by every probe family: a raw lookup
-  // in the current table, and the CAS-chain publication of one new
-  // entry (the returned pointer stays valid until the next
-  // publication — the table chain owns the entry).
-  const MemoEntry* LookupMemo(const MemoKey& key) const;
-  const MemoEntry* PublishMemo(const MemoKey& key,
-                               std::shared_ptr<const MemoEntry> entry) const;
+  // Memo plumbing shared by every probe family, each call one short
+  // memo_mu_ section. FindMemo returns the entry for `key` if its
+  // generations match; StoreMemo inserts a freshly filled entry and
+  // returns the entry to serve (a racing filler's one if it has the
+  // same generations), or nullptr when the value-key cap refuses it.
+  // Returned entries stay valid until the next commit (node-based map,
+  // and only stale entries are ever overwritten).
+  const MemoEntry* FindMemo(const MemoKey& key, uint64_t src_gen,
+                            uint64_t aux_gen) const PXQ_EXCLUDES(memo_mu_);
+  const MemoEntry* StoreMemo(const MemoKey& key, MemoEntry entry) const
+      PXQ_EXCLUDES(memo_mu_);
   /// Memoized pre materialization of one postings bucket, keyed by the
   /// caller-built MemoKey (qname or pair namespace).
   const std::vector<PreId>* MemoizedPres(const storage::PagedStore& store,
@@ -588,7 +568,15 @@ class IndexManager {
 
   IndexConfig config_;
   Buckets data_;
-  mutable std::atomic<const MemoTable*> memo_{nullptr};
+
+  /// Leaf lock over the memo, taken by probes (under the shared
+  /// GlobalLock) and by PruneMemos/Stats (under writer_mu_). It never
+  /// wraps another acquisition.
+  mutable Mutex memo_mu_;
+  mutable std::unordered_map<MemoKey, MemoEntry, MemoKeyHash> memo_
+      PXQ_GUARDED_BY(memo_mu_);
+  /// Entries outside the qname/path namespaces (kValueMemoCap).
+  mutable size_t memo_value_entries_ PXQ_GUARDED_BY(memo_mu_) = 0;
 
   /// Serializes writers (Rebuild vs direct test callers; commits are
   /// already exclusive) and guards the writer-only state below. Stats()
@@ -601,20 +589,20 @@ class IndexManager {
   int64_t maintenance_ops_ PXQ_GUARDED_BY(writer_mu_) = 0;
   int64_t applied_commits_ PXQ_GUARDED_BY(writer_mu_) = 0;
   int64_t build_micros_ PXQ_GUARDED_BY(writer_mu_) = 0;
+  /// Publications that shifted pre ranks (a statistic only).
+  uint64_t structure_epoch_ PXQ_GUARDED_BY(writer_mu_) = 1;
 
   std::atomic<uint64_t> publish_epoch_{0};
-  std::atomic<uint64_t> structure_epoch_{1};
 
   // Hot-path counters are padded to their own cache lines and bumped
-  // with relaxed atomics — probes are lock-free and concurrent, so a
-  // plain increment here would be a data race (TSan-visible), not just
-  // a lost count. Hits are derived in Stats() as probes - declines so
+  // with relaxed atomics — probes run concurrently, so a plain
+  // increment here would be a data race (TSan-visible), not just a
+  // lost count. Hits are derived in Stats() as probes - declines so
   // the hit path pays no second increment.
   PaddedCounter probes_;
   PaddedCounter probe_declines_;
   PaddedCounter path_probes_;
   PaddedCounter path_declines_;
-  PaddedCounter value_neg_hits_;
   PaddedCounter child_step_hits_;
   PaddedCounter memo_hits_;
   PaddedCounter memo_misses_;

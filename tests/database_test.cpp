@@ -2,6 +2,8 @@
 // transaction control, durability, checkpointing, retry-on-conflict.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <filesystem>
 
 #include "database.h"
@@ -96,7 +98,9 @@ TEST(DatabaseTest, ExplicitTransactionAbort) {
 
 TEST(DatabaseTest, DurableCreateOpenCycle) {
   std::string dir =
-      (std::filesystem::temp_directory_path() / "pxq_dbtest").string();
+      (std::filesystem::temp_directory_path() /
+       ("pxq_dbtest_" + std::to_string(::getpid())))
+          .string();
   std::filesystem::create_directories(dir);
   std::filesystem::remove(dir + "/shop.snapshot");
   std::filesystem::remove(dir + "/shop.wal");

@@ -24,6 +24,8 @@
 //   PXQ_FUZZ_OPS    interleaved ops per seed    (default 10000)
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
@@ -529,11 +531,12 @@ TEST(DifferentialFuzzTest, CrashRecoveryAlwaysYieldsACommittedPrefix) {
   for (uint64_t seed : SeedList()) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Random rng(seed);
+    const std::string suffix =
+        std::to_string(seed) + "_" + std::to_string(::getpid());
     const fs::path dir =
-        fs::temp_directory_path() / ("pxq_crash_fuzz_" + std::to_string(seed));
+        fs::temp_directory_path() / ("pxq_crash_fuzz_" + suffix);
     const fs::path scratch =
-        fs::temp_directory_path() /
-        ("pxq_crash_fuzz_scratch_" + std::to_string(seed));
+        fs::temp_directory_path() / ("pxq_crash_fuzz_scratch_" + suffix);
     fs::remove_all(dir);
     fs::remove_all(scratch);
     fs::create_directories(dir);

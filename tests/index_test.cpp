@@ -10,10 +10,12 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <barrier>
 #include <chrono>
 #include <cmath>
 #include <filesystem>
 #include <limits>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -523,68 +525,85 @@ TEST(IndexManagerTest, PathMemoPerBucketInvalidation) {
   }
 }
 
-// Satellite (ROADMAP): negative cache for declined value probes — a
-// warm decline is served from the cached candidate count without
-// re-running CollectMatches, and invalidates on the key's next dirty
-// commit.
-TEST(IndexManagerTest, NegativeCacheServesWarmDeclines) {
-  auto store = BuildStore(kDoc);
-  index::IndexManager idx(index::IndexConfig{});  // kGateRatio 0.5
+// The value-key admission cap: a read-only flood of distinct literals
+// stops growing the memo at 256 value keys (qname/path keys do not
+// count), literals past the cap still answer exactly but unmemoized,
+// and one value-only commit clears the full memo so new literals are
+// admitted again. A materialized entry re-gates off its cached count.
+TEST(IndexManagerTest, ValueMemoCapBoundsDistinctLiterals) {
+  std::string xml = "<r>";
+  for (int i = 0; i < 300; ++i) {
+    xml += "<e id=\"i" + std::to_string(i) + "\"/>";
+  }
+  xml += "</r>";
+  auto store = BuildStore(xml);
+  index::IndexManager idx(index::IndexConfig{});
   idx.Rebuild(*store);
-  QnameId n = store->pools().FindQname("n");
-  std::vector<PreId> simple, rest;
+  QnameId e = store->pools().FindQname("e");
+  QnameId id = store->pools().FindQname("id");
+  const int64_t big = 1 << 20;
+  auto scan = xpath::EvaluatePath(*store, "//e");
+  ASSERT_TRUE(scan.ok());
+  ASSERT_EQ(scan.value().size(), 300u);
+  auto probe = [&](int i, int64_t scan_cost) {
+    std::string literal = "i";
+    literal += std::to_string(i);
+    return idx.AttrValueProbe(*store, id, CmpOp::kEq, literal, scan_cost);
+  };
 
-  // Tiny scan estimate: 1 candidate > 0.5 * 1 -> decline. The first
-  // decline collects matches (cold), the repeat is served negatively.
-  ASSERT_FALSE(idx.ChildValueProbe(*store, n, CmpOp::kEq, "17", 1, &simple,
-                                   &rest));
-  EXPECT_EQ(idx.Stats().value_neg_hits, 0);
-  ASSERT_FALSE(idx.ChildValueProbe(*store, n, CmpOp::kEq, "17", 1, &simple,
-                                   &rest));
-  EXPECT_EQ(idx.Stats().value_neg_hits, 1);
+  ASSERT_NE(idx.ElementsByQname(*store, e, big), nullptr);  // 1 qname key
+  for (int i = 0; i < 300; ++i) {
+    auto owners = probe(i, big);
+    ASSERT_TRUE(owners.has_value());
+    EXPECT_EQ(*owners, std::vector<PreId>{scan.value()[i]}) << i;
+  }
+  auto s = idx.Stats();
+  EXPECT_EQ(s.memo_entries, 256 + 1);
+  // One pre per admitted literal plus the 300 of the qname entry.
+  EXPECT_GE(s.memo_bytes,
+            static_cast<int64_t>((256 + 300) * sizeof(PreId)));
+  EXPECT_EQ(s.memo_value_misses, 300);
+  EXPECT_EQ(s.memo_value_hits, 0);
 
-  // A generous scan estimate upgrades the count-only entry to a real
-  // materialization (the cached count feeds the gate, then the probe
-  // materializes).
-  ASSERT_TRUE(idx.ChildValueProbe(*store, n, CmpOp::kEq, "17", 1 << 20,
-                                  &simple, &rest));
-  EXPECT_EQ(simple.size(), 1u);
+  // Past the cap: exact, and a miss again. Under it: a warm hit.
+  auto late = probe(299, big);
+  ASSERT_TRUE(late.has_value());
+  EXPECT_EQ(*late, std::vector<PreId>{scan.value()[299]});
+  EXPECT_EQ(idx.Stats().memo_value_misses, 301);
+  ASSERT_TRUE(probe(0, big).has_value());
+  EXPECT_EQ(idx.Stats().memo_value_hits, 1);
 
-  // Dirty the key: rewrite the 17 to 18. The negative/warm entries for
-  // "17" must re-derive (the first post-commit decline is cold again).
+  // Warm re-gate: the materialized "i0" entry holds 1 candidate, which
+  // a scan estimate of 1 declines (1 > 0.5 * 1) — without a miss.
+  const auto warm = idx.Stats();
+  EXPECT_FALSE(probe(0, 1).has_value());
+  s = idx.Stats();
+  EXPECT_EQ(s.memo_value_misses, warm.memo_value_misses);
+  EXPECT_EQ(s.memo_value_hits, warm.memo_value_hits);
+  EXPECT_EQ(s.probe_hits, warm.probe_hits);
+  EXPECT_EQ(s.probes, warm.probes + 1);
+
+  // One value-only commit (rewrite the first @id) clears the full memo.
   index::DeltaIndex delta;
   store->AttachIndexDelta(&delta);
-  auto pres = xpath::EvaluatePath(*store, "//a/n");
-  ASSERT_TRUE(pres.ok());
-  PreId seventeen = kNullPre;
-  for (PreId q : pres.value()) {
-    PreId text = store->SkipHoles(q + 1);
-    if (store->KindAt(text) == NodeKind::kText &&
-        store->pools().Text(store->RefAt(text)) == std::string("17")) {
-      seventeen = text;
-    }
-  }
-  ASSERT_NE(seventeen, kNullPre);
-  ASSERT_TRUE(store->SetRef(seventeen, store->pools().AddText("18")).ok());
+  store->SetAttrNamed(store->NodeAt(scan.value()[0]), id,
+                      store->pools().AddProp("j0"));
+  EXPECT_FALSE(delta.structural());
   idx.ApplyDirty(*store, delta);
   store->AttachIndexDelta(nullptr);
+  EXPECT_EQ(idx.Stats().memo_entries, 0);
 
+  // The literal the cap refused is admitted now: miss, then hit.
   const auto before = idx.Stats();
-  ASSERT_FALSE(idx.ChildValueProbe(*store, n, CmpOp::kEq, "18", 1, &simple,
-                                   &rest));  // cold: the new key
-  EXPECT_EQ(idx.Stats().value_neg_hits, before.value_neg_hits);
-  ASSERT_FALSE(idx.ChildValueProbe(*store, n, CmpOp::kEq, "18", 1, &simple,
-                                   &rest));  // warm again
-  EXPECT_EQ(idx.Stats().value_neg_hits, before.value_neg_hits + 1);
-
-  // Attribute probes share the protocol.
-  QnameId id = store->pools().FindQname("id");
-  ASSERT_FALSE(idx.AttrValueProbe(*store, id, CmpOp::kEq, "a2", 1)
-                   .has_value());
-  const auto a0 = idx.Stats().value_neg_hits;
-  ASSERT_FALSE(idx.AttrValueProbe(*store, id, CmpOp::kEq, "a2", 1)
-                   .has_value());
-  EXPECT_EQ(idx.Stats().value_neg_hits, a0 + 1);
+  for (int i = 0; i < 2; ++i) {
+    auto owners = probe(299, big);
+    ASSERT_TRUE(owners.has_value());
+    EXPECT_EQ(*owners, std::vector<PreId>{scan.value()[299]});
+  }
+  s = idx.Stats();
+  EXPECT_EQ(s.memo_value_misses, before.memo_value_misses + 1);
+  EXPECT_EQ(s.memo_value_hits, before.memo_value_hits + 1);
+  EXPECT_EQ(s.memo_entries, 1);
 }
 
 TEST(IndexManagerTest, MemoServesRepeatedProbes) {
@@ -1355,6 +1374,73 @@ TEST_F(IndexMaintenanceTest, RandomUpdatesKeepIndexExact) {
   db = std::move(reopened).value();
   verify_all("after recovery");
   EXPECT_EQ(db->IndexStats().cross_check_mismatches, 0);
+}
+
+// Cold memo fills racing on one key: 8 threads released together probe
+// the same cold qname, pair and attr-value key on a quiescent index.
+// A filler that loses the race must serve the winner's entry, never
+// overwrite one another thread already holds. Each thread copies its
+// results while the others may still be filling, and reads them again
+// after all threads returned; both must equal the scan.
+TEST(IndexConcurrencyTest, ColdMemoFillsRaceSafely) {
+  std::string xml = "<r><list>";
+  for (int i = 0; i < 20000; ++i) {
+    xml += "<item k=\"" + std::to_string(i % 3) + "\"><v/></item>";
+  }
+  xml += "</list></r>";
+  auto store = BuildStore(xml);
+  index::IndexManager idx(index::IndexConfig{});
+  idx.Rebuild(*store);
+  const QnameId item = store->pools().FindQname("item");
+  const QnameId list = store->pools().FindQname("list");
+  const QnameId k = store->pools().FindQname("k");
+  const int64_t big = 1 << 30;
+
+  constexpr int kThreads = 8;
+  std::barrier start(kThreads);
+  std::vector<const std::vector<PreId>*> by_qname(kThreads, nullptr);
+  std::vector<const std::vector<PreId>*> by_pair(kThreads, nullptr);
+  std::vector<std::optional<std::vector<PreId>>> by_value(kThreads);
+  std::vector<std::vector<PreId>> early_qname(kThreads), early_pair(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const size_t i = static_cast<size_t>(t);
+      start.arrive_and_wait();
+      by_qname[i] = idx.ElementsByQname(*store, item, big);
+      if (by_qname[i] != nullptr) early_qname[i] = *by_qname[i];
+      by_pair[i] = idx.PathPairProbe(*store, list, item, big);
+      if (by_pair[i] != nullptr) early_pair[i] = *by_pair[i];
+      by_value[i] = idx.AttrValueProbe(*store, k, CmpOp::kEq, "1", big);
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  auto items = xpath::EvaluatePath(*store, "//item");
+  auto ones = xpath::EvaluatePath(*store, "//item[@k='1']");
+  ASSERT_TRUE(items.ok());
+  ASSERT_TRUE(ones.ok());
+  ASSERT_EQ(items.value().size(), 20000u);
+  for (size_t i = 0; i < kThreads; ++i) {
+    ASSERT_NE(by_qname[i], nullptr);
+    ASSERT_NE(by_pair[i], nullptr);
+    ASSERT_TRUE(by_value[i].has_value());
+    EXPECT_EQ(*by_qname[i], items.value()) << "thread " << i;
+    EXPECT_EQ(*by_pair[i], items.value()) << "thread " << i;
+    EXPECT_EQ(early_qname[i], items.value()) << "thread " << i;
+    EXPECT_EQ(early_pair[i], items.value()) << "thread " << i;
+    EXPECT_EQ(*by_value[i], ones.value()) << "thread " << i;
+  }
+
+  const auto cold = idx.Stats();
+  EXPECT_EQ(cold.memo_hits + cold.memo_misses, 2 * kThreads);
+  ASSERT_NE(idx.ElementsByQname(*store, item, big), nullptr);
+  ASSERT_TRUE(idx.AttrValueProbe(*store, k, CmpOp::kEq, "1", big).has_value());
+  const auto warm = idx.Stats();
+  EXPECT_EQ(warm.memo_hits, cold.memo_hits + 1);
+  EXPECT_EQ(warm.memo_misses, cold.memo_misses);
+  EXPECT_EQ(warm.memo_value_hits, cold.memo_value_hits + 1);
+  EXPECT_EQ(warm.memo_value_misses, cold.memo_value_misses);
 }
 
 // Concurrent writers + cross-checked readers: commits merge their

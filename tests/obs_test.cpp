@@ -484,6 +484,8 @@ TEST(DatabaseObsTest, StatsJsonRoundTripsThroughParser) {
   const auto& gauges = root.fields.at("gauges");
   ASSERT_TRUE(gauges.fields.count("pxq_plan_cache_hits"));
   ASSERT_TRUE(gauges.fields.count("pxq_index_qname_keys"));
+  ASSERT_TRUE(gauges.fields.count("pxq_index_memo_entries"));
+  ASSERT_TRUE(gauges.fields.count("pxq_index_memo_bytes"));
   ASSERT_TRUE(gauges.fields.count("pxq_lock_writer_acquires"));
 
   const auto& hists = root.fields.at("histograms");

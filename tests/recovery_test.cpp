@@ -9,6 +9,8 @@
 // committed prefix.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -59,8 +61,12 @@ constexpr const char* kDoc =
     "<db><sec1><x/><x/><x/></sec1><sec2><y/><y/><y/></sec2>"
     "<sec3><z/><z/><z/></sec3></db>";
 
+// Per-process names, so concurrent runs of this binary never share
+// files.
 std::string TempPath(const char* name) {
-  return (fs::temp_directory_path() / name).string();
+  return (fs::temp_directory_path() /
+          (std::string(name) + "_" + std::to_string(::getpid())))
+      .string();
 }
 
 std::string Wrap(const std::string& body) {
@@ -658,8 +664,7 @@ TEST(GroupCommitRecoveryTest, WriteBurstBatchesCommitsAndRecovers) {
 // window stall, Open() fills pxq_recovery_replay_ns and
 // pxq_recovery_replayed_commits, and all three appear in StatsJson.
 TEST(RecoveryMetricsTest, CheckpointAndRecoveryMetricsAreExposed) {
-  const std::string dir =
-      (fs::temp_directory_path() / "pxq_recovery_metrics").string();
+  const std::string dir = TempPath("pxq_recovery_metrics");
   fs::remove_all(dir);
   fs::create_directories(dir);
   Database::Options opt;
@@ -743,8 +748,7 @@ int64_t PoolDeltaEntries(const Database& db) {
 }
 
 TEST(CommitOrderingTest, CheckpointLoopBesideCommittersRecoversLiveState) {
-  const std::string dir =
-      (fs::temp_directory_path() / "pxq_ckpt_loop").string();
+  const std::string dir = TempPath("pxq_ckpt_loop");
   auto db = DurableDb(dir, kDoc);
   std::atomic<bool> stop{false};
   std::atomic<int> failures{0};
@@ -795,8 +799,7 @@ TEST(CommitOrderingTest, CheckpointLoopBesideCommittersRecoversLiveState) {
 }
 
 TEST(PoolWatermarkTest, TextInternedBeforeCheckpointCommittedAfterIt) {
-  const std::string dir =
-      (fs::temp_directory_path() / "pxq_mark_straddle").string();
+  const std::string dir = TempPath("pxq_mark_straddle");
   auto db = DurableDb(dir, kDoc);
   auto txn = db->Begin();
   ASSERT_TRUE(txn.ok());
@@ -824,8 +827,7 @@ TEST(PoolWatermarkTest, TextInternedBeforeCheckpointCommittedAfterIt) {
 }
 
 TEST(PoolWatermarkTest, IdInternedByAbortedTxnIsLoggedWhenReferenced) {
-  const std::string dir =
-      (fs::temp_directory_path() / "pxq_mark_aborted").string();
+  const std::string dir = TempPath("pxq_mark_aborted");
   auto db = DurableDb(dir, kDoc);
   ASSERT_TRUE(db->Checkpoint().ok());
   {
@@ -856,8 +858,7 @@ TEST(PoolWatermarkTest, IdInternedByAbortedTxnIsLoggedWhenReferenced) {
 }
 
 TEST(PoolWatermarkTest, CommitOfPreCheckpointEntriesLogsNoPoolDelta) {
-  const std::string dir =
-      (fs::temp_directory_path() / "pxq_mark_zero").string();
+  const std::string dir = TempPath("pxq_mark_zero");
   auto db = DurableDb(dir, "<db><a k=\"v\">text</a><b/></db>");
   ASSERT_TRUE(db->Update(AppendDoc("/db/b", "<c k=\"w\">more</c>")).ok());
   ASSERT_TRUE(db->Checkpoint().ok());

@@ -3,6 +3,8 @@
 // record format.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
 
@@ -136,7 +138,8 @@ TEST(NaiveStoreTest, InsertShiftsEverything) {
 
 TEST(SnapshotTest, SaveLoadRoundTrip) {
   std::string path =
-      (std::filesystem::temp_directory_path() / "pxq_unit_snap.bin")
+      (std::filesystem::temp_directory_path() /
+       ("pxq_unit_snap.bin_" + std::to_string(::getpid())))
           .string();
   storage::PagedStore::Config cfg;
   cfg.page_tuples = 8;
@@ -171,7 +174,8 @@ TEST(SnapshotTest, SaveLoadRoundTrip) {
 
 TEST(WalFormatTest, RecordRoundTrip) {
   std::string path =
-      (std::filesystem::temp_directory_path() / "pxq_unit_wal.bin")
+      (std::filesystem::temp_directory_path() /
+       ("pxq_unit_wal.bin_" + std::to_string(::getpid())))
           .string();
   std::remove(path.c_str());
   storage::OpLog log;

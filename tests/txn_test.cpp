@@ -4,6 +4,8 @@
 // recovery, checkpointing.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <thread>
@@ -43,8 +45,12 @@ constexpr const char* kDoc =
     "<db><sec1><x/><x/><x/></sec1><sec2><y/><y/><y/></sec2>"
     "<sec3><z/><z/><z/></sec3></db>";
 
+// Per-process names, so concurrent runs of this binary never share
+// files.
 std::string TempPath(const char* name) {
-  return (std::filesystem::temp_directory_path() / name).string();
+  return (std::filesystem::temp_directory_path() /
+          (std::string(name) + "_" + std::to_string(::getpid())))
+      .string();
 }
 
 TEST(TxnTest, CommitPublishesChanges) {
