@@ -241,6 +241,12 @@ int main(int argc, char** argv) {
                 static_cast<long long>(lk.reader_slots),
                 static_cast<long long>(lk.slot_collisions),
                 static_cast<long long>(lk.drain_notifies));
+    const auto m = db->Metrics();
+    std::printf("updates:        %lld retries, %lld gave up after "
+                "retrying\n",
+                static_cast<long long>(m.ValueOf("pxq_update_retries_total")),
+                static_cast<long long>(
+                    m.ValueOf("pxq_update_failures_total")));
     if (db->durable()) {
       auto& tm = db->txn_manager();
       std::printf("durability:     WAL on, %lld commits in log, "

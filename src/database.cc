@@ -149,6 +149,8 @@ void Database::InitObservability() {
   metrics_.RegisterHistogram("pxq_recovery_replay_ns", &recovery_replay_ns_);
   metrics_.RegisterCounter("pxq_recovery_replayed_commits",
                            &recovery_replayed_commits_);
+  metrics_.RegisterCounter("pxq_update_retries_total", &update_retries_);
+  metrics_.RegisterCounter("pxq_update_failures_total", &update_failures_);
 }
 
 StatusOr<std::vector<PreId>> Database::Query(std::string_view xpath) {
@@ -259,6 +261,7 @@ StatusOr<xupdate::ApplyStats> Database::Update(std::string_view xupdate_doc,
   // same page with an already stale snapshot.
   PageId contested = -1;
   for (int attempt = 0; attempt <= retries; ++attempt) {
+    if (attempt > 0) update_retries_.Inc();
     PXQ_ASSIGN_OR_RETURN(std::unique_ptr<txn::Transaction> t,
                          txns_->Begin(contested));
     auto stats = xupdate::ApplyXUpdate(t->store(), xupdate_doc);
@@ -276,6 +279,7 @@ StatusOr<xupdate::ApplyStats> Database::Update(std::string_view xupdate_doc,
     last = c;
     if (!c.IsAborted() && !c.IsConflict()) return c;
   }
+  update_failures_.Inc();
   return Status::Aborted(StrFormat("update failed after %d attempts: %s",
                                    retries + 1, last.ToString().c_str()));
 }

@@ -189,6 +189,10 @@ class Database {
   /// (snapshot load + WAL redo) and how many commits it replayed.
   obs::Histogram recovery_replay_ns_;
   obs::Counter recovery_replayed_commits_;
+  /// Update() attempts after the first, and calls that gave up with
+  /// Aborted once their retries ran out.
+  obs::Counter update_retries_;
+  obs::Counter update_failures_;
   Options options_;
   std::shared_ptr<storage::PagedStore> store_;
   std::unique_ptr<index::IndexManager> index_;

@@ -29,14 +29,16 @@ double Num(const std::string& s) { return std::strtod(s.c_str(), nullptr); }
 template <typename Store>
 class Plans {
  public:
-  explicit Plans(const Store& store) : store_(store), ev_(store) {}
+  explicit Plans(const Store& store)
+      : store_(store), ev_(store, nullptr, &cache_) {}
 
   using Nodes = std::vector<PreId>;
 
+  // Both overloads compile each path text once per query: the relative
+  // ones run inside per-node loops.
   StatusOr<Nodes> P(const char* path) { return ev_.Eval(path); }
   StatusOr<Nodes> P(const char* path, Nodes ctx) {
-    PXQ_ASSIGN_OR_RETURN(xpath::Path parsed, xpath::ParsePath(path));
-    return ev_.Eval(parsed, std::move(ctx));
+    return ev_.Eval(path, std::move(ctx));
   }
 
   std::string Str(PreId p) const { return ev_.StringValue(p); }
@@ -413,6 +415,7 @@ class Plans {
 
  private:
   const Store& store_;
+  xpath::PlanCache cache_;
   xpath::Evaluator<Store> ev_;
 };
 

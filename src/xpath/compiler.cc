@@ -32,18 +32,34 @@ class Compiler {
            const index::IndexManager* index)
       : pools_(pools), index_(index) {}
 
+  /// A top-level plan: the operators, then the cost-based pass.
   Plan Run(Path path) {
+    Plan plan = Build(std::move(path));
+    ApplySelectivity(&plan);
+    return plan;
+  }
+
+ private:
+  /// An empty plan over `path` for this environment. A trailing
+  /// attribute step splits off (EvalStrings semantics); node
+  /// evaluation of such a plan reports the error at Run().
+  Plan Begin(Path path) const {
     Plan plan;
     plan.pool_gen = static_cast<uint64_t>(pools_.qname_count());
     plan.env_fp = PlanEnvFingerprint(index_);
-    // Split a trailing attribute step off (EvalStrings semantics); node
-    // evaluation of such a plan reports the error at Run().
     if (!path.steps.empty() &&
         path.steps.back().axis == Axis::kAttribute) {
       plan.trailing_attr = path.steps.back();
       path.steps.pop_back();
     }
     plan.path = std::move(path);
+    return plan;
+  }
+
+  /// The operators of a plan, without estimates. Relative sub-plans
+  /// stop here.
+  Plan Build(Path path) {
+    Plan plan = Begin(std::move(path));
     const auto& steps = plan.path.steps;
     size_t first = 0;
     if (plan.path.absolute) {
@@ -61,11 +77,18 @@ class Compiler {
     for (size_t i = first; i < steps.size(); ++i) {
       CompileStep(&plan, i);
     }
-    ApplySelectivity(&plan);
     return plan;
   }
 
- private:
+  /// Hand a compiled sub-plan to its parent and return its index. An
+  /// unresolved name in the sub-plan taints the parent too, so the
+  /// PlanCache recompiles it once the name is interned.
+  static int32_t Adopt(Plan* parent, Plan sub) {
+    if (!sub.fully_resolved) parent->fully_resolved = false;
+    parent->subs.push_back(std::move(sub));
+    return static_cast<int32_t>(parent->subs.size() - 1);
+  }
+
   /// Leading step(s) of an absolute path. Returns the number of steps
   /// consumed (the whole chain prefix, or just step 0).
   size_t CompileLeading(Plan* plan) {
@@ -134,39 +157,49 @@ class Compiler {
             "unsupported leading axis for an absolute path";
         return 1;
     }
-    CompilePredicates(plan, 0, /*leading=*/true);
+    CompilePredicates(plan, 0);
     return 1;
   }
 
   void CompileStep(Plan* plan, size_t i) {
     const Step& s = plan->path.steps[i];
     if (s.axis == Axis::kAttribute) {
-      // Mid-path attribute step: executes to the same Unsupported error
-      // the interpreter reported.
+      // Mid-path attribute step: RunOps reports the attribute-axis
+      // Unsupported error before the op runs.
       PlanOp op;
       op.kind = OpKind::kAxisScan;
       op.step = static_cast<int32_t>(i);
       plan->ops.push_back(std::move(op));
       return;
     }
-    bool positional = false;
-    for (const Predicate& p : s.predicates) {
-      if (p.kind == Predicate::Kind::kPosition ||
-          p.kind == Predicate::Kind::kLast) {
-        positional = true;
-      }
-    }
-    if (positional) {
-      // Positional predicates are relative to each origin's result
-      // list: the whole step (axis + every predicate) is one
-      // per-origin operator.
-      PlanOp op;
-      op.kind = OpKind::kPositionFilter;
-      op.step = static_cast<int32_t>(i);
-      op.per_origin = true;
-      plan->ops.push_back(std::move(op));
+    const bool positional =
+        std::any_of(s.predicates.begin(), s.predicates.end(),
+                    [](const Predicate& p) {
+                      return p.kind == Predicate::Kind::kPosition ||
+                             p.kind == Predicate::Kind::kLast;
+                    });
+    if (!positional) {
+      CompileAxis(plan, i);
+      CompilePredicates(plan, i);
       return;
     }
+    // Positional predicates are relative to each origin's result list:
+    // the step (axis op, then every predicate as a list filter) is a
+    // sub-plan the per-origin operator runs once per context node.
+    Plan body = Begin(Path{false, {s}});
+    CompileAxis(&body, 0);
+    CompilePredicates(&body, 0);
+    PlanOp op;
+    op.kind = OpKind::kPositionFilter;
+    op.step = static_cast<int32_t>(i);
+    op.per_origin = true;
+    op.sub = Adopt(plan, std::move(body));
+    plan->ops.push_back(std::move(op));
+  }
+
+  /// The axis operator of a non-leading, non-attribute step.
+  void CompileAxis(Plan* plan, size_t i) {
+    const Step& s = plan->path.steps[i];
     PlanOp op;
     op.step = static_cast<int32_t>(i);
     switch (s.axis) {
@@ -194,14 +227,13 @@ class Compiler {
         break;
     }
     plan->ops.push_back(std::move(op));
-    CompilePredicates(plan, i, /*leading=*/false);
   }
 
-  /// Predicate operators for a non-positional (or leading) step. The
-  /// leading absolute step applies positional predicates to the whole
-  /// candidate list (single conceptual origin), so they compile to
-  /// list-position filters here instead of the per-origin operator.
-  void CompilePredicates(Plan* plan, size_t i, bool leading) {
+  /// Predicate operators of step i, each a filter over the step's
+  /// whole candidate list: the leading absolute step (one conceptual
+  /// origin, the document node), a non-positional step, or the body of
+  /// a per-origin sub-plan.
+  void CompilePredicates(Plan* plan, size_t i) {
     const Step& s = plan->path.steps[i];
     for (size_t j = 0; j < s.predicates.size(); ++j) {
       const Predicate& p = s.predicates[j];
@@ -210,9 +242,7 @@ class Compiler {
       op.pred = static_cast<int32_t>(j);
       if (p.kind == Predicate::Kind::kPosition ||
           p.kind == Predicate::Kind::kLast) {
-        (void)leading;  // only reachable for the leading step
         op.kind = OpKind::kPositionFilter;
-        op.per_origin = false;
         plan->ops.push_back(std::move(op));
         continue;
       }
@@ -236,6 +266,9 @@ class Compiler {
       } else {
         op.kind = OpKind::kExistsFilter;
       }
+      // The relative path, compiled once; a trailing attribute step
+      // splits off like a top-level one ([a/@b]).
+      op.sub = Adopt(plan, Build(Path{false, p.rel}));
       plan->ops.push_back(std::move(op));
     }
   }
@@ -370,6 +403,7 @@ class Compiler {
       fop.child_qn = gate.child_qn;
       fop.attr_qn = gate.attr_qn;
       fop.est = gate.est;
+      fop.sub = gate.sub;
       fop.fused_value_first = true;
       fop.fused_level = static_cast<int32_t>(chain.consumed);
       // Nearest ancestor first (step m-1 down to step 0); the level

@@ -8,9 +8,12 @@
 // compiled Plan from a PlanCache when one is attached — the Database
 // layer shares one cache across all reader threads and transactions)
 // and hands it to the Executor. Every entry point — Database queries,
-// transaction queries, XUpdate select expressions, the reference
-// cross-check harness, tools and benches — therefore rides the same
-// compiled path; there is exactly one evaluation engine.
+// transaction queries, XUpdate select expressions, tools and benches —
+// rides the same compiled path, and inside a plan the predicate paths
+// and per-origin positional steps are compiled sub-plans run by the
+// same Executor::RunOps loop: there is exactly one evaluation engine.
+// (ReferenceEvaluator, reference_eval.h, is a separate brute-force
+// oracle for tests.)
 //
 // Index-awareness, the cost gate, per-operator cross-checking, and the
 // scan fallbacks live in the Executor; strategy selection (cascade
@@ -76,6 +79,14 @@ class Evaluator {
                                     std::vector<PreId> ctx) const {
     Plan plan = Compile(path, store().pools(), env_);
     return RunNodes(plan, std::move(ctx));
+  }
+  /// Same, from query text: compiled once per text when a PlanCache is
+  /// attached (per-node loops over a relative path).
+  StatusOr<std::vector<PreId>> Eval(std::string_view path_text,
+                                    std::vector<PreId> ctx) const {
+    PXQ_ASSIGN_OR_RETURN(std::shared_ptr<const Plan> plan,
+                         PlanForText(path_text, nullptr));
+    return RunNodes(*plan, std::move(ctx));
   }
 
   /// Evaluate a path whose final step may be an attribute step; returns
@@ -172,13 +183,6 @@ class Evaluator {
       out += "  result: " + std::to_string(res.value().size()) + " nodes\n";
     }
     return out;
-  }
-
-  /// One step over a context sequence (interpretive; predicate relative
-  /// paths and tests use this directly).
-  StatusOr<std::vector<PreId>> EvalStep(const Step& step,
-                                        const std::vector<PreId>& ctx) const {
-    return exec_.EvalStep(step, ctx);
   }
 
   /// XPath string-value: text content for value nodes, concatenated

@@ -15,10 +15,11 @@
 // divergence fails the query with Corruption, reporting the diverging
 // operator and the node ids only one side found.
 //
-// The executor also owns the interpretive core (EvalStep/EvalRelative):
-// predicate relative paths, per-origin positional steps, and declined
-// pair cascades evaluate step-by-step through the same scan/index
-// helpers, so the compiled and interpreted paths can never drift apart.
+// RunOps is the only evaluation loop. Predicate paths and per-origin
+// positional steps are relative sub-plans (Plan::subs) that it runs
+// recursively, untraced; a declined pair cascade falls back to the
+// compiled child-step logic. Every operator therefore passes through
+// RunOps.
 #ifndef PXQ_XPATH_EXECUTOR_H_
 #define PXQ_XPATH_EXECUTOR_H_
 
@@ -65,10 +66,10 @@ class Executor {
     }
     for (size_t oi = 0; oi < plan.ops.size(); ++oi) {
       const PlanOp& op = plan.ops[oi];
-      // Step-boundary semantics, mirroring the interpretive loop: an
-      // attribute-axis step errors even on an empty context; any other
-      // step reached with an empty context ends the path. Predicate
-      // operators run regardless (no-ops on empty lists).
+      // Step-boundary semantics: an attribute-axis step errors even on
+      // an empty context; any other step reached with an empty context
+      // ends the path. Predicate operators run regardless (no-ops on
+      // empty lists).
       const bool begins_step =
           op.kind != OpKind::kValueProbeGate &&
           op.kind != OpKind::kExistsFilter &&
@@ -103,50 +104,6 @@ class Executor {
       t.out = static_cast<int64_t>(ctx.size());
       RecordEstError(op.est, t.out);
       trace->push_back(std::move(t));
-    }
-    return ctx;
-  }
-
-  // --- interpretive core (also public API surface of the façade) ------
-
-  /// One step over a context sequence (axis + predicates).
-  StatusOr<std::vector<PreId>> EvalStep(const Step& step,
-                                        const std::vector<PreId>& ctx) const {
-    bool positional = false;
-    for (const Predicate& p : step.predicates) {
-      if (p.kind == Predicate::Kind::kPosition ||
-          p.kind == Predicate::Kind::kLast) {
-        positional = true;
-      }
-    }
-    std::vector<PreId> out;
-    if (positional) {
-      // Positional predicates are relative to each origin's result list.
-      for (PreId c : ctx) {
-        PXQ_ASSIGN_OR_RETURN(std::vector<PreId> cand,
-                             AxisNodes(step, {c}));
-        PXQ_RETURN_IF_ERROR(FilterPredicates(step, &cand));
-        out.insert(out.end(), cand.begin(), cand.end());
-      }
-      Normalize(&out);
-    } else {
-      PXQ_ASSIGN_OR_RETURN(out, AxisNodes(step, ctx));
-      PXQ_RETURN_IF_ERROR(FilterPredicates(step, &out));
-    }
-    return out;
-  }
-
-  /// Step-by-step evaluation of a relative step list (predicate paths,
-  /// declined-cascade fallback).
-  StatusOr<std::vector<PreId>> EvalRelative(const std::vector<Step>& steps,
-                                            std::vector<PreId> ctx) const {
-    for (const Step& step : steps) {
-      if (step.axis == Axis::kAttribute) {
-        return Status::Unsupported(
-            "attribute axis yields no nodes; use EvalStrings");
-      }
-      if (ctx.empty()) break;
-      PXQ_ASSIGN_OR_RETURN(ctx, EvalStep(step, ctx));
     }
     return ctx;
   }
@@ -260,23 +217,9 @@ class Executor {
       case OpKind::kQnamePostings:
         return RunQnamePostings(steps[static_cast<size_t>(op.step)], op,
                                 std::move(ctx), strategy);
-      case OpKind::kChildStep: {
-        const Step& s = steps[static_cast<size_t>(op.step)];
-        if (s.test.kind == NodeTest::Kind::kName && op.qn < 0) {
-          Note(strategy, "empty (name never interned)");
-          return std::vector<PreId>{};
-        }
-        std::vector<PreId> out;
-        PXQ_ASSIGN_OR_RETURN(bool answered,
-                             IndexChildStep(s, ctx, op.qn, &out));
-        if (answered) {
-          Note(strategy, "index postings (region/level filter)");
-        } else {
-          out = ScanChildren(s.test, op.qn, ctx);
-          Note(strategy, "child scan");
-        }
-        return out;
-      }
+      case OpKind::kChildStep:
+        return ChildStep(steps[static_cast<size_t>(op.step)], op.qn, ctx,
+                         strategy);
       case OpKind::kDescendantStaircase: {
         const Step& s = steps[static_cast<size_t>(op.step)];
         Note(strategy, "staircase scan");
@@ -292,39 +235,37 @@ class Executor {
         return AxisScan(s, op.qn, ctx);
       }
       case OpKind::kValueProbeGate: {
-        const Step& s = steps[static_cast<size_t>(op.step)];
-        const Predicate& pred = s.predicates[static_cast<size_t>(op.pred)];
         const int64_t scan_cost = static_cast<int64_t>(ctx.size());
-        PXQ_ASSIGN_OR_RETURN(
-            bool answered,
-            ApplyIndexPredicate(op.shape, op.child_qn, op.attr_qn, pred,
-                                &ctx));
+        PXQ_ASSIGN_OR_RETURN(bool answered,
+                             ApplyIndexPredicate(plan, op, &ctx));
         if (answered) {
           Note(strategy, "index value probe [gate accepted vs scan=" +
                              std::to_string(scan_cost) + "]");
           return ctx;
         }
         Note(strategy, "predicate scan [" + GateDeclineWhy(scan_cost) + "]");
-        return ScanFilterOne(pred, ctx);
+        return ScanFilterOne(plan, op, ctx);
       }
       case OpKind::kFusedProbe:
         return RunFusedProbe(plan, op, strategy);
       case OpKind::kPositionFilter: {
-        const Step& s = steps[static_cast<size_t>(op.step)];
-        if (op.per_origin) {
-          Note(strategy, "per-origin axis + predicates");
-          return EvalStep(s, ctx);
+        if (!op.per_origin) {
+          Note(strategy, "position filter");
+          return ScanFilterOne(plan, op, ctx);
         }
-        Note(strategy, "position filter");
-        return ScanFilterOne(s.predicates[static_cast<size_t>(op.pred)],
-                             ctx);
+        Note(strategy, "per-origin axis + predicates");
+        std::vector<PreId> out;
+        for (PreId c : ctx) {
+          PXQ_ASSIGN_OR_RETURN(std::vector<PreId> r,
+                               RunOps(SubOf(plan, op), {c}));
+          out.insert(out.end(), r.begin(), r.end());
+        }
+        Normalize(&out);
+        return out;
       }
-      case OpKind::kExistsFilter: {
-        const Step& s = steps[static_cast<size_t>(op.step)];
+      case OpKind::kExistsFilter:
         Note(strategy, "predicate scan");
-        return ScanFilterOne(s.predicates[static_cast<size_t>(op.pred)],
-                             ctx);
-      }
+        return ScanFilterOne(plan, op, ctx);
     }
     return Status::Unsupported("unknown plan operator");
   }
@@ -384,12 +325,11 @@ class Executor {
 
   /// Compiled pair cascade: one (parent, self) probe per level, each
   /// gated against the live span estimate. Any decline falls back to
-  /// step-by-step evaluation of the consumed prefix (which still uses
-  /// the per-step index plans, exactly like the interpreter did).
+  /// the consumed prefix as child steps (per-step index plans still
+  /// apply).
   StatusOr<std::vector<PreId>> RunChainProbe(const Plan& plan,
                                              const PlanOp& op,
                                              std::string* strategy) const {
-    const auto& steps = plan.path.steps;
     if constexpr (kIndexable) {
       if (index_ != nullptr) {
         bool answered = true;
@@ -455,21 +395,12 @@ class Executor {
         // empty result is exact, no probe needed.
         if (answered) {
           if (CrossChecking()) {
-            std::vector<PreId> scan;
-            {
-              QnameId q0 = store_.pools().FindQname(steps[0].test.name);
-              if (MatchTest(steps[0].test, store_.Root(), q0)) {
-                scan.push_back(store_.Root());
-              }
-              for (size_t i = 1; i < op.consumed; ++i) {
-                QnameId qi = store_.pools().FindQname(steps[i].test.name);
-                scan = ScanChildren(steps[i].test, qi, scan);
-              }
-            }
+            PXQ_ASSIGN_OR_RETURN(std::vector<PreId> scan,
+                                 ChildNamePrefix(plan, op, /*scan=*/true));
             std::string what = "path prefix /";
             for (size_t i = 0; i < op.consumed; ++i) {
               if (i > 0) what += "/";
-              what += steps[i].test.name;
+              what += plan.path.steps[i].test.name;
             }
             PXQ_RETURN_IF_ERROR(VerifyCrossCheck(scan, res, what));
           }
@@ -485,20 +416,10 @@ class Executor {
         }
       }
     }
-    // Fallback: the leading child-name step seeds from the root, the
-    // rest evaluates step-by-step (per-step index plans still apply).
     Note(strategy,
          "stepwise fallback [" +
              GateDeclineWhy(store_.SizeAt(store_.Root()) + 1) + "]");
-    std::vector<PreId> ctx;
-    QnameId q0 = store_.pools().FindQname(steps[0].test.name);
-    if (MatchTest(steps[0].test, store_.Root(), q0)) {
-      ctx.push_back(store_.Root());
-    }
-    for (size_t i = 1; i < op.consumed && !ctx.empty(); ++i) {
-      PXQ_ASSIGN_OR_RETURN(ctx, EvalStep(steps[i], ctx));
-    }
-    return ctx;
+    return ChildNamePrefix(plan, op, /*scan=*/false);
   }
 
   /// Probe-order fusion (value-first): the compiler judged the fused
@@ -511,9 +432,7 @@ class Executor {
   StatusOr<std::vector<PreId>> RunFusedProbe(const Plan& plan,
                                              const PlanOp& op,
                                              std::string* strategy) const {
-    const auto& steps = plan.path.steps;
-    const Predicate& pred = steps[static_cast<size_t>(op.step)]
-                                .predicates[static_cast<size_t>(op.pred)];
+    const Predicate& pred = PredicateOf(plan, op);
     if constexpr (kIndexable) {
       if (index_ != nullptr) {
         const int64_t doc_span = store_.SizeAt(store_.Root()) + 1;
@@ -560,8 +479,8 @@ class Executor {
               for (PreId c : complex_rest) {
                 auto anc = DescendToAncestors(store_, c);
                 if (anc.empty()) continue;
-                PXQ_ASSIGN_OR_RETURN(bool ok,
-                                     EvalValuePredicate(pred, anc.back()));
+                PXQ_ASSIGN_OR_RETURN(
+                    bool ok, EvalValuePredicate(plan, op, anc.back()));
                 if (ok) owners.push_back(anc.back());
               }
               Normalize(&owners);
@@ -592,16 +511,9 @@ class Executor {
             if (ok) res.push_back(p);
           }
           if (CrossChecking()) {
-            std::vector<PreId> scan;
-            QnameId q0 = store_.pools().FindQname(steps[0].test.name);
-            if (MatchTest(steps[0].test, store_.Root(), q0)) {
-              scan.push_back(store_.Root());
-            }
-            for (size_t i = 1; i < op.consumed; ++i) {
-              QnameId qi = store_.pools().FindQname(steps[i].test.name);
-              scan = ScanChildren(steps[i].test, qi, scan);
-            }
-            PXQ_ASSIGN_OR_RETURN(scan, ScanFilterOne(pred, scan));
+            PXQ_ASSIGN_OR_RETURN(std::vector<PreId> scan,
+                                 ChildNamePrefix(plan, op, /*scan=*/true));
+            PXQ_ASSIGN_OR_RETURN(scan, ScanFilterOne(plan, op, scan));
             PXQ_RETURN_IF_ERROR(VerifyCrossCheck(
                 scan, res,
                 "fused value-first probe (step " +
@@ -613,25 +525,69 @@ class Executor {
         }
       }
     }
-    // Fallback: stepwise prefix, plain child step, predicate scan —
-    // the unfused operator trio. The step's OTHER predicates are
+    // Fallback: the consumed prefix as child steps, then the predicate
+    // scan — the unfused operator trio. The step's OTHER predicates are
     // separate ops and must not be applied here.
     Note(strategy,
          "stepwise fallback [" +
              GateDeclineWhy(store_.SizeAt(store_.Root()) + 1) + "]");
+    PXQ_ASSIGN_OR_RETURN(std::vector<PreId> ctx,
+                         ChildNamePrefix(plan, op, /*scan=*/false));
+    return ScanFilterOne(plan, op, ctx);
+  }
+
+  /// Child step: the qname postings with a region/level filter when the
+  /// gate accepts, else the child scan. A never-interned name matches
+  /// nothing.
+  StatusOr<std::vector<PreId>> ChildStep(const Step& s, QnameId qn,
+                                         const std::vector<PreId>& ctx,
+                                         std::string* strategy) const {
+    if (s.test.kind == NodeTest::Kind::kName && qn < 0) {
+      Note(strategy, "empty (name never interned)");
+      return std::vector<PreId>{};
+    }
+    std::vector<PreId> out;
+    PXQ_ASSIGN_OR_RETURN(bool answered, IndexChildStep(s, ctx, qn, &out));
+    if (answered) {
+      Note(strategy, "index postings (region/level filter)");
+    } else {
+      out = ScanChildren(s.test, qn, ctx);
+      Note(strategy, "child scan");
+    }
+    return out;
+  }
+
+  /// The child-name prefix a from_root cascade consumes, one child step
+  /// per level below the root test, with the names the compiler baked
+  /// (the pair specs of a kChainProbe; the ancestor chain plus the
+  /// fused step of a kFusedProbe). `scan` forces the child scan: the
+  /// cross-check oracle. Otherwise the kChildStep logic: the stepwise
+  /// fallback.
+  StatusOr<std::vector<PreId>> ChildNamePrefix(const Plan& plan,
+                                               const PlanOp& op,
+                                               bool scan) const {
     std::vector<PreId> ctx;
-    QnameId q0 = store_.pools().FindQname(steps[0].test.name);
-    if (MatchTest(steps[0].test, store_.Root(), q0)) {
+    if (op.missing_name) return ctx;  // a tag never interned: empty
+    auto qn_at = [&](size_t i) {
+      if (op.kind == OpKind::kFusedProbe) {
+        const size_t n = op.fused_anc.size();
+        return i < n ? op.fused_anc[n - 1 - i] : op.qn;
+      }
+      return i == 0 ? op.probes[0].parent_qn : op.probes[i - 1].self_qn;
+    };
+    const auto& steps = plan.path.steps;
+    if (MatchTest(steps[0].test, store_.Root(), qn_at(0))) {
       ctx.push_back(store_.Root());
     }
-    for (size_t i = 1; i + 1 < op.consumed && !ctx.empty(); ++i) {
-      PXQ_ASSIGN_OR_RETURN(ctx, EvalStep(steps[i], ctx));
+    for (size_t i = 1; i < op.consumed && !ctx.empty(); ++i) {
+      if (scan) {
+        ctx = ScanChildren(steps[i].test, qn_at(i), ctx);
+      } else {
+        PXQ_ASSIGN_OR_RETURN(ctx,
+                             ChildStep(steps[i], qn_at(i), ctx, nullptr));
+      }
     }
-    const Step& last = steps[static_cast<size_t>(op.step)];
-    std::vector<PreId> out;
-    PXQ_ASSIGN_OR_RETURN(bool ans, IndexChildStep(last, ctx, op.qn, &out));
-    if (!ans) out = ScanChildren(last.test, op.qn, ctx);
-    return ScanFilterOne(pred, out);
+    return ctx;
   }
 
   // --- shared machinery (scan paths, oracles, index probes) -----------
@@ -653,38 +609,6 @@ class Executor {
     return false;
   }
 
-  /// Axis + node test (no predicates), sorted/dedup output. The
-  /// interpretive analogue of the compiled axis operators.
-  StatusOr<std::vector<PreId>> AxisNodes(
-      const Step& step, const std::vector<PreId>& ctx) const {
-    QnameId qn = -1;
-    if (step.test.kind == NodeTest::Kind::kName) {
-      qn = store_.pools().FindQname(step.test.name);
-      if (qn < 0) return std::vector<PreId>{};  // name never interned
-    }
-    switch (step.axis) {
-      case Axis::kChild: {
-        std::vector<PreId> out;
-        PXQ_ASSIGN_OR_RETURN(bool answered,
-                             IndexChildStep(step, ctx, qn, &out));
-        if (!answered) out = ScanChildren(step.test, qn, ctx);
-        return out;
-      }
-      case Axis::kDescendant:
-      case Axis::kDescendantOrSelf: {
-        const bool or_self = step.axis == Axis::kDescendantOrSelf;
-        std::vector<PreId> out;
-        PXQ_ASSIGN_OR_RETURN(bool answered,
-                             IndexDescendantStep(step, ctx, qn, or_self,
-                                                 &out));
-        if (!answered) out = ScanDescendants(step.test, qn, ctx, or_self);
-        return out;
-      }
-      default:
-        return AxisScan(step, qn, ctx);
-    }
-  }
-
   /// The non-child, non-descendant axes: pure scans over ancestors,
   /// siblings, and document-order staircases.
   StatusOr<std::vector<PreId>> AxisScan(const Step& step, QnameId qn,
@@ -698,13 +622,12 @@ class Executor {
     };
     switch (step.axis) {
       case Axis::kChild:
-        out = ScanChildren(step.test, qn, ctx);
-        break;
       case Axis::kDescendant:
       case Axis::kDescendantOrSelf:
-        out = ScanDescendants(step.test, qn, ctx,
-                              step.axis == Axis::kDescendantOrSelf);
-        break;
+      case Axis::kAttribute:
+        // Compiled to their own operators; RunOps rejects attribute
+        // steps before they run.
+        return Status::Unsupported("axis is not an axis-scan axis");
       case Axis::kSelf:
         for (PreId c : ctx) keep(c);
         break;
@@ -746,27 +669,24 @@ class Executor {
         Normalize(&out);
         break;
       }
-      case Axis::kAttribute:
-        return Status::Unsupported("attribute axis inside a node step");
     }
     return out;
   }
 
-  Status FilterPredicates(const Step& step, std::vector<PreId>* nodes) const {
-    for (const Predicate& pred : step.predicates) {
-      PXQ_ASSIGN_OR_RETURN(bool answered, IndexFilterPredicate(pred, nodes));
-      if (answered) continue;
-      PXQ_ASSIGN_OR_RETURN(std::vector<PreId> kept,
-                           ScanFilterOne(pred, *nodes));
-      *nodes = std::move(kept);
-    }
-    return Status::OK();
+  static const Predicate& PredicateOf(const Plan& plan, const PlanOp& op) {
+    return plan.path.steps[static_cast<size_t>(op.step)]
+        .predicates[static_cast<size_t>(op.pred)];
+  }
+  static const Plan& SubOf(const Plan& plan, const PlanOp& op) {
+    return plan.subs[static_cast<size_t>(op.sub)];
   }
 
-  /// One predicate over a candidate list, scan path (also the
+  /// A predicate op over a candidate list, scan path (also the
   /// cross-check oracle for the index path).
   StatusOr<std::vector<PreId>> ScanFilterOne(
-      const Predicate& pred, const std::vector<PreId>& nodes) const {
+      const Plan& plan, const PlanOp& op,
+      const std::vector<PreId>& nodes) const {
+    const Predicate& pred = PredicateOf(plan, op);
     std::vector<PreId> kept;
     const auto last = static_cast<int64_t>(nodes.size());
     for (int64_t i = 0; i < last; ++i) {
@@ -781,7 +701,7 @@ class Executor {
           break;
         case Predicate::Kind::kExists:
         case Predicate::Kind::kCompare: {
-          PXQ_ASSIGN_OR_RETURN(bool r, EvalValuePredicate(pred, p));
+          PXQ_ASSIGN_OR_RETURN(bool r, EvalValuePredicate(plan, op, p));
           ok = r;
           break;
         }
@@ -791,16 +711,14 @@ class Executor {
     return kept;
   }
 
-  StatusOr<bool> EvalValuePredicate(const Predicate& pred, PreId node) const {
-    // Split the relative steps into node steps + optional attr tail.
-    std::vector<Step> rel = pred.rel;
-    std::optional<Step> attr_step;
-    if (!rel.empty() && rel.back().axis == Axis::kAttribute) {
-      attr_step = rel.back();
-      rel.pop_back();
-    }
-    PXQ_ASSIGN_OR_RETURN(std::vector<PreId> nodes,
-                         EvalRelative(rel, {node}));
+  /// An exists/compare predicate on one node: its sub-plan from
+  /// {node}, then the split-off attribute step, if any.
+  StatusOr<bool> EvalValuePredicate(const Plan& plan, const PlanOp& op,
+                                    PreId node) const {
+    const Predicate& pred = PredicateOf(plan, op);
+    const Plan& sub = SubOf(plan, op);
+    const std::optional<Step>& attr_step = sub.trailing_attr;
+    PXQ_ASSIGN_OR_RETURN(std::vector<PreId> nodes, RunOps(sub, {node}));
     if (pred.kind == Predicate::Kind::kExists) {
       if (!attr_step) return !nodes.empty();
       for (PreId p : nodes) {
@@ -1043,62 +961,17 @@ class Executor {
     }
   }
 
-  /// Interpretive predicate planning: detect the index shape at run
-  /// time (FilterPredicates path), then share the probe core with the
-  /// compiled kValueProbeGate operator.
-  StatusOr<bool> IndexFilterPredicate(const Predicate& pred,
-                                      std::vector<PreId>* nodes) const {
-    if constexpr (kIndexable) {
-      if (index_ == nullptr || nodes->empty()) return false;
-      if (pred.kind != Predicate::Kind::kExists &&
-          pred.kind != Predicate::Kind::kCompare) {
-        return false;
-      }
-      const std::vector<Step>& rel = pred.rel;
-      auto plain_name = [](const Step& s, Axis axis) {
-        return s.axis == axis && s.test.kind == NodeTest::Kind::kName &&
-               s.predicates.empty();
-      };
-      PredShape shape = PredShape::kNone;
-      QnameId child_qn = -1;
-      QnameId attr_qn = -1;
-      if (rel.size() == 1 && plain_name(rel[0], Axis::kAttribute)) {
-        shape = PredShape::kAttr;
-        attr_qn = store_.pools().FindQname(rel[0].test.name);
-      } else if (rel.size() == 1 && plain_name(rel[0], Axis::kChild)) {
-        shape = PredShape::kChildValue;
-        child_qn = store_.pools().FindQname(rel[0].test.name);
-      } else if (rel.size() == 2 && plain_name(rel[0], Axis::kChild) &&
-                 plain_name(rel[1], Axis::kAttribute)) {
-        shape = PredShape::kChildAttr;
-        child_qn = store_.pools().FindQname(rel[0].test.name);
-        attr_qn = store_.pools().FindQname(rel[1].test.name);
-      } else {
-        return false;  // shape not index-supported
-      }
-      return ApplyIndexPredicate(shape, child_qn, attr_qn, pred, nodes);
-    } else {
-      (void)pred;
-      (void)nodes;
-      return false;
-    }
-  }
-
-  /// Index path for a detected predicate shape (compile-time baked or
-  /// run-time detected). Returns true (and replaces *nodes) when the
-  /// index answered; false defers to the scan.
-  StatusOr<bool> ApplyIndexPredicate(PredShape shape, QnameId child_qn,
-                                     QnameId attr_qn, const Predicate& pred,
+  /// Index path for a gate op's compile-time predicate shape. Returns
+  /// true (and replaces *nodes) when the index answered; false defers
+  /// to the scan.
+  StatusOr<bool> ApplyIndexPredicate(const Plan& plan, const PlanOp& op,
                                      std::vector<PreId>* nodes) const {
     if constexpr (kIndexable) {
-      if (index_ == nullptr || nodes->empty() ||
-          shape == PredShape::kNone) {
-        return false;
-      }
-      if (pred.kind != Predicate::Kind::kExists &&
-          pred.kind != Predicate::Kind::kCompare) {
-        return false;
-      }
+      if (index_ == nullptr || nodes->empty()) return false;
+      const Predicate& pred = PredicateOf(plan, op);
+      const PredShape shape = op.shape;
+      const QnameId child_qn = op.child_qn;
+      const QnameId attr_qn = op.attr_qn;
       std::optional<std::vector<PreId>> kept;
       if (shape == PredShape::kAttr) {
         // [@a] / [@a op lit]: the context node owns the attribute.
@@ -1139,7 +1012,7 @@ class Executor {
               } else if (HasChildIn(c, complex_rest)) {
                 // Value not covered by the index (element has element
                 // children): evaluate this candidate exactly.
-                PXQ_ASSIGN_OR_RETURN(bool ok, EvalValuePredicate(pred, c));
+                PXQ_ASSIGN_OR_RETURN(bool ok, EvalValuePredicate(plan, op, c));
                 if (ok) k.push_back(c);
               }
             }
@@ -1169,25 +1042,15 @@ class Executor {
 
       if (CrossChecking()) {
         PXQ_ASSIGN_OR_RETURN(std::vector<PreId> scan,
-                             ScanFilterOne(pred, *nodes));
-        std::string what = "predicate [";
-        for (size_t i = 0; i < pred.rel.size(); ++i) {
-          if (i > 0) what += "/";
-          what += DescribeStep(pred.rel[i]);
-        }
-        if (pred.kind == Predicate::Kind::kCompare) {
-          what += " op '" + pred.value + "'";
-        }
-        what += "]";
-        PXQ_RETURN_IF_ERROR(VerifyCrossCheck(scan, *kept, what));
+                             ScanFilterOne(plan, op, *nodes));
+        PXQ_RETURN_IF_ERROR(
+            VerifyCrossCheck(scan, *kept, "predicate " + PredicateText(pred)));
       }
       *nodes = std::move(*kept);
       return true;
     } else {
-      (void)shape;
-      (void)child_qn;
-      (void)attr_qn;
-      (void)pred;
+      (void)plan;
+      (void)op;
       (void)nodes;
       return false;
     }

@@ -20,9 +20,7 @@ const char* OpKindName(OpKind k) {
   return "?";
 }
 
-namespace {
-
-std::string PredText(const Predicate& p) {
+std::string PredicateText(const Predicate& p) {
   switch (p.kind) {
     case Predicate::Kind::kPosition:
       return StrFormat("[%lld]", static_cast<long long>(p.position));
@@ -41,8 +39,6 @@ std::string PredText(const Predicate& p) {
   }
   return "[?]";
 }
-
-}  // namespace
 
 std::string Plan::DescribeOp(size_t i) const {
   if (i >= ops.size()) return "?";
@@ -71,8 +67,8 @@ std::string Plan::DescribeOp(size_t i) const {
         if (s > 0) out += "/";
         out += path.steps[s].test.name;
       }
-      out += PredText(path.steps[static_cast<size_t>(op.step)]
-                          .predicates[static_cast<size_t>(op.pred)]);
+      out += PredicateText(path.steps[static_cast<size_t>(op.step)]
+                               .predicates[static_cast<size_t>(op.pred)]);
       out += " (value-first)";
       break;
     }
@@ -97,15 +93,15 @@ std::string Plan::DescribeOp(size_t i) const {
         out += " (per-origin)";
       } else {
         out += ' ';
-        out += PredText(path.steps[static_cast<size_t>(op.step)]
-                            .predicates[static_cast<size_t>(op.pred)]);
+        out += PredicateText(path.steps[static_cast<size_t>(op.step)]
+                                 .predicates[static_cast<size_t>(op.pred)]);
       }
       break;
     case OpKind::kValueProbeGate:
     case OpKind::kExistsFilter:
       out += ' ';
-      out += PredText(path.steps[static_cast<size_t>(op.step)]
-                          .predicates[static_cast<size_t>(op.pred)]);
+      out += PredicateText(path.steps[static_cast<size_t>(op.step)]
+                               .predicates[static_cast<size_t>(op.pred)]);
       break;
   }
   return out;

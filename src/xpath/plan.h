@@ -10,7 +10,9 @@
 // query text alone — parsing, qname resolution, chain-prefix
 // decomposition, predicate shape detection — is baked here exactly
 // once, so a cached plan re-executes without touching the parser or
-// the qname pool.
+// the qname pool. Predicate paths and per-origin positional steps are
+// compiled the same way, into relative sub-plans owned by the plan
+// (`Plan::subs`) and run by the same executor loop.
 //
 // Validity: a plan embeds the qname-pool generation (`pool_gen` — the
 // pool is append-only, so its size is a monotone generation counter)
@@ -92,6 +94,11 @@ struct PlanOp {
   /// evaluates per context origin (steps with positional predicates);
   /// false = a single positional predicate filters the current list.
   bool per_origin = false;
+  /// Index into Plan::subs (-1: none). kValueProbeGate, kExistsFilter
+  /// and kFusedProbe: the predicate's relative path. Per-origin
+  /// kPositionFilter: the step's axis op plus its predicates as list
+  /// filters, run once per context node.
+  int32_t sub = -1;
   // --- kChainProbe ----------------------------------------------------
   std::vector<ChainProbeSpec> probes;
   size_t consumed = 0;       // leading steps the cascade consumes
@@ -144,6 +151,10 @@ struct Plan {
   Path path;                         // trailing attribute step removed
   std::optional<Step> trailing_attr; // split-off final attribute step
   std::vector<PlanOp> ops;
+  /// Relative sub-plans referenced by PlanOp::sub. They carry no
+  /// estimates and are never reordered; an unresolved name in one
+  /// clears this plan's fully_resolved.
+  std::vector<Plan> subs;
   /// Empty: plan is executable. Non-empty: Run() fails with
   /// Unsupported(invalid_reason) — compilation reports the error once,
   /// execution replays it (same observable behavior as the old
@@ -170,6 +181,10 @@ struct Plan {
   /// One operator line, e.g. "ChainProbe /site/people/person".
   std::string DescribeOp(size_t i) const;
 };
+
+/// A predicate as explain and cross-check reports print it, e.g.
+/// "[child::price op '5']".
+std::string PredicateText(const Predicate& p);
 
 }  // namespace pxq::xpath
 

@@ -4,7 +4,9 @@
 
 #include <unistd.h>
 
+#include <chrono>
 #include <filesystem>
+#include <utility>
 
 #include "database.h"
 #include "xml/parser.h"
@@ -138,6 +140,41 @@ TEST(DatabaseTest, DurableCreateOpenCycle) {
   auto db3 = std::move(Database::Open(opts).value());
   EXPECT_EQ(db3->Serialize().value(), expected);
   std::filesystem::remove_all(dir);
+}
+
+// Update() counts its retries and its give-ups: a page lock held by an
+// explicit transaction makes every attempt time out.
+TEST(DatabaseTest, UpdateCountsRetriesAndFailures) {
+  Database::Options opts;
+  opts.txn.lock_timeout = std::chrono::milliseconds(20);
+  auto db = std::move(
+      Database::CreateFromXml("<site><people><person/></people></site>", opts)
+          .value());
+  const std::string append =
+      "<xupdate:modifications version=\"1.0\" "
+      "xmlns:xupdate=\"http://www.xmldb.org/xupdate\">"
+      "<xupdate:append select=\"/site/people\"><person/></xupdate:append>"
+      "</xupdate:modifications>";
+  auto counters = [&db] {
+    const auto m = db->Metrics();
+    return std::make_pair(m.ValueOf("pxq_update_retries_total"),
+                          m.ValueOf("pxq_update_failures_total"));
+  };
+  EXPECT_EQ(counters(), std::make_pair(int64_t{0}, int64_t{0}));
+
+  auto holder = std::move(db->Begin().value());
+  ASSERT_TRUE(holder->Update(append).ok());
+  auto blocked = db->Update(append, /*retries=*/1);
+  ASSERT_TRUE(blocked.status().IsAborted()) << blocked.status().ToString();
+  EXPECT_NE(blocked.status().ToString().find("after 2 attempts"),
+            std::string::npos)
+      << blocked.status().ToString();
+  EXPECT_EQ(counters(), std::make_pair(int64_t{1}, int64_t{1}));
+
+  ASSERT_TRUE(holder->Commit().ok());
+  ASSERT_TRUE(db->Update(append).ok());
+  EXPECT_EQ(counters(), std::make_pair(int64_t{1}, int64_t{1}));
+  EXPECT_EQ(db->Query("/site/people/person").value().size(), 3u);
 }
 
 TEST(DatabaseTest, SerializeSubtreeAndPretty) {

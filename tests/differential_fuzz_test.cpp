@@ -136,6 +136,13 @@ const char* const kQueries[] = {
     "//person[name][@id='p3']",
     "/site/people/person[age][@id='p2']/name",
     "//item[@k][price]",
+    // Nested, multi-step and positional predicate shapes: compiled
+    // predicate sub-plans and per-origin positional sub-plans.
+    "//area[item[@k='110']]",
+    "//area[item/price>300]",
+    "//zone[area/item/@k]",
+    "//area/item[price>50][2]",
+    "/site/regions/zone/area[item][last()]",
 };
 
 class Fuzzer {

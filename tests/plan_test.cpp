@@ -135,6 +135,21 @@ TEST(CompilerTest, UnresolvedNameTaintsPlan) {
   auto resolved = xpath::CompileText("//person", store->pools(), nullptr);
   ASSERT_TRUE(resolved.ok());
   EXPECT_TRUE(resolved->fully_resolved);
+
+  // A name that occurs only in a predicate path taints the plan too.
+  auto pred = xpath::CompileText("//person[nosuch]", store->pools(),
+                                 nullptr);
+  ASSERT_TRUE(pred.ok());
+  EXPECT_FALSE(pred->fully_resolved);
+  auto pred_resolved = xpath::CompileText("//person[name]",
+                                          store->pools(), nullptr);
+  ASSERT_TRUE(pred_resolved.ok());
+  EXPECT_TRUE(pred_resolved->fully_resolved);
+  // Not index-shaped: only the predicate's sub-plan resolves the name.
+  auto nested = xpath::CompileText("//person[name/nosuch]",
+                                   store->pools(), nullptr);
+  ASSERT_TRUE(nested.ok());
+  EXPECT_FALSE(nested->fully_resolved);
 }
 
 TEST(CompilerTest, TrailingAttributeStepSplitsOff) {
@@ -180,6 +195,13 @@ TEST(CompiledExecutionTest, MatchesReferenceWithAndWithoutIndex) {
       "//nosuch",
       "/site/*",
       "//zone//price",
+      // Nested, multi-step and positional predicates: sub-plans.
+      "//area[item[@k='2']]",
+      "//area[item/price>15]",
+      "//zone[area/item/@k]",
+      "//area/item[price>5][2]",
+      "/site/people/person[age][last()]",
+      "/site/people/person[2]/name",
   };
   xpath::PlanCache cache;
   xpath::Evaluator<storage::PagedStore> indexed(*store, &idx, &cache);
@@ -281,6 +303,22 @@ TEST(PlanCacheTest, QnamePoolGrowthRecompilesUnresolvedPlans) {
   auto s2 = db->IndexStats();
   EXPECT_EQ(s2.plan_hits, s1.plan_hits + 1);
   EXPECT_EQ(s2.plan_misses, s1.plan_misses);
+
+  // A name that occurs only in a predicate keeps the plan stale until
+  // it is interned.
+  auto no_widget = db->Query("/site[widget]");
+  ASSERT_TRUE(no_widget.ok());
+  EXPECT_TRUE(no_widget->empty());
+  ASSERT_TRUE(db->Update("<xupdate:modifications version=\"1.0\" "
+                         "xmlns:xupdate=\"http://www.xmldb.org/xupdate\">"
+                         "<xupdate:append select=\"/site\">"
+                         "<widget/></xupdate:append>"
+                         "</xupdate:modifications>")
+                  .ok());
+  auto site = db->Query("/site[widget]");
+  ASSERT_TRUE(site.ok());
+  ASSERT_EQ(site->size(), 1u);
+  EXPECT_EQ(site->front(), db->store().Root());
 }
 
 TEST(PlanCacheTest, EnvironmentFingerprintChangeInvalidates) {
