@@ -156,9 +156,8 @@ struct Plan {
   /// clears this plan's fully_resolved.
   std::vector<Plan> subs;
   /// Empty: plan is executable. Non-empty: Run() fails with
-  /// Unsupported(invalid_reason) — compilation reports the error once,
-  /// execution replays it (same observable behavior as the old
-  /// interpret-per-call path).
+  /// Unsupported(invalid_reason) — compilation records the error once,
+  /// every execution replays it.
   std::string invalid_reason;
   /// Every name in the plan resolved to an interned QnameId: the plan
   /// never goes stale (ids are immutable). Otherwise it must be
