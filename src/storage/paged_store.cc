@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 
 #include "common/strings.h"
 
@@ -86,6 +87,72 @@ void NodeIdAllocator::MarkUsed(const std::vector<NodeId>& ids) {
                                                    sorted.end(), id);
                        }),
         free_.end());
+  }
+}
+
+// ---------------------------------------------------------------------------
+// OpLog
+// ---------------------------------------------------------------------------
+
+namespace {
+
+// Offset of the first difference of a and b in [0, end); `end` if none.
+template <typename T>
+size_t FirstDiff(const std::vector<T>& a, const std::vector<T>& b,
+                 size_t end) {
+  // memcmp runs at memory speed; only the block that differs is
+  // searched element by element.
+  constexpr size_t kBlock = 512;
+  for (size_t i = 0; i < end; i += kBlock) {
+    const size_t n = std::min(kBlock, end - i);
+    if (std::memcmp(&a[i], &b[i], n * sizeof(T)) == 0) continue;
+    while (a[i] == b[i]) ++i;
+    return i;
+  }
+  return end;
+}
+
+// One past the last difference of a and b in [begin, size); `begin` if
+// none.
+template <typename T>
+size_t LastDiffEnd(const std::vector<T>& a, const std::vector<T>& b,
+                   size_t begin) {
+  constexpr size_t kBlock = 512;
+  for (size_t e = a.size(); e > begin;) {
+    const size_t n = std::min(kBlock, e - begin);
+    if (std::memcmp(&a[e - n], &b[e - n], n * sizeof(T)) != 0) {
+      while (a[e - 1] == b[e - 1]) --e;
+      return e;
+    }
+    e -= n;
+  }
+  return begin;
+}
+
+}  // namespace
+
+void OpLog::SealRanges() {
+  for (PageImage& pi : page_images) {
+    assert(pi.pre != nullptr);
+    const Page& pre = *pi.pre;
+    const Page& post = *pi.image;
+    const size_t cap = post.size.size();
+    // Each column only searches the part the earlier columns left open.
+    size_t lo = FirstDiff(pre.size, post.size, cap);
+    lo = FirstDiff(pre.level, post.level, lo);
+    lo = FirstDiff(pre.kind, post.kind, lo);
+    lo = FirstDiff(pre.ref, post.ref, lo);
+    lo = FirstDiff(pre.node, post.node, lo);
+    size_t hi = lo;
+    if (lo < cap) {
+      hi = LastDiffEnd(pre.size, post.size, lo);
+      hi = LastDiffEnd(pre.level, post.level, hi);
+      hi = LastDiffEnd(pre.kind, post.kind, hi);
+      hi = LastDiffEnd(pre.ref, post.ref, hi);
+      hi = LastDiffEnd(pre.node, post.node, hi);
+    }
+    pi.lo = static_cast<int32_t>(lo);
+    pi.hi = static_cast<int32_t>(hi);
   }
 }
 
@@ -240,19 +307,29 @@ PreId PagedStore::ParentOf(PreId pre) const {
 // ---------------------------------------------------------------------------
 
 StatusOr<Page*> PagedStore::MutablePage(PageId phys) {
-  const bool recording = oplog_ != nullptr;
   const bool fresh = fresh_pages_.count(phys) > 0;
-  if (recording && !fresh && !imaged_pages_.count(phys)) {
+  const bool imaged = imaged_pages_.count(phys) > 0;
+  auto& slot = pages_[phys];
+  if (oplog_ != nullptr && !fresh && !imaged) {
     if (page_write_hook_) {
       PXQ_RETURN_IF_ERROR(page_write_hook_(phys));
     }
+    // Keep the page as found: the WAL logs only the range where the
+    // image differs from it. Copy even an unshared page (one a
+    // concurrent ResolveSizes copied away from the base): written in
+    // place, it would be its own pre-image and the diff would be empty.
+    std::shared_ptr<const Page> pre = slot;
+    slot = std::make_shared<Page>(*slot);
+    RefreshView();
+    oplog_->page_images.push_back({phys, slot, std::move(pre)});
+    imaged_pages_.insert(phys);
+    return slot.get();
   }
-  auto& slot = pages_[phys];
   // Copy-on-write — but never re-copy a page this store already
   // privatized: the oplog's image reference must keep seeing later
   // writes of the same transaction (it is a live object, serialized
   // only at commit), so its extra refcount must not trigger a copy.
-  bool owned = fresh || imaged_pages_.count(phys) > 0;
+  bool owned = fresh || imaged;
   if (!owned) {
     MutexLock lock(&cow_mu_);
     owned = cow_pages_.count(phys) > 0;
@@ -264,10 +341,6 @@ StatusOr<Page*> PagedStore::MutablePage(PageId phys) {
       cow_pages_.insert(phys);
     }
     RefreshView();
-  }
-  if (recording && !fresh && !imaged_pages_.count(phys)) {
-    oplog_->page_images.push_back({phys, slot});
-    imaged_pages_.insert(phys);
   }
   return slot.get();
 }
@@ -1099,16 +1172,6 @@ Status PagedStore::ReplayOpLog(const OpLog& log,
       }
     }
   }
-  // Ids this log installs must be unmintable afterwards. A live commit
-  // allocated them from the shared allocator (no-op); recovery replay
-  // did not, and without this the first post-recovery transaction
-  // would allocate a node id an earlier WAL record already placed.
-  std::vector<NodeId> installed_nodes;
-  installed_nodes.reserve(log.node_pos_sets.size());
-  for (const auto& nps : log.node_pos_sets) {
-    if (nps.clone_phys >= 0) installed_nodes.push_back(nps.node);
-  }
-  node_alloc_->MarkUsed(installed_nodes);
   node_alloc_->Release(log.freed_nodes);
   used_count_ += log.used_delta;
   // Size claims are resolved by the caller via ResolveSizes().

@@ -84,9 +84,10 @@ class NodeIdAllocator {
   void Seed(NodeId next, std::vector<NodeId> free);
   /// Guarantee `ids` can never be handed out again: raises the high
   /// water mark past them and drops them from the free list. Live
-  /// commits already Allocate()d their ids from this shared allocator
-  /// (no-op); WAL replay installs ids nobody here allocated, and
-  /// without this a post-recovery commit would mint a duplicate.
+  /// commits Allocate() their ids from this shared allocator and never
+  /// need it. Recovery does: WAL replay installs ids nobody here
+  /// allocated, and without this a post-recovery commit would mint a
+  /// duplicate. O(free list), so recovery calls it once, not per record.
   void MarkUsed(const std::vector<NodeId>& ids);
 
  private:
@@ -100,9 +101,16 @@ class NodeIdAllocator {
 /// pages the transaction appended are clone-local; replay remaps them in
 /// `page_appends` order.
 struct OpLog {
-  struct PageImage {        // post-image of an existing, locked page
+  struct PageImage {        // an existing, locked page the txn wrote
     PageId phys;
-    std::shared_ptr<Page> image;
+    std::shared_ptr<Page> image;  // post-image; live until commit
+    /// The page as the transaction found it, before its first write.
+    std::shared_ptr<const Page> pre = nullptr;
+    /// The tuples where `image` differs from `pre` in any column, set
+    /// by SealRanges(). Outside [lo, hi) the image equals the page as
+    /// the transaction found it, which is all the WAL needs to log.
+    int32_t lo = 0;
+    int32_t hi = 0;
   };
   struct PageAppend {       // fresh page appended by the transaction
     PageId clone_phys;
@@ -147,6 +155,10 @@ struct OpLog {
            logical_inserts.empty() && node_pos_sets.empty() &&
            size_claims.empty() && attr_ops.empty() && freed_nodes.empty();
   }
+
+  /// Diff each page image against its pre-image to set [lo, hi). Call
+  /// once the transaction has stopped writing, before logging it.
+  void SealRanges();
 };
 
 /// Counters exposed for the E2/E3 cost experiments.
@@ -193,6 +205,8 @@ class PagedStore {
     return static_cast<int64_t>(pages_.size());
   }
   int64_t view_size() const { return logical_page_count() << page_bits_; }
+  /// Page by physical id, 0 <= phys < physical_page_count().
+  const Page& physical_page(PageId phys) const { return *pages_[phys]; }
   int64_t used_count() const { return used_count_; }
 
   // --- pre / pos / node translation (all O(1)) -------------------------
@@ -303,9 +317,11 @@ class PagedStore {
 
   /// Replay a transaction's oplog onto this (base) store. Size claims
   /// are NOT resolved here; the caller follows up with ResolveSizes()
-  /// over the claim set (its own plus concurrent commits'). The caller
-  /// holds the global write lock and the page locks named by
-  /// PagesWrittenBy().
+  /// over the claim set (its own plus concurrent commits'). Nor is the
+  /// node-id allocator told about installed ids: a live commit
+  /// allocated them from it, and recovery marks them used once, after
+  /// its last record. The caller holds the global write lock and the
+  /// page locks named by PagesWrittenBy().
   /// `installed` (optional) receives the physical pages this replay
   /// overwrote or appended — the set the transaction manager must fix up
   /// with concurrently committed foreign size deltas.
@@ -365,8 +381,9 @@ class PagedStore {
   void RefreshView();
 
   // --- page plumbing ---
-  /// Copy-on-write mutable access; logs a PageImage and fires the write
-  /// hook on first structural touch of an existing page.
+  /// Copy-on-write mutable access. While recording, the first touch of
+  /// an existing page fires the write hook, copies the page and logs a
+  /// PageImage of the copy with the original as its pre-image.
   StatusOr<Page*> MutablePage(PageId phys);
   PageId AppendPage();                      // physical append (+oplog)
   void StitchAfter(PageId phys, PageId anchor_phys);  // logical insert

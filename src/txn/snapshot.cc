@@ -6,9 +6,9 @@
 // conventions with the WAL; declared as PagedStore members so it can
 // reach the store internals without widening the public surface.
 //
-// Format v2 and the crash protocol (DESIGN.md §8):
+// Format v3 and the crash protocol (DESIGN.md §8):
 //
-//   [magic u32][version=2 u32][payload][FNV-64 of everything before]
+//   [magic u32][version=3 u32][payload][Checksum64 of everything before]
 //
 // The payload carries, besides the full store image, the checkpoint's
 // position in the commit-LSN space: `last_lsn` (the highest commit LSN
@@ -28,9 +28,11 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "common/checksum.h"
 #include "common/fault_injection.h"
 #include "common/io_file.h"
 #include "storage/paged_store.h"
@@ -39,7 +41,7 @@ namespace pxq::storage {
 namespace {
 
 constexpr uint32_t kSnapshotMagic = 0x50585153;  // "PXQS"
-constexpr uint32_t kSnapshotVersion = 2;
+constexpr uint32_t kSnapshotVersion = 3;
 
 // Scalars and arrays are raw native-endian bytes (snapshots are
 // machine-local checkpoint state, not an interchange format).
@@ -88,15 +90,6 @@ class Cursor {
   size_t size_;
   size_t pos_ = 0;
 };
-
-uint64_t Fnv(const char* data, size_t n) {
-  uint64_t h = 1469598103934665603ULL;
-  for (size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
 
 using PoolKind = ContentPools::PoolKind;
 constexpr PoolKind kAllPools[] = {PoolKind::kQname, PoolKind::kText,
@@ -177,7 +170,7 @@ Status PagedStore::SaveSnapshot(
   }
 
   // Whole-file checksum: a torn or bit-flipped snapshot can never load.
-  Put<uint64_t>(&b, Fnv(b.data(), b.size()));
+  Put<uint64_t>(&b, Checksum64(b.data(), b.size()));
 
   // Atomic install: tmp -> checked writes -> fsync -> rename -> parent
   // fsync. The previous snapshot stays untouched until the rename, so
@@ -212,12 +205,22 @@ StatusOr<std::unique_ptr<PagedStore>> PagedStore::LoadSnapshot(
     return Status::Corruption(std::string("snapshot: ") + what);
   };
 
-  // Checksum first: the trailing FNV covers everything before it, so a
-  // torn/flipped file is rejected before any count is trusted.
+  // The version word before the checksum: an older format's trailer
+  // is a different checksum, and should read as that, not as damage.
   if (content.size() < 4 + 4 + 8) return fail("truncated");
+  uint32_t header_version;
+  std::memcpy(&header_version, content.data() + 4, 4);
+  if (header_version != kSnapshotVersion) {
+    return Status::Corruption(
+        "snapshot: format version " + std::to_string(header_version) +
+        ", this build reads only version " +
+        std::to_string(kSnapshotVersion));
+  }
+  // Checksum next: the trailer covers everything before it, so a
+  // torn/flipped file is rejected before any count is trusted.
   uint64_t want_crc;
   std::memcpy(&want_crc, content.data() + content.size() - 8, 8);
-  if (Fnv(content.data(), content.size() - 8) != want_crc) {
+  if (Checksum64(content.data(), content.size() - 8) != want_crc) {
     return fail("checksum mismatch");
   }
   Cursor c(content.data(), content.size() - 8);
@@ -225,9 +228,7 @@ StatusOr<std::unique_ptr<PagedStore>> PagedStore::LoadSnapshot(
   uint32_t magic, version;
   Config cfg;
   if (!c.Get(&magic) || magic != kSnapshotMagic) return fail("magic");
-  if (!c.Get(&version) || version != kSnapshotVersion) {
-    return fail("version");
-  }
+  if (!c.Get(&version)) return fail("version");
   if (!c.Get(&cfg.page_tuples) || !c.Get(&cfg.shred_fill)) {
     return fail("config");
   }

@@ -116,7 +116,10 @@ Status TransactionManager::CommitInternal(Transaction* txn) {
 
   // Without a WAL nothing is logged, so there is nothing to capture.
   std::vector<PoolDelta> pool_delta;
-  if (wal_ != nullptr) pool_delta = CapturePoolDelta(*txn);
+  if (wal_ != nullptr) {
+    txn->oplog_.SealRanges();
+    pool_delta = CapturePoolDelta(*txn);
+  }
 
   // Group commit: take a seat in the queue. Whoever finds no leader
   // becomes one and commits batches until the queue drains; everyone
@@ -165,13 +168,16 @@ Status TransactionManager::CommitInternal(Transaction* txn) {
 
 std::vector<PoolDelta> TransactionManager::CapturePoolDelta(
     const Transaction& txn) {
-  // Log exactly the pool entries the oplog references (page tuples and
-  // attribute ops) that the last snapshot may lack: ids at or above the
-  // watermark. A range capture would miss entries first interned by a
-  // concurrent transaction that aborted (deduplicating pools hand out
-  // such ids); logging referenced entries is complete and idempotent
-  // across records. A watermark read before a concurrent checkpoint
-  // moves it only logs more than needed.
+  // Log exactly the pool entries the oplog references (logged page
+  // tuples and attribute ops) that the last snapshot may lack: ids at
+  // or above the watermark. Tuples outside a page image's changed
+  // range are unchanged since the snapshot, so the checkpoint snapshot
+  // or an earlier record already holds their entries. Capturing the
+  // id interval above the watermark instead would miss entries first
+  // interned by a concurrent transaction that aborted (deduplicating
+  // pools hand out such ids); logging referenced entries is complete
+  // and idempotent across records. A watermark read before a
+  // concurrent checkpoint moves it only logs more than needed.
   ContentPools::PoolSizes mark;
   {
     MutexLock lock(&meta_mu_);
@@ -182,8 +188,9 @@ std::vector<PoolDelta> TransactionManager::CapturePoolDelta(
   const auto add = [&](Kind kind, int32_t id) {
     if (id >= mark.sizes[static_cast<int>(kind)]) refs.emplace_back(kind, id);
   };
-  const auto add_page = [&](const storage::Page& pg) {
-    for (size_t i = 0; i < pg.level.size(); ++i) {
+  const auto add_tuples = [&](const storage::Page& pg, size_t lo,
+                              size_t hi) {
+    for (size_t i = lo; i < hi; ++i) {
       if (pg.level[i] == kNullLevel || pg.ref[i] < 0) continue;
       switch (static_cast<NodeKind>(pg.kind[i])) {
         case NodeKind::kElement: add(Kind::kQname, pg.ref[i]); break;
@@ -194,8 +201,13 @@ std::vector<PoolDelta> TransactionManager::CapturePoolDelta(
       }
     }
   };
-  for (const auto& pi : txn.oplog_.page_images) add_page(*pi.image);
-  for (const auto& pa : txn.oplog_.page_appends) add_page(*pa.image);
+  for (const auto& pi : txn.oplog_.page_images) {
+    add_tuples(*pi.image, static_cast<size_t>(pi.lo),
+               static_cast<size_t>(pi.hi));
+  }
+  for (const auto& pa : txn.oplog_.page_appends) {
+    add_tuples(*pa.image, 0, pa.image->level.size());
+  }
   for (const auto& op : txn.oplog_.attr_ops) {
     if (op.qname >= 0) add(Kind::kQname, op.qname);
     if (op.prop >= 0) add(Kind::kProp, op.prop);
@@ -434,7 +446,8 @@ StatusOr<TransactionManager::RecoveryResult> TransactionManager::Recover(
   // commit's size-claim resolution using the recorded LSNs. claims_seen
   // starts from the snapshot's persisted claim list so records whose
   // snapshot predates the checkpoint fix up pre-checkpoint commits too.
-  for (const Wal::Recovered& rec : records) {
+  std::vector<NodeId> installed_nodes;
+  for (Wal::Recovered& rec : records) {
     if (rec.commit_lsn <= snapshot_last_lsn) {
       // Already folded into the snapshot (the checkpoint crashed after
       // the rename but before the WAL reset). Replaying would duplicate
@@ -444,7 +457,24 @@ StatusOr<TransactionManager::RecoveryResult> TransactionManager::Recover(
     for (const PoolDelta& d : rec.pool_delta) {
       store->pools().SetEntry(d.kind, d.id, d.value);
     }
+    // The live commit installed the transaction's whole page. Outside
+    // the logged range that page differs from the one replay has built
+    // so far only in size fields: the transaction's own claims and
+    // those of commits after its snapshot, all re-resolved below just
+    // as the live commit re-resolved them.
+    for (const Wal::PageRange& r : rec.page_ranges) {
+      if (r.phys < 0 || r.phys >= store->physical_page_count()) {
+        return Status::Corruption("WAL range references unknown page");
+      }
+      auto image = std::make_shared<storage::Page>(
+          store->physical_page(r.phys));
+      r.LayOver(image.get());
+      rec.log.page_images.push_back({r.phys, std::move(image)});
+    }
     PXQ_RETURN_IF_ERROR(store->ReplayOpLog(rec.log));
+    for (const auto& nps : rec.log.node_pos_sets) {
+      if (nps.clone_phys >= 0) installed_nodes.push_back(nps.node);
+    }
     std::vector<NodeId> claims = rec.log.size_claims;
     for (const auto& [lsn, node] : claims_seen) {
       if (lsn > rec.snapshot_lsn) claims.push_back(node);
@@ -456,6 +486,10 @@ StatusOr<TransactionManager::RecoveryResult> TransactionManager::Recover(
     result.last_lsn = std::max(result.last_lsn, rec.commit_lsn);
     ++result.replayed_commits;
   }
+  // Nobody allocated the replayed ids from this store's allocator; make
+  // them unmintable, or the first new transaction could duplicate one.
+  // Marking an id that a later record freed again only leaks it.
+  store->node_allocator()->MarkUsed(installed_nodes);
   result.store = std::move(store);
   return result;
 }

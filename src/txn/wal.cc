@@ -1,83 +1,73 @@
 #include "txn/wal.h"
 
+#include <algorithm>
 #include <bit>
+#include <cassert>
 #include <chrono>
 #include <cstring>
 
+#include "common/checksum.h"
 #include "common/io_file.h"
 #include "common/strings.h"
 
 namespace pxq::txn {
 namespace {
 
-constexpr uint32_t kRecordMagic = 0x50585157;  // "PXQW"
+constexpr uint32_t kRecordMagic = 0x50585158;    // "PXQX": v2
+constexpr uint32_t kRecordMagicV1 = 0x50585157;  // "PXQW": v1, refused
 
 // --- little-endian buffer primitives ---------------------------------
 
-void PutU8(std::string* b, uint8_t v) { b->push_back(static_cast<char>(v)); }
-void PutU32(std::string* b, uint32_t v) {
-  for (int i = 0; i < 4; ++i) b->push_back(static_cast<char>(v >> (8 * i)));
+// The WAL is little-endian on disk and scalars and page columns are
+// written as raw native bytes, so only little-endian hosts are
+// supported — as for the snapshot, which is machine-local checkpoint
+// state too.
+static_assert(std::endian::native == std::endian::little,
+              "the WAL encoding assumes a little-endian host");
+
+template <typename T>
+void Put(std::string* b, T v) {
+  b->append(reinterpret_cast<const char*>(&v), sizeof(T));
 }
-void PutI32(std::string* b, int32_t v) { PutU32(b, static_cast<uint32_t>(v)); }
-void PutU64(std::string* b, uint64_t v) {
-  for (int i = 0; i < 8; ++i) b->push_back(static_cast<char>(v >> (8 * i)));
-}
-void PutI64(std::string* b, int64_t v) { PutU64(b, static_cast<uint64_t>(v)); }
+void PutU8(std::string* b, uint8_t v) { Put(b, v); }
+void PutU32(std::string* b, uint32_t v) { Put(b, v); }
+void PutI32(std::string* b, int32_t v) { Put(b, v); }
+void PutU64(std::string* b, uint64_t v) { Put(b, v); }
+void PutI64(std::string* b, int64_t v) { Put(b, v); }
 void PutStr(std::string* b, const std::string& s) {
   PutU32(b, static_cast<uint32_t>(s.size()));
   b->append(s);
 }
-// The WAL is little-endian on disk, and page columns are written as raw
-// native bytes, so only little-endian hosts are supported — as for the
-// snapshot, which is machine-local checkpoint state too.
-static_assert(std::endian::native == std::endian::little,
-              "the WAL page-column encoding assumes a little-endian host");
 
-// A whole column as one byte run.
+// Tuples [lo, hi) of a column as one byte run.
 template <typename T>
-void PutColumn(std::string* b, const std::vector<T>& v) {
-  b->append(reinterpret_cast<const char*>(v.data()), v.size() * sizeof(T));
+void PutColumn(std::string* b, const std::vector<T>& v, size_t lo,
+               size_t hi) {
+  b->append(reinterpret_cast<const char*>(v.data() + lo),
+            (hi - lo) * sizeof(T));
 }
+
+// Bytes per tuple over the five page columns.
+constexpr size_t kTupleBytes = sizeof(int64_t) + sizeof(int32_t) +
+                               sizeof(uint8_t) + sizeof(int32_t) +
+                               sizeof(int64_t);
 
 class Reader {
  public:
   Reader(const char* data, size_t size) : data_(data), size_(size) {}
 
-  bool U8(uint8_t* v) {
-    if (pos_ + 1 > size_) return false;
-    *v = static_cast<uint8_t>(data_[pos_++]);
+  template <typename T>
+  bool Get(T* v) {
+    if (sizeof(T) > size_ - pos_) return false;
+    std::memcpy(v, data_ + pos_, sizeof(T));
+    pos_ += sizeof(T);
     return true;
   }
-  bool U32(uint32_t* v) {
-    if (pos_ + 4 > size_) return false;
-    *v = 0;
-    for (int i = 0; i < 4; ++i) {
-      *v |= static_cast<uint32_t>(static_cast<unsigned char>(data_[pos_++]))
-            << (8 * i);
-    }
-    return true;
-  }
-  bool I32(int32_t* v) {
-    uint32_t u;
-    if (!U32(&u)) return false;
-    *v = static_cast<int32_t>(u);
-    return true;
-  }
-  bool U64(uint64_t* v) {
-    if (pos_ + 8 > size_) return false;
-    *v = 0;
-    for (int i = 0; i < 8; ++i) {
-      *v |= static_cast<uint64_t>(static_cast<unsigned char>(data_[pos_++]))
-            << (8 * i);
-    }
-    return true;
-  }
-  bool I64(int64_t* v) {
-    uint64_t u;
-    if (!U64(&u)) return false;
-    *v = static_cast<int64_t>(u);
-    return true;
-  }
+  bool U8(uint8_t* v) { return Get(v); }
+  bool U32(uint32_t* v) { return Get(v); }
+  bool I32(int32_t* v) { return Get(v); }
+  bool U64(uint64_t* v) { return Get(v); }
+  bool I64(int64_t* v) { return Get(v); }
   bool Str(std::string* s) {
     uint32_t n;
     return U32(&n) && Bytes(n, s);
@@ -106,23 +96,46 @@ class Reader {
   size_t pos_ = 0;
 };
 
-uint64_t Fnv(const char* data, size_t n) {
-  uint64_t h = 1469598103934665603ULL;
-  for (size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 1099511628211ULL;
-  }
-  return h;
+void PutTuples(std::string* b, const storage::Page& pg, size_t lo,
+               size_t hi) {
+  PutColumn(b, pg.size, lo, hi);
+  PutColumn(b, pg.level, lo, hi);
+  PutColumn(b, pg.kind, lo, hi);
+  PutColumn(b, pg.ref, lo, hi);
+  PutColumn(b, pg.node, lo, hi);
+}
+
+bool ReadTuples(Reader* r, storage::Page* pg) {
+  return r->Column(&pg->size) && r->Column(&pg->level) &&
+         r->Column(&pg->kind) && r->Column(&pg->ref) && r->Column(&pg->node);
 }
 
 void PutPage(std::string* b, const storage::Page& pg) {
   PutI32(b, pg.used);
   PutU32(b, static_cast<uint32_t>(pg.size.size()));
-  PutColumn(b, pg.size);
-  PutColumn(b, pg.level);
-  PutColumn(b, pg.kind);
-  PutColumn(b, pg.ref);
-  PutColumn(b, pg.node);
+  PutTuples(b, pg, 0, pg.size.size());
+}
+
+// A page image as its changed range: phys, used, lo, hi, then the
+// range's tuples column by column.
+void PutRange(std::string* b, const storage::OpLog::PageImage& pi) {
+  PutI64(b, pi.phys);
+  PutI32(b, pi.image->used);
+  PutI32(b, pi.lo);
+  PutI32(b, pi.hi);
+  PutTuples(b, *pi.image, static_cast<size_t>(pi.lo),
+            static_cast<size_t>(pi.hi));
+}
+
+bool ReadRange(Reader* r, int32_t page_tuples, Wal::PageRange* out) {
+  int32_t hi;
+  if (!r->I64(&out->phys) || !r->I32(&out->used) || !r->I32(&out->lo) ||
+      !r->I32(&hi)) {
+    return false;
+  }
+  if (out->lo < 0 || out->lo > hi || hi > page_tuples) return false;
+  out->tuples = storage::Page(hi - out->lo);
+  return ReadTuples(r, &out->tuples);
 }
 
 bool ReadPage(Reader* r, int32_t page_tuples,
@@ -133,12 +146,33 @@ bool ReadPage(Reader* r, int32_t page_tuples,
   if (cap != static_cast<uint32_t>(page_tuples)) return false;
   auto pg = std::make_shared<storage::Page>(page_tuples);
   pg->used = used;
-  if (!r->Column(&pg->size) || !r->Column(&pg->level) ||
-      !r->Column(&pg->kind) || !r->Column(&pg->ref) || !r->Column(&pg->node)) {
-    return false;
-  }
+  if (!ReadTuples(r, pg.get())) return false;
   *out = std::move(pg);
   return true;
+}
+
+// Exact encoded size of one record, so the batch buffer is allocated
+// once.
+size_t RecordBytes(const storage::OpLog& log,
+                   const std::vector<PoolDelta>& pool_delta) {
+  size_t n = 4 + 8 + 8 + 8 + 8;  // magic, txn, snapshot lsn, lsn, length
+  n += 4;
+  for (const PoolDelta& d : pool_delta) n += 1 + 4 + 4 + d.value.size();
+  n += 4;
+  for (const auto& pi : log.page_images) {
+    n += 8 + 4 + 4 + 4 + static_cast<size_t>(pi.hi - pi.lo) * kTupleBytes;
+  }
+  n += 4;
+  for (const auto& pa : log.page_appends) {
+    n += 8 + 4 + 4 + pa.image->size.size() * kTupleBytes;
+  }
+  n += 4 + log.logical_inserts.size() * (8 + 8);
+  n += 4 + log.node_pos_sets.size() * (8 + 8 + 4);
+  n += 4 + log.size_claims.size() * 8;
+  n += 4 + log.attr_ops.size() * (1 + 8 + 4 + 4);
+  n += 4 + log.freed_nodes.size() * 8;
+  n += 8;  // used_delta
+  return n + 8;  // checksum
 }
 
 // Appends the payload to `b` (no intermediate string: page images are
@@ -152,10 +186,7 @@ void PutPayload(std::string* b, const storage::OpLog& log,
     PutStr(b, d.value);
   }
   PutU32(b, static_cast<uint32_t>(log.page_images.size()));
-  for (const auto& pi : log.page_images) {
-    PutI64(b, pi.phys);
-    PutPage(b, *pi.image);
-  }
+  for (const auto& pi : log.page_images) PutRange(b, pi);
   PutU32(b, static_cast<uint32_t>(log.page_appends.size()));
   for (const auto& pa : log.page_appends) {
     PutI64(b, pa.clone_phys);
@@ -187,8 +218,9 @@ void PutPayload(std::string* b, const storage::OpLog& log,
 }
 
 bool DeserializePayload(const std::string& payload, int32_t page_tuples,
-                        storage::OpLog* log,
-                        std::vector<PoolDelta>* pool_delta) {
+                        Wal::Recovered* rec) {
+  storage::OpLog* log = &rec->log;
+  std::vector<PoolDelta>* pool_delta = &rec->pool_delta;
   Reader r(payload.data(), payload.size());
   uint32_t n;
   if (!r.U32(&n)) return false;
@@ -201,11 +233,9 @@ bool DeserializePayload(const std::string& payload, int32_t page_tuples,
   }
   if (!r.U32(&n)) return false;
   for (uint32_t i = 0; i < n; ++i) {
-    storage::OpLog::PageImage pi;
-    if (!r.I64(&pi.phys) || !ReadPage(&r, page_tuples, &pi.image)) {
-      return false;
-    }
-    log->page_images.push_back(std::move(pi));
+    Wal::PageRange range;
+    if (!ReadRange(&r, page_tuples, &range)) return false;
+    rec->page_ranges.push_back(std::move(range));
   }
   if (!r.U32(&n)) return false;
   for (uint32_t i = 0; i < n; ++i) {
@@ -256,7 +286,22 @@ bool DeserializePayload(const std::string& payload, int32_t page_tuples,
   return r.done();
 }
 
+template <typename T>
+void CopyColumn(const std::vector<T>& from, size_t lo, std::vector<T>* to) {
+  std::copy(from.begin(), from.end(), to->begin() + static_cast<ptrdiff_t>(lo));
+}
+
 }  // namespace
+
+void Wal::PageRange::LayOver(storage::Page* page) const {
+  const auto at = static_cast<size_t>(lo);
+  CopyColumn(tuples.size, at, &page->size);
+  CopyColumn(tuples.level, at, &page->level);
+  CopyColumn(tuples.kind, at, &page->kind);
+  CopyColumn(tuples.ref, at, &page->ref);
+  CopyColumn(tuples.node, at, &page->node);
+  page->used = used;
+}
 
 StatusOr<std::unique_ptr<Wal>> Wal::Open(const std::string& path) {
   auto wal = std::unique_ptr<Wal>(new Wal());
@@ -273,6 +318,11 @@ Status Wal::AppendBatch(const std::vector<BatchEntry>& entries) {
   if (!file_.is_open()) return Status::IOError("WAL not open: " + path_);
   const auto t0 = std::chrono::steady_clock::now();
   std::string buf;
+  size_t bytes = 0;
+  for (const BatchEntry& e : entries) {
+    bytes += RecordBytes(*e.log, *e.pool_delta);
+  }
+  buf.reserve(bytes);
   for (const BatchEntry& e : entries) {
     PutU32(&buf, kRecordMagic);
     PutU64(&buf, e.txn_id);
@@ -283,12 +333,11 @@ Status Wal::AppendBatch(const std::vector<BatchEntry>& entries) {
     PutU64(&buf, 0);
     const size_t payload_at = buf.size();
     PutPayload(&buf, *e.log, *e.pool_delta);
-    const size_t len = buf.size() - payload_at;
-    for (int i = 0; i < 8; ++i) {
-      buf[len_at + static_cast<size_t>(i)] = static_cast<char>(len >> (8 * i));
-    }
-    PutU64(&buf, Fnv(buf.data() + payload_at, len));
+    const uint64_t len = buf.size() - payload_at;
+    std::memcpy(&buf[len_at], &len, sizeof(len));
+    PutU64(&buf, Checksum64(buf.data() + payload_at, len));
   }
+  assert(buf.size() == bytes);
   StatusOr<int64_t> start = file_.Offset();
   if (!start.ok()) return start.status();
   Status s = file_.Append(buf);
@@ -350,6 +399,14 @@ StatusOr<std::vector<Wal::Recovered>> Wal::ReadAll(const std::string& path,
   for (;;) {
     uint32_t magic;
     if (!r.U32(&magic)) break;             // clean EOF
+    if (magic == kRecordMagicV1) {
+      // Read as a torn tail, it would silently drop every logged
+      // commit.
+      return Status::Corruption(
+          "WAL " + path + " holds a v1 record (whole-page images, FNV "
+          "checksum); this build reads only v2 records: recover and "
+          "checkpoint it with the build that wrote it");
+    }
     if (magic != kRecordMagic) break;      // torn tail
     uint64_t txn_id, snapshot_lsn, commit_lsn, len;
     if (!r.U64(&txn_id) || !r.U64(&snapshot_lsn) || !r.U64(&commit_lsn) ||
@@ -361,15 +418,14 @@ StatusOr<std::vector<Wal::Recovered>> Wal::ReadAll(const std::string& path,
     std::string payload;
     if (!r.Bytes(len, &payload)) break;  // torn record
     uint64_t crc;
-    if (!r.U64(&crc) || crc != Fnv(payload.data(), payload.size())) {
+    if (!r.U64(&crc) || crc != Checksum64(payload.data(), payload.size())) {
       break;  // torn/corrupt
     }
     Recovered rec;
     rec.txn_id = txn_id;
     rec.snapshot_lsn = snapshot_lsn;
     rec.commit_lsn = commit_lsn;
-    if (!DeserializePayload(payload, page_tuples, &rec.log,
-                            &rec.pool_delta)) {
+    if (!DeserializePayload(payload, page_tuples, &rec)) {
       break;
     }
     out.push_back(std::move(rec));

@@ -3,11 +3,13 @@
 //
 // Each commit appends ONE record carrying everything needed to redo the
 // transaction against the checkpoint snapshot: the new string-pool
-// entries, the page images/appends, the pageOffset (logical order)
-// inserts, node/pos updates, the commutative size deltas, attribute ops
-// and freed node ids. The record is length-prefixed and checksummed;
-// recovery replays complete records in order and stops at the first
-// torn/corrupt tail (that transaction never committed).
+// entries, the changed tuple range of each page it wrote, the pages it
+// appended, the pageOffset (logical order) inserts, node/pos updates,
+// the size claims, attribute ops and freed node ids. The record is
+// length-prefixed and checksummed (Checksum64); recovery replays
+// complete records in order and stops at the first torn/corrupt tail
+// (that transaction never committed). Format v2 (DESIGN.md §8); a v1
+// record (whole-page images) is refused with an error.
 #ifndef PXQ_TXN_WAL_H_
 #define PXQ_TXN_WAL_H_
 
@@ -55,7 +57,8 @@ class Wal {
   /// One member of a group-commit batch. `snapshot_lsn`/`commit_lsn`
   /// let recovery replay the same concurrent-delta fixup the live
   /// commit performed (see txn_manager). The referenced oplog and pool
-  /// delta must outlive the AppendBatch call.
+  /// delta must outlive the AppendBatch call; the oplog's page-image
+  /// ranges must be set (OpLog::SealRanges), as only they are logged.
   struct BatchEntry {
     TxnId txn_id;
     uint64_t snapshot_lsn;
@@ -102,18 +105,35 @@ class Wal {
   const obs::Histogram& append_hist() const { return append_ns_; }
   const obs::Counter& appended_bytes() const { return appended_bytes_; }
 
-  /// One recovered commit record.
+  /// A logged page image: after the commit, page `phys` holds `used`
+  /// real tuples and `tuples` at offsets [lo, lo + tuples.size.size());
+  /// its other tuples are as the transaction found them. Recovery lays
+  /// the range over the page as replay has left it so far.
+  struct PageRange {
+    PageId phys = 0;
+    int32_t used = 0;
+    int32_t lo = 0;
+    storage::Page tuples{0};
+
+    /// Write the range and `used` into `page`, a copy of page `phys`.
+    void LayOver(storage::Page* page) const;
+  };
+
+  /// One recovered commit record. `log` holds everything but the page
+  /// images, which come as `page_ranges`.
   struct Recovered {
     TxnId txn_id;
     uint64_t snapshot_lsn;
     uint64_t commit_lsn;
+    std::vector<PageRange> page_ranges;
     storage::OpLog log;
     std::vector<PoolDelta> pool_delta;
   };
 
   /// Read all complete commit records of a WAL file (static: used before
   /// the Wal is opened for appending). A missing file yields zero
-  /// records. `page_tuples` must match the store config.
+  /// records; a v1 record yields Status::Corruption naming the format.
+  /// `page_tuples` must match the store config.
   static StatusOr<std::vector<Recovered>> ReadAll(const std::string& path,
                                                   int32_t page_tuples);
 

@@ -603,11 +603,13 @@ TEST(DatabaseObsTest, IndexStatsCoherentUnderReaderStorm) {
   stop.store(true);
   for (auto& r : readers) r.join();
 
-  // Quiesced: completed lookups == queries issued (3 distinct texts
-  // compiled once each, the rest cache hits; no evicting traffic).
+  // Quiesced: completed lookups == queries issued. Each reader issues
+  // one text and nothing evicts, so each reader misses at most once:
+  // readers sharing a text can both miss it, since concurrent compiles
+  // of one text race and the last insert wins (PlanCache::Insert).
   const index::IndexStats s = db->IndexStats();
   EXPECT_EQ(s.plan_hits + s.plan_misses, issued.load());
-  EXPECT_GE(s.plan_hits, issued.load() - 3);
+  EXPECT_LE(s.plan_misses, kReaders);
 }
 
 }  // namespace

@@ -20,9 +20,11 @@
 #include <random>
 #include <string>
 #include <thread>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "common/checksum.h"
 #include "common/fault_injection.h"
 #include "database.h"
 #include "storage/paged_store.h"
@@ -125,21 +127,12 @@ int64_t CountNodes(const storage::PagedStore& s, const char* path) {
   return r.ok() ? static_cast<int64_t>(r.value().size()) : -1;
 }
 
-/// Same FNV-1a the snapshot format uses — the corruption table patches
-/// counts and re-checksums so a flipped byte is not what LoadSnapshot
+/// The corruption table patches counts and re-checksums with the
+/// snapshot's own checksum, so a flipped byte is not what LoadSnapshot
 /// rejects; the bogus count itself must be.
-uint64_t Fnv64(const char* data, size_t n) {
-  uint64_t h = 1469598103934665603ULL;
-  for (size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 std::string Rechecksummed(std::string bytes) {
   EXPECT_GE(bytes.size(), 8u);
-  const uint64_t h = Fnv64(bytes.data(), bytes.size() - 8);
+  const uint64_t h = Checksum64(bytes.data(), bytes.size() - 8);
   std::memcpy(&bytes[bytes.size() - 8], &h, 8);
   return bytes;
 }
@@ -555,7 +548,7 @@ TEST(SnapshotCorruptionTest, CorruptBytesYieldCorruptionNotCrash) {
   EXPECT_EQ(Serialized(*good_or.value()), Serialized(*store));
 
   const std::string good = ReadFile(path);
-  // Fixed v2 header offsets (one claim): magic@0, version@4,
+  // Fixed v3 header offsets (one claim): magic@0, version@4,
   // page_tuples@8, shred_fill@12, last_lsn@20, nclaims@28, the claim
   // @36..52, pool 0 count@52, pool 0 entry 0 length@60.
   struct Case {
@@ -574,6 +567,7 @@ TEST(SnapshotCorruptionTest, CorruptBytesYieldCorruptionNotCrash) {
       {"flipped byte", flipped},
       {"bad magic", Patched<uint32_t>(good, 0, 0xDEADBEEF)},
       {"bad version", Patched<uint32_t>(good, 4, 1)},
+      {"older version", Patched<uint32_t>(good, 4, 2)},
       {"page_tuples zero", Patched<int32_t>(good, 8, 0)},
       {"page_tuples not a power of two", Patched<int32_t>(good, 8, 3)},
       {"page_tuples huge", Patched<int32_t>(good, 8, 1 << 30)},
@@ -862,8 +856,8 @@ TEST(PoolWatermarkTest, CommitOfPreCheckpointEntriesLogsNoPoolDelta) {
   auto db = DurableDb(dir, "<db><a k=\"v\">text</a><b/></db>");
   ASSERT_TRUE(db->Update(AppendDoc("/db/b", "<c k=\"w\">more</c>")).ok());
   ASSERT_TRUE(db->Checkpoint().ok());
-  // Only names and values the snapshot already holds: the page images
-  // still reference every text on the page, none of them is logged.
+  // Only names and values the snapshot already holds: the logged page
+  // ranges reference some of them, none of them is logged.
   const int64_t before = PoolDeltaEntries(*db);
   ASSERT_TRUE(db->Update(AppendDoc("/db/b", "<a k=\"v\"/><c k=\"w\"/>")).ok());
   EXPECT_EQ(PoolDeltaEntries(*db) - before, 0);
@@ -885,10 +879,113 @@ TEST(PoolWatermarkTest, CommitOfPreCheckpointEntriesLogsNoPoolDelta) {
   fs::remove_all(dir);
 }
 
-// The per-element little-endian encoder the WAL used before page
-// columns were appended as byte runs, kept as the golden reference:
-// the bulk encoder must write byte-identical records, so WAL files
-// from either version replay under the other.
+// ------------------------------------------------------------------
+// Range records (WAL format v2). A commit logs, per page it wrote, only
+// the tuple range that differs from the page as the transaction found
+// it; recovery lays that range over the page it has rebuilt so far.
+
+// T1 begins; T2 commits an append whose ancestor sizes sit on page 0;
+// only then does T1 write page 0. T1's copy of page 0 predates T2's
+// size writes, which the base made by copying the page away from the
+// shared object, so T1 is the page's last owner when it writes. Its
+// record must still log the range it changed, and recovery must
+// re-resolve T2's claims over the laid range exactly as the live
+// commit did.
+TEST(RangeRecordTest, ConcurrentSizeWriteOnAnImagedPage) {
+  const std::string snap = TempPath("pxq_range_concurrent.snapshot");
+  const std::string wal = TempPath("pxq_range_concurrent.wal");
+  RemoveAll({snap, wal});
+  // 13 tuples at 12 per page: db..sec3 and two z on page 0, the last z
+  // on page 1.
+  auto base = BuildStore(kDoc);
+  ASSERT_EQ(base->logical_page_count(), 2);
+  ASSERT_TRUE(base->SaveSnapshot(snap).ok());
+  txn::TxnOptions opts;
+  opts.wal_path = wal;
+  auto mgr_or = txn::TransactionManager::Create(base, opts);
+  ASSERT_TRUE(mgr_or.ok());
+  auto& mgr = *mgr_or.value();
+
+  auto t1 = mgr.Begin();
+  ASSERT_TRUE(t1.ok());
+  // T2 fills a hole on page 1; its claims (sec3, db) resolve on page 0.
+  ASSERT_TRUE(CommitAppend(mgr, "/db/sec3", "<z2/>").ok());
+  // T1 shifts page 0 to make room under sec1.
+  ASSERT_TRUE(xupdate::ApplyXUpdate(t1.value()->store(),
+                                    AppendDoc("/db/sec1", "<x2/>"))
+                  .ok());
+  ASSERT_TRUE(t1.value()->Commit().ok());
+  const std::string live = Serialized(*base);
+  EXPECT_NE(live.find("<x2/>"), std::string::npos);
+  EXPECT_NE(live.find("<z2/>"), std::string::npos);
+
+  auto records = txn::Wal::ReadAll(wal, base->page_tuples());
+  ASSERT_TRUE(records.ok()) << records.status().ToString();
+  ASSERT_EQ(records.value().size(), 2u);
+  const auto& ranges = records.value()[1].page_ranges;
+  ASSERT_EQ(ranges.size(), 1u);
+  EXPECT_EQ(ranges[0].phys, 0);
+  EXPECT_GT(ranges[0].tuples.size.size(), 0u);
+
+  auto rec = txn::TransactionManager::Recover(snap, wal);
+  ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+  EXPECT_EQ(rec.value().replayed_commits, 2);
+  EXPECT_EQ(Serialized(*rec.value().store), live);
+  Status inv = rec.value().store->CheckInvariants();
+  EXPECT_TRUE(inv.ok()) << inv.ToString();
+  RemoveAll({snap, wal});
+}
+
+/// Every used tuple's node id, checking none repeats.
+void ExpectDistinctNodeIds(const storage::PagedStore& s) {
+  std::unordered_set<NodeId> ids;
+  for (PreId pre = 0; pre < s.view_size(); ++pre) {
+    if (!s.IsUsed(pre)) continue;
+    EXPECT_TRUE(ids.insert(s.NodeAt(pre)).second)
+        << "node id " << s.NodeAt(pre) << " used twice";
+  }
+}
+
+// Recovery marks every replayed node id used once, after its last
+// record: commits after a reopen must not mint an id a replayed record
+// placed, including ids that went through the free list.
+TEST(RangeRecordTest, AllocatorAfterRecoveryMintsNoReplayedId) {
+  const std::string dir = TempPath("pxq_alloc_recovery");
+  auto db = DurableDb(dir, kDoc);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(db->Update(AppendDoc("/db/sec1", "<a>t</a>")).ok());
+  }
+  // A delete frees ids; the next appends take them off the free list.
+  ASSERT_TRUE(db->Update(Wrap("<xupdate:remove select=\"/db/sec2/y[1]\"/>"))
+                  .ok());
+  ASSERT_TRUE(db->Update(AppendDoc("/db/sec3", "<b/><b/>")).ok());
+
+  db = Reopen(std::move(db), dir);
+  EXPECT_EQ(db->recovered_commits(), 5);
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(db->Update(AppendDoc("/db/sec2", "<c>u</c>")).ok());
+  }
+  ASSERT_TRUE(db->Update(Wrap("<xupdate:remove select=\"/db/sec1/a[2]\"/>"))
+                  .ok());
+  ASSERT_TRUE(db->Update(AppendDoc("/db/sec1", "<d/>")).ok());
+  Status inv = db->store().CheckInvariants();
+  EXPECT_TRUE(inv.ok()) << inv.ToString();
+  ExpectDistinctNodeIds(db->store());
+  auto live = db->Serialize();
+  ASSERT_TRUE(live.ok());
+
+  db = Reopen(std::move(db), dir);
+  auto recovered = db->Serialize();
+  ASSERT_TRUE(recovered.ok());
+  EXPECT_EQ(recovered.value(), live.value());
+  inv = db->store().CheckInvariants();
+  EXPECT_TRUE(inv.ok()) << inv.ToString();
+  ExpectDistinctNodeIds(db->store());
+  fs::remove_all(dir);
+}
+
+// Per-element little-endian reference encoders for the golden tests:
+// the bulk encoder must write byte-identical records.
 void RefPutU8(std::string* b, uint8_t v) { b->push_back(static_cast<char>(v)); }
 void RefPutU32(std::string* b, uint32_t v) {
   for (int i = 0; i < 4; ++i) b->push_back(static_cast<char>(v >> (8 * i)));
@@ -902,49 +999,99 @@ void RefPutU64(std::string* b, uint64_t v) {
 void RefPutI64(std::string* b, int64_t v) {
   RefPutU64(b, static_cast<uint64_t>(v));
 }
+void RefPutTuples(std::string* b, const storage::Page& pg, size_t lo,
+                  size_t hi) {
+  for (size_t i = lo; i < hi; ++i) RefPutI64(b, pg.size[i]);
+  for (size_t i = lo; i < hi; ++i) RefPutI32(b, pg.level[i]);
+  for (size_t i = lo; i < hi; ++i) RefPutU8(b, pg.kind[i]);
+  for (size_t i = lo; i < hi; ++i) RefPutI32(b, pg.ref[i]);
+  for (size_t i = lo; i < hi; ++i) RefPutI64(b, pg.node[i]);
+}
 void RefPutPage(std::string* b, const storage::Page& pg) {
   RefPutI32(b, pg.used);
   RefPutU32(b, static_cast<uint32_t>(pg.size.size()));
-  for (int64_t v : pg.size) RefPutI64(b, v);
-  for (int32_t v : pg.level) RefPutI32(b, v);
-  for (uint8_t v : pg.kind) RefPutU8(b, v);
-  for (int32_t v : pg.ref) RefPutI32(b, v);
-  for (int64_t v : pg.node) RefPutI64(b, v);
+  RefPutTuples(b, pg, 0, pg.size.size());
+}
+void RefPutPoolDelta(std::string* p,
+                     const std::vector<txn::PoolDelta>& pool_delta) {
+  RefPutU32(p, static_cast<uint32_t>(pool_delta.size()));
+  for (const txn::PoolDelta& d : pool_delta) {
+    RefPutU8(p, static_cast<uint8_t>(d.kind));
+    RefPutI32(p, d.id);
+    RefPutU32(p, static_cast<uint32_t>(d.value.size()));
+    *p += d.value;
+  }
+}
+// Page appends, then the empty logical-insert, node/pos, size-claim,
+// attr-op and freed lists, then used_delta.
+void RefPutTail(std::string* p, const storage::OpLog& log) {
+  RefPutU32(p, static_cast<uint32_t>(log.page_appends.size()));
+  for (const auto& pa : log.page_appends) {
+    RefPutI64(p, pa.clone_phys);
+    RefPutPage(p, *pa.image);
+  }
+  for (int list = 0; list < 5; ++list) RefPutU32(p, 0);
+  RefPutI64(p, log.used_delta);
+}
+std::string RefFrame(uint32_t magic, uint64_t txn_id, uint64_t snapshot_lsn,
+                     uint64_t commit_lsn, const std::string& payload,
+                     uint64_t checksum) {
+  std::string r;
+  RefPutU32(&r, magic);
+  RefPutU64(&r, txn_id);
+  RefPutU64(&r, snapshot_lsn);
+  RefPutU64(&r, commit_lsn);
+  RefPutU64(&r, payload.size());
+  r += payload;
+  RefPutU64(&r, checksum);
+  return r;
 }
 
-std::string RefRecord(uint64_t txn_id, uint64_t snapshot_lsn,
-                      uint64_t commit_lsn, const storage::OpLog& log,
-                      const std::vector<txn::PoolDelta>& pool_delta) {
+/// The v2 record: each page image as phys, used, [lo, hi) and the
+/// range's tuples; Checksum64 over the payload.
+std::string RefRecordV2(uint64_t txn_id, uint64_t snapshot_lsn,
+                        uint64_t commit_lsn, const storage::OpLog& log,
+                        const std::vector<txn::PoolDelta>& pool_delta) {
   std::string p;
-  RefPutU32(&p, static_cast<uint32_t>(pool_delta.size()));
-  for (const txn::PoolDelta& d : pool_delta) {
-    RefPutU8(&p, static_cast<uint8_t>(d.kind));
-    RefPutI32(&p, d.id);
-    RefPutU32(&p, static_cast<uint32_t>(d.value.size()));
-    p += d.value;
+  RefPutPoolDelta(&p, pool_delta);
+  RefPutU32(&p, static_cast<uint32_t>(log.page_images.size()));
+  for (const auto& pi : log.page_images) {
+    RefPutI64(&p, pi.phys);
+    RefPutI32(&p, pi.image->used);
+    RefPutI32(&p, pi.lo);
+    RefPutI32(&p, pi.hi);
+    RefPutTuples(&p, *pi.image, static_cast<size_t>(pi.lo),
+                 static_cast<size_t>(pi.hi));
   }
+  RefPutTail(&p, log);
+  return RefFrame(0x50585158, txn_id, snapshot_lsn, commit_lsn, p,
+                  Checksum64(p.data(), p.size()));
+}
+
+/// The v1 checksum: byte-wise FNV-1a.
+uint64_t FnvV1(const std::string& s) {
+  uint64_t h = 1469598103934665603ULL;
+  for (char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+/// A v1 record, as the WAL wrote it before range records: whole page
+/// images and an FNV-1a checksum. The fixture for the refusal test.
+std::string RefRecordV1(uint64_t txn_id, uint64_t snapshot_lsn,
+                        uint64_t commit_lsn, const storage::OpLog& log,
+                        const std::vector<txn::PoolDelta>& pool_delta) {
+  std::string p;
+  RefPutPoolDelta(&p, pool_delta);
   RefPutU32(&p, static_cast<uint32_t>(log.page_images.size()));
   for (const auto& pi : log.page_images) {
     RefPutI64(&p, pi.phys);
     RefPutPage(&p, *pi.image);
   }
-  RefPutU32(&p, static_cast<uint32_t>(log.page_appends.size()));
-  for (const auto& pa : log.page_appends) {
-    RefPutI64(&p, pa.clone_phys);
-    RefPutPage(&p, *pa.image);
-  }
-  // Empty logical-insert, node/pos, size-claim, attr-op, freed lists.
-  for (int list = 0; list < 5; ++list) RefPutU32(&p, 0);
-  RefPutI64(&p, log.used_delta);
-  std::string r;
-  RefPutU32(&r, 0x50585157);  // "PXQW"
-  RefPutU64(&r, txn_id);
-  RefPutU64(&r, snapshot_lsn);
-  RefPutU64(&r, commit_lsn);
-  RefPutU64(&r, p.size());
-  r += p;
-  RefPutU64(&r, Fnv64(p.data(), p.size()));
-  return r;
+  RefPutTail(&p, log);
+  return RefFrame(0x50585157, txn_id, snapshot_lsn, commit_lsn, p, FnvV1(p));
 }
 
 std::shared_ptr<storage::Page> RandomPage(std::mt19937_64* rng,
@@ -964,15 +1111,34 @@ std::shared_ptr<storage::Page> RandomPage(std::mt19937_64* rng,
   return pg;
 }
 
+template <typename T>
+std::vector<T> Slice(const std::vector<T>& v, int32_t lo, int32_t hi) {
+  return std::vector<T>(v.begin() + lo, v.begin() + hi);
+}
+
 TEST(WalFormatTest, BulkPageEncodingIsByteIdenticalToPerElementEncoder) {
   const std::string wal = TempPath("pxq_wal_golden.wal");
   RemoveAll({wal});
   constexpr int32_t kTuples = 301;  // odd: no accidental alignment
   std::mt19937_64 rng(20261017);
   storage::OpLog log;
-  log.page_images.push_back({7, RandomPage(&rng, kTuples)});
+  // Page 7 changes from tuple 37 (kind) through tuple 249 (node); page
+  // 9 is imaged but ends up unchanged.
+  auto pre7 = RandomPage(&rng, kTuples);
+  auto post7 = std::make_shared<storage::Page>(*pre7);
+  post7->kind[37] ^= 1;
+  post7->size[100] += 5;
+  post7->node[249] += 1;
+  post7->used += 3;
+  auto pre9 = RandomPage(&rng, kTuples);
+  log.page_images.push_back({7, post7, pre7});
+  log.page_images.push_back({9, std::make_shared<storage::Page>(*pre9), pre9});
   log.page_appends.push_back({-3, RandomPage(&rng, kTuples)});
   log.used_delta = -42;
+  log.SealRanges();
+  EXPECT_EQ(log.page_images[0].lo, 37);
+  EXPECT_EQ(log.page_images[0].hi, 250);
+  EXPECT_EQ(log.page_images[1].lo, log.page_images[1].hi);
   const std::vector<txn::PoolDelta> pool_delta = {
       {storage::ContentPools::PoolKind::kText, 5, "five"},
       {storage::ContentPools::PoolKind::kProp, 70000, std::string(300, 'x')}};
@@ -981,26 +1147,61 @@ TEST(WalFormatTest, BulkPageEncodingIsByteIdenticalToPerElementEncoder) {
     ASSERT_TRUE(w.ok()) << w.status().ToString();
     ASSERT_TRUE(w.value()->AppendCommit(42, 3, 5, log, pool_delta).ok());
   }
-  EXPECT_EQ(ReadFile(wal), RefRecord(42, 3, 5, log, pool_delta));
+  EXPECT_EQ(ReadFile(wal), RefRecordV2(42, 3, 5, log, pool_delta));
 
-  // And the bulk decoder reads the columns back unchanged.
+  // And the bulk decoder reads the ranges and columns back unchanged.
   auto recs = txn::Wal::ReadAll(wal, kTuples);
   ASSERT_TRUE(recs.ok()) << recs.status().ToString();
   ASSERT_EQ(recs.value().size(), 1u);
-  const storage::OpLog& got = recs.value()[0].log;
-  ASSERT_EQ(got.page_images.size(), 1u);
-  ASSERT_EQ(got.page_appends.size(), 1u);
-  for (const auto& [a, b] :
-       {std::pair{got.page_images[0].image, log.page_images[0].image},
-        std::pair{got.page_appends[0].image, log.page_appends[0].image}}) {
-    EXPECT_EQ(a->used, b->used);
-    EXPECT_EQ(a->size, b->size);
-    EXPECT_EQ(a->level, b->level);
-    EXPECT_EQ(a->kind, b->kind);
-    EXPECT_EQ(a->ref, b->ref);
-    EXPECT_EQ(a->node, b->node);
-  }
+  const txn::Wal::Recovered& got = recs.value()[0];
+  ASSERT_EQ(got.page_ranges.size(), 2u);
+  const txn::Wal::PageRange& r7 = got.page_ranges[0];
+  EXPECT_EQ(r7.phys, 7);
+  EXPECT_EQ(r7.used, post7->used);
+  EXPECT_EQ(r7.lo, 37);
+  EXPECT_EQ(r7.tuples.size, Slice(post7->size, 37, 250));
+  EXPECT_EQ(r7.tuples.level, Slice(post7->level, 37, 250));
+  EXPECT_EQ(r7.tuples.kind, Slice(post7->kind, 37, 250));
+  EXPECT_EQ(r7.tuples.ref, Slice(post7->ref, 37, 250));
+  EXPECT_EQ(r7.tuples.node, Slice(post7->node, 37, 250));
+  EXPECT_EQ(got.page_ranges[1].phys, 9);
+  EXPECT_TRUE(got.page_ranges[1].tuples.size.empty());
+  EXPECT_TRUE(got.log.page_images.empty());
+  ASSERT_EQ(got.log.page_appends.size(), 1u);
+  const storage::Page& a = *got.log.page_appends[0].image;
+  const storage::Page& b = *log.page_appends[0].image;
+  EXPECT_EQ(a.used, b.used);
+  EXPECT_EQ(a.size, b.size);
+  EXPECT_EQ(a.level, b.level);
+  EXPECT_EQ(a.kind, b.kind);
+  EXPECT_EQ(a.ref, b.ref);
+  EXPECT_EQ(a.node, b.node);
   RemoveAll({wal});
+}
+
+// A v1 record read as a torn tail would drop every logged commit
+// without a word; the reader must refuse it, and so must recovery.
+TEST(WalFormatTest, V1RecordIsRefusedWithAnError) {
+  const std::string wal = TempPath("pxq_wal_v1.wal");
+  const std::string snap = TempPath("pxq_wal_v1.snapshot");
+  RemoveAll({wal, snap});
+  constexpr int32_t kTuples = 16;
+  std::mt19937_64 rng(7);
+  storage::OpLog log;
+  log.page_images.push_back({0, RandomPage(&rng, kTuples)});
+  WriteFile(wal, RefRecordV1(1, 0, 1, log, {}));
+
+  auto recs = txn::Wal::ReadAll(wal, kTuples);
+  ASSERT_FALSE(recs.ok());
+  EXPECT_EQ(recs.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(recs.status().message().find("v1"), std::string::npos)
+      << recs.status().ToString();
+
+  ASSERT_TRUE(BuildStore(kDoc, kTuples)->SaveSnapshot(snap).ok());
+  auto rec = txn::TransactionManager::Recover(snap, wal);
+  ASSERT_FALSE(rec.ok());
+  EXPECT_NE(rec.status().message().find("v1"), std::string::npos);
+  RemoveAll({wal, snap});
 }
 
 }  // namespace

@@ -186,6 +186,14 @@ TEST(WalFormatTest, RecordRoundTrip) {
   page->node[0] = 17;
   page->used = 1;
   log.page_appends.push_back({2, page});
+  // Page 0 is imaged with tuples 3..5 changed: only they are logged.
+  auto pre = std::make_shared<storage::Page>(8);
+  auto post = std::make_shared<storage::Page>(*pre);
+  post->level[3] = 1;
+  post->node[5] = 18;
+  post->used = 2;
+  log.page_images.push_back({0, post, pre});
+  log.SealRanges();
   log.logical_inserts.push_back({2, 0});
   log.node_pos_sets.push_back({17, 2, 0});
   log.size_claims.push_back(17);
@@ -210,6 +218,14 @@ TEST(WalFormatTest, RecordRoundTrip) {
   EXPECT_EQ(rec.commit_lsn, 8u);
   ASSERT_EQ(rec.log.page_appends.size(), 1u);
   EXPECT_EQ(rec.log.page_appends[0].image->node[0], 17);
+  ASSERT_EQ(rec.page_ranges.size(), 1u);
+  EXPECT_EQ(rec.page_ranges[0].phys, 0);
+  EXPECT_EQ(rec.page_ranges[0].used, 2);
+  EXPECT_EQ(rec.page_ranges[0].lo, 3);
+  EXPECT_EQ(rec.page_ranges[0].tuples.level,
+            (std::vector<int32_t>{1, kNullLevel, kNullLevel}));
+  EXPECT_EQ(rec.page_ranges[0].tuples.node,
+            (std::vector<int64_t>{kNullNode, kNullNode, 18}));
   EXPECT_EQ(rec.log.size_claims, std::vector<NodeId>{17});
   ASSERT_EQ(rec.pool_delta.size(), 2u);
   EXPECT_EQ(rec.pool_delta[0].value, "bidder");

@@ -348,11 +348,11 @@ TEST(TxnDurabilityTest, TornWalTailIsIgnored) {
     ASSERT_TRUE(t.value()->Commit().ok());
   }
   // Simulate a torn write: truncate the WAL mid-record after appending
-  // garbage that looks like the start of a record.
+  // garbage that looks like the start of a (v2) record.
   {
     FILE* f = std::fopen(wal.c_str(), "ab");
     ASSERT_NE(f, nullptr);
-    uint32_t magic = 0x50585157;
+    uint32_t magic = 0x50585158;
     std::fwrite(&magic, 4, 1, f);
     uint64_t bogus = 77;
     std::fwrite(&bogus, 8, 1, f);  // truncated header
