@@ -243,10 +243,14 @@ int main(int argc, char** argv) {
                 static_cast<long long>(lk.drain_notifies));
     const auto m = db->Metrics();
     std::printf("updates:        %lld retries, %lld gave up after "
-                "retrying\n",
+                "retrying, selects %lld on base / %lld on clone\n",
                 static_cast<long long>(m.ValueOf("pxq_update_retries_total")),
                 static_cast<long long>(
-                    m.ValueOf("pxq_update_failures_total")));
+                    m.ValueOf("pxq_update_failures_total")),
+                static_cast<long long>(
+                    m.ValueOf("pxq_update_selects_base_total")),
+                static_cast<long long>(
+                    m.ValueOf("pxq_update_selects_clone_total")));
     if (db->durable()) {
       auto& tm = db->txn_manager();
       std::printf("durability:     WAL on, %lld commits in log, "

@@ -14,7 +14,7 @@
 //
 // Thread compatibility: a WritableFile is owned and used by one
 // logical writer at a time (the WAL's exclusive commit window, the
-// checkpoint path under the global exclusive lock); it adds no locking.
+// checkpoint path under the commit mutex); it adds no locking.
 #ifndef PXQ_COMMON_IO_FILE_H_
 #define PXQ_COMMON_IO_FILE_H_
 

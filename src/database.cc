@@ -151,6 +151,10 @@ void Database::InitObservability() {
                            &recovery_replayed_commits_);
   metrics_.RegisterCounter("pxq_update_retries_total", &update_retries_);
   metrics_.RegisterCounter("pxq_update_failures_total", &update_failures_);
+  metrics_.RegisterCounter("pxq_update_selects_base_total",
+                           &update_selects_base_);
+  metrics_.RegisterCounter("pxq_update_selects_clone_total",
+                           &update_selects_clone_);
 }
 
 StatusOr<std::vector<PreId>> Database::Query(std::string_view xpath) {
@@ -255,6 +259,11 @@ StatusOr<std::string> Database::Serialize(PreId root, bool pretty) {
 
 StatusOr<xupdate::ApplyStats> Database::Update(std::string_view xupdate_doc,
                                                int retries) {
+  // Parsed once for every attempt: the pools are shared by the base and
+  // all clones and only ever appended to, so the ids stay valid.
+  PXQ_ASSIGN_OR_RETURN(std::vector<xupdate::Update> updates,
+                       xupdate::ParseXUpdate(xupdate_doc, &store().pools()));
+  if (updates.empty()) return xupdate::ApplyStats{};
   Status last = Status::OK();
   // A retry first waits for the page the failed attempt lost on, so it
   // queues behind that commit instead of racing the next writer to the
@@ -262,9 +271,25 @@ StatusOr<xupdate::ApplyStats> Database::Update(std::string_view xupdate_doc,
   PageId contested = -1;
   for (int attempt = 0; attempt <= retries; ++attempt) {
     if (attempt > 0) update_retries_.Inc();
-    PXQ_ASSIGN_OR_RETURN(std::unique_ptr<txn::Transaction> t,
-                         txns_->Begin(contested));
-    auto stats = xupdate::ApplyXUpdate(t->store(), xupdate_doc);
+    // The first command's select runs on the indexed base inside Begin's
+    // shared lock, where base and clone hold the same document; the
+    // node ids it finds name the same nodes in the clone. Later
+    // commands must see the earlier ones' edits and scan the clone.
+    StatusOr<std::vector<NodeId>> first = std::vector<NodeId>();
+    PXQ_ASSIGN_OR_RETURN(
+        std::unique_ptr<txn::Transaction> t,
+        txns_->Begin(contested, [&](const storage::PagedStore& base) {
+          first = xupdate::ResolveTargets(base, updates[0], index_.get());
+        }));
+    if (!first.ok()) {
+      t->Abort().ok();
+      return first.status();
+    }
+    auto stats = xupdate::ApplyUpdates(t->store(), updates, &first.value());
+    update_selects_base_.Inc();
+    if (stats.ok()) {
+      update_selects_clone_.Inc(static_cast<int64_t>(updates.size()) - 1);
+    }
     contested = t->contested_page();
     if (!stats.ok()) {
       t->Abort().ok();
@@ -300,8 +325,9 @@ Status Database::Checkpoint() {
 // Transaction queries share the database's compiled plans: the clone
 // shares the qname pool (ids are globally consistent) and the cache's
 // epoch validation catches names this or any transaction interned. The
-// index stays detached — it describes the committed base, so indexed
-// operators take their scan fallbacks here, exactly as before.
+// index stays detached — it describes the committed base, not this
+// clone, which may hold staged edits — so indexed operators take their
+// scan fallbacks here.
 StatusOr<std::vector<PreId>> DbTransaction::Query(std::string_view xpath) {
   xpath::Evaluator<storage::PagedStore> ev(*txn_->store(), nullptr,
                                            plan_cache_, plan_env_);
@@ -315,6 +341,8 @@ StatusOr<std::vector<std::string>> DbTransaction::QueryStrings(
   return ev.EvalStrings(xpath);
 }
 
+// Every select scans the clone: an explicit transaction may have staged
+// edits the base does not show.
 StatusOr<xupdate::ApplyStats> DbTransaction::Update(
     std::string_view xupdate_doc) {
   return xupdate::ApplyXUpdate(txn_->store(), xupdate_doc);

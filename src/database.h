@@ -107,8 +107,8 @@ class Database {
 
   /// Checkpoint: write a snapshot, truncate the WAL (durable mode
   /// only). Crash-atomic — see TransactionManager::Checkpoint. Note
-  /// the whole store serializes inside one exclusive window: readers
-  /// and writers stall for the full pxq_checkpoint_ns duration.
+  /// the whole store serializes while commits wait: writers stall for
+  /// the full pxq_checkpoint_ns duration, readers keep going.
   Status Checkpoint();
 
   storage::PagedStore& store() { return txns_->base(); }
@@ -193,6 +193,11 @@ class Database {
   /// Aborted once their retries ran out.
   obs::Counter update_retries_;
   obs::Counter update_failures_;
+  /// Update() selects resolved on the indexed base (the first command
+  /// of each attempt) and on the transaction's clone (the commands
+  /// after it, counted once the attempt applied them all).
+  obs::Counter update_selects_base_;
+  obs::Counter update_selects_clone_;
   Options options_;
   std::shared_ptr<storage::PagedStore> store_;
   std::unique_ptr<index::IndexManager> index_;

@@ -11,21 +11,6 @@ namespace pxq::storage {
 namespace {
 bool IsPowerOfTwo(int64_t v) { return v > 0 && (v & (v - 1)) == 0; }
 
-// Whether a store other than the caller still references `p`, i.e.
-// whether an in-place write must copy first. Base and clones share
-// pages and node/pos chunks and drop references from other threads
-// (a clone privatizing a page, a commit installing an image).
-// use_count() alone is a relaxed load: seeing 1 would not order the
-// dropping thread's earlier reads before our write. Copying the
-// pointer is a reference-count RMW, which is acq_rel in libstdc++ (the
-// standard library this project builds against) and so does order
-// them. The standard does not promise that: libc++ increments with a
-// relaxed RMW, so under libc++ this ordering would need a fence.
-template <typename T>
-bool SharedWithOthers(const std::shared_ptr<T>& p) {
-  const std::shared_ptr<T> probe = p;
-  return probe.use_count() > 2;
-}
 int32_t Log2(int64_t v) {
   int32_t b = 0;
   while ((int64_t{1} << b) < v) ++b;
@@ -164,8 +149,7 @@ PagedStore::PagedStore(const Config& config)
     : config_(config),
       page_bits_(Log2(config.page_tuples)),
       page_mask_(config.page_tuples - 1),
-      node_alloc_(std::make_shared<NodeIdAllocator>()),
-      attrs_(AttrTable::OwnerMode::kHashedOwner) {}
+      node_alloc_(std::make_shared<NodeIdAllocator>()) {}
 
 void PagedStore::RefreshView() {
   view_.resize(logical_pages_.size());
@@ -1079,7 +1063,7 @@ std::unique_ptr<PagedStore> PagedStore::Clone() const {
   clone->node_alloc_ = node_alloc_;          // shared allocator
   clone->used_count_ = used_count_;
   clone->pools_ = pools_;                    // shared, append-only
-  clone->attrs_ = attrs_;                    // copied rows + index
+  clone->attrs_ = attrs_;                    // shared chunks (COW)
   clone->RefreshView();
   // Every page is shared with the clone now; this store's next write to
   // any of them must copy again.

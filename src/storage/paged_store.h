@@ -302,8 +302,9 @@ class PagedStore {
   const std::shared_ptr<ContentPools>& pools_ptr() const { return pools_; }
 
   // --- transactions -----------------------------------------------------------
-  /// O(#pages + #attrs) snapshot; page payloads and pools are shared
-  /// (copy-on-write), page tables and the attr table are copied.
+  /// O(#pages) snapshot: page payloads, node/pos pages and attribute
+  /// chunks are shared copy-on-write, pools are shared append-only, and
+  /// only the page tables and chunk pointer arrays are copied.
   std::unique_ptr<PagedStore> Clone() const;
 
   /// Attach a primitive-op log + page-write-lock hook (txn recording).
@@ -344,8 +345,9 @@ class PagedStore {
   /// allocator state) to a file, atomically: the bytes land in
   /// `<path>.tmp` (every write checked, whole-file checksum appended)
   /// and replace `path` only via fsync + rename + directory fsync — on
-  /// any failure the previous snapshot is untouched. Call under the
-  /// global write lock. `last_lsn` is the highest commit LSN folded
+  /// any failure the previous snapshot is untouched. Call while
+  /// nothing writes this store (a checkpoint holds the commit mutex;
+  /// readers may run alongside). `last_lsn` is the highest commit LSN folded
   /// into this image (recovery skips WAL records at or below it) and
   /// `committed_claims` the outstanding (lsn, node) size-claims the
   /// cross-checkpoint fixup needs (see txn_manager).

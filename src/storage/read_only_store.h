@@ -45,7 +45,7 @@ class ReadOnlyStore {
   /// reference pre directly — no node/pos indirection.
   int64_t AttrOwnerOf(PreId pre) const { return pre; }
 
-  const AttrTable& attrs() const { return attrs_; }
+  const SortedAttrTable& attrs() const { return attrs_; }
   ContentPools& pools() { return *pools_; }
   const ContentPools& pools() const { return *pools_; }
 
@@ -56,13 +56,13 @@ class ReadOnlyStore {
   }
 
  private:
-  ReadOnlyStore() : attrs_(AttrTable::OwnerMode::kSortedByOwner) {}
+  ReadOnlyStore() = default;
 
   bat::TypedColumn<int64_t> size_;
   bat::TypedColumn<int32_t> level_;
   bat::TypedColumn<uint8_t> kind_;
   bat::TypedColumn<int32_t> ref_;
-  AttrTable attrs_;
+  SortedAttrTable attrs_;
   std::shared_ptr<ContentPools> pools_;
 };
 

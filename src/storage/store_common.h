@@ -16,6 +16,23 @@
 
 namespace pxq::storage {
 
+/// Whether a store other than the caller still references `p`, i.e.
+/// whether an in-place write must copy first. Base and clones share
+/// pages, node/pos chunks and attribute chunks, and drop references
+/// from other threads (a clone privatizing a chunk, a commit installing
+/// an image). use_count() alone is a relaxed load: seeing 1 would not
+/// order the dropping thread's earlier reads before our write. Copying
+/// the pointer is a reference-count RMW, which is acq_rel in libstdc++
+/// (the standard library this project builds against) and so does
+/// order them. The standard does not promise that: libc++ increments
+/// with a relaxed RMW, so under libc++ this ordering would need a
+/// fence.
+template <typename T>
+bool SharedWithOthers(const std::shared_ptr<T>& p) {
+  const std::shared_ptr<T> probe = p;
+  return probe.use_count() > 2;
+}
+
 /// The auxiliary string tables of the schema: qn (qualified names),
 /// text/com/ins (node values) and prop (deduplicated attribute values).
 /// Pools are append-only; Intern/Add are serialized by a mutex so

@@ -34,7 +34,8 @@ StatusOr<std::unique_ptr<TransactionManager>> TransactionManager::Create(
 }
 
 StatusOr<std::unique_ptr<Transaction>> TransactionManager::Begin(
-    PageId contested) {
+    PageId contested,
+    const std::function<void(const PagedStore&)>& with_base) {
   TxnId id = next_txn_id_.fetch_add(1);
   if (contested >= 0) {
     // The page lock is released only after the holder's commit applied,
@@ -58,6 +59,7 @@ StatusOr<std::unique_ptr<Transaction>> TransactionManager::Begin(
     GlobalLock::ReadGuard guard(&global_);
     snapshot = commit_lsn_.load();
     clone = base_->Clone();
+    if (with_base) with_base(*base_);
     MutexLock lock(&meta_mu_);
     active_snapshots_[id] = snapshot;
   }
@@ -381,14 +383,16 @@ void TransactionManager::RegisterMetrics(obs::MetricsRegistry* reg) const {
 }
 
 Status TransactionManager::Checkpoint(const std::string& snapshot_path) {
+  // The commit mutex keeps every commit out, and only commits change
+  // the base, so the shared lock is enough: readers and Begin() keep
+  // going while the snapshot is written.
   MutexLock commit_lock(&commit_mu_);
-  global_.LockExclusive();
+  GlobalLock::ReadGuard guard(&global_);
   const auto t0 = std::chrono::steady_clock::now();
   Status s = CheckpointLocked(snapshot_path);
   checkpoint_ns_.Record(std::chrono::duration_cast<std::chrono::nanoseconds>(
                             std::chrono::steady_clock::now() - t0)
                             .count());
-  global_.UnlockExclusive();
   return s;
 }
 

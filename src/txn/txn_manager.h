@@ -26,6 +26,7 @@
 
 #include <atomic>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -95,7 +96,14 @@ class TransactionManager {
   /// includes the winner's commit and no rival commits over the page
   /// before this transaction ends. A wait that times out starts the
   /// transaction without the lock.
-  StatusOr<std::unique_ptr<Transaction>> Begin(PageId contested = -1);
+  /// `with_base`, when given, runs on the base under the same shared
+  /// lock that clones it, so it sees exactly the document the new
+  /// transaction starts from (and may use the index, which describes
+  /// the base). It must not write the base.
+  StatusOr<std::unique_ptr<Transaction>> Begin(
+      PageId contested = -1,
+      const std::function<void(const storage::PagedStore&)>& with_base =
+          nullptr);
 
   /// Run a read-only function under the global shared lock:
   /// fn(const storage::PagedStore&).
@@ -105,11 +113,10 @@ class TransactionManager {
     return fn(static_cast<const storage::PagedStore&>(*base_));
   }
 
-  /// Write a checkpoint snapshot and truncate the WAL (quiesces writers
-  /// via the commit mutex and the global exclusive lock — the whole
-  /// store serializes inside one exclusive window, so checkpoint
-  /// duration is a full write AND read stall; pxq_checkpoint_ns
-  /// measures it). The pool sizes taken just before the save become
+  /// Write a checkpoint snapshot and truncate the WAL (quiesces commits
+  /// via the commit mutex; the store serializes under the shared lock,
+  /// so checkpoint duration stalls commits but not reads;
+  /// pxq_checkpoint_ns measures it). The pool sizes taken just before the save become
   /// the pool-delta watermark once the save succeeds: later commit
   /// records log only pool entries at or above it. Crash-atomic: the
   /// snapshot replaces the previous one only via tmp + fsync + rename,
@@ -147,7 +154,7 @@ class TransactionManager {
     return wal_ != nullptr ? wal_->commit_count() : 0;
   }
   /// Checkpoint latency/count: one Record per Checkpoint() call, i.e.
-  /// one full-exclusive-window stall each.
+  /// one commit stall each.
   const obs::Histogram& checkpoint_hist() const { return checkpoint_ns_; }
 
   /// Global-lock acquire/contention counters (reader vs writer waits,
@@ -207,12 +214,14 @@ class TransactionManager {
       PXQ_REQUIRES(global_);
   /// The checkpoint protocol body (snapshot with LSN state, watermark,
   /// then WAL reset). SaveSnapshot reads the whole base, legal only
-  /// while the exclusive window shuts out every reader, writer, and
-  /// Begin(); Wal::Reset must not run between a commit's WAL append and
-  /// its apply, which the commit mutex excludes — the analysis rejects
-  /// any caller that has not taken both.
+  /// while no commit can change it: the commit mutex shuts out commits
+  /// (the only writers of the base), and the shared lock is what every
+  /// reader of the base holds. Wal::Reset must not run between a
+  /// commit's WAL append and its apply, which the commit mutex also
+  /// excludes — the analysis rejects any caller that has not taken
+  /// both.
   Status CheckpointLocked(const std::string& snapshot_path)
-      PXQ_REQUIRES(global_, commit_mu_);
+      PXQ_REQUIRES_SHARED(global_) PXQ_REQUIRES(commit_mu_);
   void EndTransaction(Transaction* txn);
 
   std::shared_ptr<storage::PagedStore> base_;

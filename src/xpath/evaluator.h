@@ -20,10 +20,12 @@
 // decomposition, qname resolution, predicate shape detection) lives in
 // the Compiler and is baked into the Plan once per query text instead
 // of being re-derived per call. The index describes ONE specific store
-// — only pass it together with that store (the committed base); a
-// transaction clone must evaluate without it (a cached plan compiled
-// for the indexed base still executes correctly there: every operator
-// carries a scan fallback).
+// — only pass it together with that store (the committed base, under
+// the shared lock); a transaction clone evaluates without it (a cached
+// plan compiled for the indexed base still executes correctly there:
+// every operator carries a scan fallback). Database::Update therefore
+// resolves its first select on the base, inside Begin's shared lock,
+// where base and clone hold the same document.
 #ifndef PXQ_XPATH_EVALUATOR_H_
 #define PXQ_XPATH_EVALUATOR_H_
 

@@ -187,22 +187,11 @@ Status ApplyValue(PagedStore* store, const Update& u, NodeId target,
   }
 }
 
-}  // namespace
-
-StatusOr<ApplyStats> ApplyUpdate(storage::PagedStore* store,
-                                 const Update& u) {
+/// Apply `u` to `targets`, its select's matches as node ids.
+StatusOr<ApplyStats> ApplyToTargets(PagedStore* store, const Update& u,
+                                    const std::vector<NodeId>& targets) {
   ApplyStats stats;
-  SplitSelect sel = Split(u.select);
-
-  // Resolve the target set to immutable node ids up front. The select
-  // rides the compiled pipeline (the Evaluator façade compiles the
-  // path once per update and executes the plan) — scan strategies
-  // only, since a transaction clone carries no index.
-  xpath::Evaluator<PagedStore> ev(*store);
-  PXQ_ASSIGN_OR_RETURN(std::vector<PreId> pres, ev.Eval(sel.nodes));
-  std::vector<NodeId> targets;
-  targets.reserve(pres.size());
-  for (PreId p : pres) targets.push_back(store->NodeAt(p));
+  const SplitSelect sel = Split(u.select);
   stats.targets = static_cast<int64_t>(targets.size());
 
   const bool structural = u.kind == Update::Kind::kRemove ||
@@ -223,11 +212,40 @@ StatusOr<ApplyStats> ApplyUpdate(storage::PagedStore* store,
   return stats;
 }
 
+}  // namespace
+
+StatusOr<std::vector<NodeId>> ResolveTargets(
+    const storage::PagedStore& store, const Update& u,
+    const index::IndexManager* index) {
+  // The target set is pinned as immutable node ids before any edit.
+  // The select rides the compiled pipeline, compiled here rather than
+  // through a plan cache: selects carry literals and would only evict
+  // the readers' plans.
+  xpath::Evaluator<PagedStore> ev(store, index);
+  PXQ_ASSIGN_OR_RETURN(std::vector<PreId> pres,
+                       ev.Eval(Split(u.select).nodes));
+  std::vector<NodeId> targets;
+  targets.reserve(pres.size());
+  for (PreId p : pres) targets.push_back(store.NodeAt(p));
+  return targets;
+}
+
+StatusOr<ApplyStats> ApplyUpdate(storage::PagedStore* store,
+                                 const Update& u) {
+  PXQ_ASSIGN_OR_RETURN(std::vector<NodeId> targets,
+                       ResolveTargets(*store, u));
+  return ApplyToTargets(store, u, targets);
+}
+
 StatusOr<ApplyStats> ApplyUpdates(storage::PagedStore* store,
-                                  const std::vector<Update>& updates) {
+                                  const std::vector<Update>& updates,
+                                  const std::vector<NodeId>* first_targets) {
   ApplyStats total;
-  for (const Update& u : updates) {
-    PXQ_ASSIGN_OR_RETURN(ApplyStats s, ApplyUpdate(store, u));
+  for (size_t i = 0; i < updates.size(); ++i) {
+    PXQ_ASSIGN_OR_RETURN(
+        ApplyStats s, i == 0 && first_targets != nullptr
+                          ? ApplyToTargets(store, updates[i], *first_targets)
+                          : ApplyUpdate(store, updates[i]));
     total.targets += s.targets;
     total.nodes_inserted += s.nodes_inserted;
     total.nodes_deleted += s.nodes_deleted;

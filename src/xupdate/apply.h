@@ -14,6 +14,10 @@
 #include "xupdate/ast.h"
 #include "xupdate/parser.h"
 
+namespace pxq::index {
+class IndexManager;
+}  // namespace pxq::index
+
 namespace pxq::xupdate {
 
 struct ApplyStats {
@@ -23,13 +27,27 @@ struct ApplyStats {
   int64_t value_updates = 0;
 };
 
+/// Evaluate the node part of `update`'s select (a trailing attribute
+/// step split off) on `store`, pinned as node ids in document order.
+/// `index`, when given, must describe `store`: the committed base,
+/// evaluated under the shared lock.
+StatusOr<std::vector<NodeId>> ResolveTargets(
+    const storage::PagedStore& store, const Update& update,
+    const index::IndexManager* index = nullptr);
+
 /// Apply one parsed update to every node its select matches.
 StatusOr<ApplyStats> ApplyUpdate(storage::PagedStore* store,
                                  const Update& update);
 
-/// Apply a batch in order; stats are accumulated.
-StatusOr<ApplyStats> ApplyUpdates(storage::PagedStore* store,
-                                  const std::vector<Update>& updates);
+/// Apply a batch in order; stats are accumulated. `first_targets`, when
+/// given, is ResolveTargets(updates[0]) on a store holding the same
+/// document as `store` (the base `store` was cloned from, before any
+/// edit) and stands in for command 0's select. Node ids are immutable,
+/// so they name the same nodes here. Later commands always evaluate on
+/// `store`, where the earlier commands' edits are visible.
+StatusOr<ApplyStats> ApplyUpdates(
+    storage::PagedStore* store, const std::vector<Update>& updates,
+    const std::vector<NodeId>* first_targets = nullptr);
 
 /// Parse and apply a complete <xupdate:modifications> document.
 StatusOr<ApplyStats> ApplyXUpdate(storage::PagedStore* store,
