@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <string>
 
 #include "common/random.h"
 #include "index/index_manager.h"
@@ -318,11 +319,22 @@ void BM_AttrEqPredicateScan(benchmark::State& state) {
 }
 BENCHMARK(BM_AttrEqPredicateScan)->DenseRange(0, 2);
 
+// last:1 looks up the last of the <person> siblings instead of the
+// first: a lookup's cost must not grow with its node's position.
 void BM_AttrEqPredicateIndexed(benchmark::State& state) {
-  RunQuery(state, IndexedAt(static_cast<int>(state.range(0))),
-           "/site/people/person[@id='person0']", /*use_index=*/true);
+  const IndexedFixture& f = IndexedAt(static_cast<int>(state.range(0)));
+  int64_t id = 0;
+  if (state.range(1) != 0) {
+    xpath::Evaluator<storage::PagedStore> ev(*f.store, f.index.get());
+    id = static_cast<int64_t>(ev.Eval("/site/people/person")->size()) - 1;
+  }
+  const std::string q =
+      "/site/people/person[@id='person" + std::to_string(id) + "']";
+  RunQuery(state, f, q.c_str(), /*use_index=*/true);
 }
-BENCHMARK(BM_AttrEqPredicateIndexed)->DenseRange(0, 2);
+BENCHMARK(BM_AttrEqPredicateIndexed)
+    ->ArgsProduct({{0, 1, 2}, {0, 1}})
+    ->ArgNames({"scale", "last"});
 
 void BM_ChildRangePredicateScan(benchmark::State& state) {
   RunQuery(state, IndexedAt(static_cast<int>(state.range(0))),

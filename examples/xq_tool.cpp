@@ -242,6 +242,13 @@ int main(int argc, char** argv) {
                 static_cast<long long>(lk.slot_collisions),
                 static_cast<long long>(lk.drain_notifies));
     const auto m = db->Metrics();
+    const pxq::obs::Histogram::Snapshot* qh = m.HistOf("pxq_query_latency_ns");
+    std::printf("queries:        %lld run, %lld failed, p50 %.1f us, "
+                "p99 %.1f us\n",
+                static_cast<long long>(qh != nullptr ? qh->count : 0),
+                static_cast<long long>(m.ValueOf("pxq_query_errors_total")),
+                qh != nullptr ? qh->p50() / 1e3 : 0.0,
+                qh != nullptr ? qh->p99() / 1e3 : 0.0);
     std::printf("updates:        %lld retries, %lld gave up after "
                 "retrying, selects %lld on base / %lld on clone\n",
                 static_cast<long long>(m.ValueOf("pxq_update_retries_total")),

@@ -149,6 +149,8 @@ void Database::InitObservability() {
   metrics_.RegisterHistogram("pxq_recovery_replay_ns", &recovery_replay_ns_);
   metrics_.RegisterCounter("pxq_recovery_replayed_commits",
                            &recovery_replayed_commits_);
+  metrics_.RegisterHistogram("pxq_query_latency_ns", &query_latency_ns_);
+  metrics_.RegisterCounter("pxq_query_errors_total", &query_errors_);
   metrics_.RegisterCounter("pxq_update_retries_total", &update_retries_);
   metrics_.RegisterCounter("pxq_update_failures_total", &update_failures_);
   metrics_.RegisterCounter("pxq_update_selects_base_total",
@@ -157,16 +159,27 @@ void Database::InitObservability() {
                            &update_selects_clone_);
 }
 
+void Database::NoteQuery(std::chrono::steady_clock::time_point t0,
+                         bool ok) const {
+  if (!ok) query_errors_.Inc();
+  query_latency_ns_.Record(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
+}
+
 StatusOr<std::vector<PreId>> Database::Query(std::string_view xpath) {
+  const auto t0 = std::chrono::steady_clock::now();
   // Sampling off: ShouldSample is one relaxed load; the evaluation
-  // below is byte-identical to the pre-profiler path (trace == nullptr
-  // inside the executor).
-  if (profiler_->ShouldSample()) {
-    return QueryProfiled(xpath, nullptr);
-  }
-  return txns_->Read([&](const storage::PagedStore& s) {
-    return xpath::EvaluatePath(s, xpath, index_.get(), &plan_cache_);
-  });
+  // below runs untraced (trace == nullptr inside the executor).
+  auto res = profiler_->ShouldSample()
+                 ? QueryProfiled(xpath, nullptr)
+                 : txns_->Read([&](const storage::PagedStore& s) {
+                     return xpath::EvaluatePath(s, xpath, index_.get(),
+                                                &plan_cache_);
+                   });
+  NoteQuery(t0, res.ok());
+  return res;
 }
 
 StatusOr<std::vector<PreId>> Database::QueryProfiled(
@@ -230,13 +243,16 @@ StatusOr<std::string> Database::Profile(std::string_view xpath) {
 
 StatusOr<std::vector<std::string>> Database::QueryStrings(
     std::string_view xpath) {
-  return txns_->Read(
+  const auto t0 = std::chrono::steady_clock::now();
+  auto res = txns_->Read(
       [&](const storage::PagedStore& s)
           -> StatusOr<std::vector<std::string>> {
         xpath::Evaluator<storage::PagedStore> ev(s, index_.get(),
                                                  &plan_cache_);
         return ev.EvalStrings(xpath);
       });
+  NoteQuery(t0, res.ok());
+  return res;
 }
 
 StatusOr<std::string> Database::Explain(std::string_view xpath) {

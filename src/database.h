@@ -13,6 +13,7 @@
 #ifndef PXQ_DATABASE_H_
 #define PXQ_DATABASE_H_
 
+#include <chrono>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -180,6 +181,8 @@ class Database {
   /// with tracing, files a QuerySpan, optionally hands the span back.
   StatusOr<std::vector<PreId>> QueryProfiled(std::string_view xpath,
                                              obs::QuerySpan* span_out);
+  /// Count one finished Query/QueryStrings call started at `t0`.
+  void NoteQuery(std::chrono::steady_clock::time_point t0, bool ok) const;
 
   /// Declared FIRST so it is destroyed LAST: the registry holds raw
   /// pointers to counters owned by the components below.
@@ -189,6 +192,11 @@ class Database {
   /// (snapshot load + WAL redo) and how many commits it replayed.
   obs::Histogram recovery_replay_ns_;
   obs::Counter recovery_replayed_commits_;
+  /// Every Query/QueryStrings call, sampled or not: its wall time (lock
+  /// wait included; the count is the number of queries), and how many
+  /// returned an error. pxq_query_ns holds the sampled spans only.
+  obs::Counter query_errors_;
+  obs::Histogram query_latency_ns_;
   /// Update() attempts after the first, and calls that gave up with
   /// Aborted once their retries ran out.
   obs::Counter update_retries_;

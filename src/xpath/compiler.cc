@@ -368,9 +368,10 @@ class Compiler {
     // Probe-order fusion: [ChainProbe from_root][ChildStep m][gate] —
     // when the gate's posting is clearly rarer than the structural
     // candidate set, probe the value side FIRST and verify structure by
-    // walking each match's ancestor tags. The margin (4x, and a floor
-    // on the structural side) keeps tiny documents on the plain
-    // cascade, where fusion cannot pay for its verification walks.
+    // searching each match's ancestors in the prefix's pair buckets
+    // (O(depth * log bucket) per match). The margin (4x, and a floor on
+    // the structural side) keeps tiny documents on the plain cascade,
+    // where fusion cannot pay for its extra bucket fetches.
     for (size_t i = 0; i + 2 < plan->ops.size(); ++i) {
       PlanOp& chain = plan->ops[i];
       PlanOp& child = plan->ops[i + 1];
@@ -406,8 +407,8 @@ class Compiler {
       fop.sub = gate.sub;
       fop.fused_value_first = true;
       fop.fused_level = static_cast<int32_t>(chain.consumed);
-      // Nearest ancestor first (step m-1 down to step 0); the level
-      // filter pins the walk to the document root.
+      // Nearest ancestor first (step m-1 down to step 0); the pair
+      // buckets these name pin each ancestor's tag and its parent's.
       for (size_t s = chain.consumed; s-- > 0;) {
         fop.fused_anc.push_back(
             pools_.FindQname(plan->path.steps[s].test.name));

@@ -26,6 +26,7 @@
 #include <algorithm>
 #include <chrono>
 #include <iterator>
+#include <limits>
 #include <optional>
 #include <string>
 #include <type_traits>
@@ -173,10 +174,8 @@ class Executor {
       return "gate declined: candidates > " +
              std::to_string(index::IndexManager::kGateRatio) + " * scan=" +
              std::to_string(scan_cost);
-    } else {
-      (void)scan_cost;
-      return "gate: store not indexable";
     }
+    return "gate: store not indexable";
   }
 
   /// Feed the pxq_est_error histogram (|log2(act/est)|) when the
@@ -186,12 +185,12 @@ class Executor {
       if (est >= 0 && index_ != nullptr) {
         index_->RecordEstimateError(est, act);
       }
-    } else {
-      (void)est;
-      (void)act;
     }
   }
 
+  /// Budget for a pair bucket that is only searched (AncestorIn): any
+  /// bucket beats the scan fallback, so the gate never declines it.
+  static constexpr int64_t kNoBudget = std::numeric_limits<int64_t>::max();
 
   StatusOr<std::vector<PreId>> RunOp(const Plan& plan, const PlanOp& op,
                                      std::vector<PreId> ctx,
@@ -339,15 +338,12 @@ class Executor {
           // cost-ordered the cascade — from the estimated-rarest spec
           // (exec_order[0]); a level filter pins the seed's candidates
           // to their absolute level, gated against the document span.
-          // Specs ABOVE the seed then verify by containment merge:
-          // probe their (larger) buckets with an unbounded budget — the
-          // merge is one linear pass over bucket + survivors, always
-          // cheaper than the O(doc) scan fallback, so no gate applies —
-          // and keep survivors with a bucket member as their
-          // fixed-depth ancestor. The pairs tile every level above the
-          // seed, so the merges verify the whole prefix. Specs DEEPER
-          // than the seed join downward in level order, each gated
-          // against the surviving regions' span.
+          // Specs ABOVE the seed then verify each survivor by one
+          // AncestorIn search in their (larger) buckets, fetched with
+          // kNoBudget. The pairs tile every level above the seed, so
+          // the searches verify the whole prefix. Specs DEEPER than the
+          // seed join downward in level order, each gated against the
+          // surviving regions' span.
           const ChainProbeSpec& s0 =
               op.probes[op.exec_order.empty() ? 0 : op.exec_order[0]];
           const int64_t doc_span = store_.SizeAt(store_.Root()) + 1;
@@ -364,13 +360,12 @@ class Executor {
               if (sp.abs_level >= s0.abs_level) continue;
               if (res.empty()) break;  // empty result is exact
               auto ui = index_->PathPairProbe(store_, sp.parent_qn,
-                                              sp.self_qn, doc_span);
+                                              sp.self_qn, kNoBudget);
               if (ui == nullptr) {
                 answered = false;
                 break;
               }
-              res = KeepDescendantsAtDepth(res, *ui,
-                                           s0.abs_level - sp.abs_level);
+              KeepWithAncestorIn(&res, *ui, sp.abs_level);
             }
             int32_t cur_level = s0.abs_level;
             for (const ChainProbeSpec& sp : op.probes) {
@@ -425,10 +420,11 @@ class Executor {
   /// Probe-order fusion (value-first): the compiler judged the fused
   /// value/attr posting far rarer than the structural candidate set, so
   /// probe the VALUE side over the whole document first, then verify
-  /// each match structurally — element tag, absolute level, and the
-  /// root-anchored ancestor tag chain. Falls back to the stepwise
-  /// prefix + predicate scan (exactly the unfused operator trio) when
-  /// no index is attached or a gate declines.
+  /// each match structurally: its tag and absolute level, then its
+  /// ancestors by AncestorIn searches in the prefix's pair buckets,
+  /// O(depth · log bucket) per match whatever its position. Falls back
+  /// to the stepwise prefix + predicate scan (exactly the unfused
+  /// operator trio) when no index is attached or a gate declines.
   StatusOr<std::vector<PreId>> RunFusedProbe(const Plan& plan,
                                              const PlanOp& op,
                                              std::string* strategy) const {
@@ -436,8 +432,19 @@ class Executor {
     if constexpr (kIndexable) {
       if (index_ != nullptr) {
         const int64_t doc_span = store_.SizeAt(store_.Root()) + 1;
+        const int32_t level = op.fused_level;
+        const size_t n = op.fused_anc.size();
+        // Pair bucket of the fused step's ancestor k levels up (k = 0:
+        // the step itself; parent -1 above the root). Only searched, so
+        // fetched with no budget; null only when the index is disabled.
+        auto bucket = [&](size_t k) {
+          return index_->PathPairProbe(store_, k < n ? op.fused_anc[k] : -1,
+                                       k == 0 ? op.qn : op.fused_anc[k - 1],
+                                       kNoBudget);
+        };
         bool answered = true;
         std::vector<PreId> owners;
+        size_t verified = 0;  // ancestors whose tag a lookup has checked
         if (op.shape == PredShape::kAttr) {
           // A never-interned attr name matches nothing: empty, exact.
           if (op.attr_qn >= 0) {
@@ -446,82 +453,71 @@ class Executor {
                     ? index_->AttrOwners(store_, op.attr_qn, doc_span)
                     : index_->AttrValueProbe(store_, op.attr_qn, pred.op,
                                              pred.value, doc_span);
-            if (!cand) {
-              answered = false;
-            } else {
-              owners = std::move(*cand);
-            }
+            answered = cand.has_value();
+            if (cand) owners = std::move(*cand);
+            std::erase_if(owners, [&](PreId p) {
+              return store_.KindAt(p) != NodeKind::kElement ||
+                     store_.RefAt(p) != op.qn || store_.LevelAt(p) != level;
+            });
           }
-        } else {  // PredShape::kChildValue
-          if (op.child_qn >= 0) {
-            std::vector<PreId> kids, complex_rest;
-            if (pred.kind == Predicate::Kind::kExists) {
-              auto cand =
-                  index_->ElementsByQname(store_, op.child_qn, doc_span);
-              if (!cand) {
-                answered = false;
-              } else {
-                kids = *cand;
-              }
-            } else if (!index_->ChildValueProbe(store_, op.child_qn,
-                                                pred.op, pred.value,
-                                                doc_span, &kids,
-                                                &complex_rest)) {
-              answered = false;
+        } else if (op.child_qn >= 0) {  // PredShape::kChildValue
+          std::vector<PreId> kids, complex_rest;
+          if (pred.kind == Predicate::Kind::kExists) {
+            auto cand = index_->ElementsByQname(store_, op.child_qn, doc_span);
+            answered = cand != nullptr;
+            if (cand != nullptr) kids = *cand;
+          } else {
+            answered = index_->ChildValueProbe(store_, op.child_qn, pred.op,
+                                               pred.value, doc_span, &kids,
+                                               &complex_rest);
+          }
+          // A child's owner is its ancestor at `level` in the step's own
+          // bucket; that lookup also checks the owner's and its parent's
+          // tags.
+          if (answered && (!kids.empty() || !complex_rest.empty())) {
+            const std::vector<PreId>* self = bucket(0);
+            answered = self != nullptr;
+            verified = 1;
+            auto owner_of = [&](PreId c) {
+              return store_.LevelAt(c) == level + 1
+                         ? AncestorIn(*self, c, level)
+                         : PreId{-1};
+            };
+            for (size_t i = 0; answered && i < kids.size(); ++i) {
+              if (PreId o = owner_of(kids[i]); o >= 0) owners.push_back(o);
             }
-            if (answered) {
-              for (PreId c : kids) {
-                auto anc = DescendToAncestors(store_, c);
-                if (!anc.empty()) owners.push_back(anc.back());
-              }
-              // Children whose value the index does not cover (element
-              // content): evaluate those owners exactly.
-              for (PreId c : complex_rest) {
-                auto anc = DescendToAncestors(store_, c);
-                if (anc.empty()) continue;
-                PXQ_ASSIGN_OR_RETURN(
-                    bool ok, EvalValuePredicate(plan, op, anc.back()));
-                if (ok) owners.push_back(anc.back());
-              }
-              Normalize(&owners);
+            // Children whose value the index does not cover (element
+            // content): evaluate those owners exactly.
+            for (size_t i = 0; answered && i < complex_rest.size(); ++i) {
+              const PreId o = owner_of(complex_rest[i]);
+              if (o < 0) continue;
+              PXQ_ASSIGN_OR_RETURN(bool ok, EvalValuePredicate(plan, op, o));
+              if (ok) owners.push_back(o);
             }
+            Normalize(&owners);
           }
         }
+        // The ancestor k levels up found in bucket(k) has the tags of
+        // ancestors k and k + 1, so every other bucket covers the chain.
+        for (size_t k = verified + 1; k <= n && answered && !owners.empty();
+             k += 2) {
+          const std::vector<PreId>* b = bucket(k);
+          answered = b != nullptr;
+          if (answered) KeepWithAncestorIn(&owners, *b, level - int32_t(k));
+        }
         if (answered) {
-          std::vector<PreId> res;
-          for (PreId p : owners) {
-            if (store_.KindAt(p) != NodeKind::kElement ||
-                store_.RefAt(p) != op.qn ||
-                store_.LevelAt(p) != op.fused_level) {
-              continue;
-            }
-            auto anc = DescendToAncestors(store_, p);  // root..parent
-            if (anc.size() != op.fused_anc.size()) continue;
-            bool ok = true;
-            for (size_t i = 0; i < op.fused_anc.size(); ++i) {
-              // fused_anc is nearest-first; the walk is root-first.
-              PreId a = anc[anc.size() - 1 - i];
-              if (op.fused_anc[i] < 0 ||
-                  store_.KindAt(a) != NodeKind::kElement ||
-                  store_.RefAt(a) != op.fused_anc[i]) {
-                ok = false;
-                break;
-              }
-            }
-            if (ok) res.push_back(p);
-          }
           if (CrossChecking()) {
             PXQ_ASSIGN_OR_RETURN(std::vector<PreId> scan,
                                  ChildNamePrefix(plan, op, /*scan=*/true));
             PXQ_ASSIGN_OR_RETURN(scan, ScanFilterOne(plan, op, scan));
             PXQ_RETURN_IF_ERROR(VerifyCrossCheck(
-                scan, res,
+                scan, owners,
                 "fused value-first probe (step " +
                     std::to_string(op.step) + ")"));
           }
           Note(strategy, "fused value probe (value-first) [gate accepted "
                          "vs scan=" + std::to_string(doc_span) + "]");
-          return res;
+          return owners;
         }
       }
     }
@@ -872,19 +868,10 @@ class Executor {
       if (index_ == nullptr || step.test.kind != NodeTest::Kind::kName) {
         return false;
       }
-      // Scan cost: the span the staircase scan would walk.
-      int64_t span = 0;
-      PreId scanned_to = -1;
-      for (PreId c : ctx) {
-        PreId end = c + store_.SizeAt(c);
-        if (end <= scanned_to) continue;
-        span += end - std::max(c, scanned_to);
-        scanned_to = end;
-      }
-      auto pres = index_->ElementsByQname(store_, qn, span);
+      auto pres = index_->ElementsByQname(store_, qn, RegionSpan(ctx));
       if (!pres) return false;
       std::vector<PreId> res;
-      scanned_to = -1;
+      PreId scanned_to = -1;
       auto it = pres->begin();
       for (PreId c : ctx) {
         const PreId end = c + store_.SizeAt(c);
@@ -907,14 +894,8 @@ class Executor {
       }
       *out = std::move(res);
       return true;
-    } else {
-      (void)step;
-      (void)ctx;
-      (void)qn;
-      (void)or_self;
-      (void)out;
-      return false;
     }
+    return false;
   }
 
   /// child name step via the qname postings: swizzle the postings into
@@ -928,22 +909,13 @@ class Executor {
       if (index_ == nullptr || step.test.kind != NodeTest::Kind::kName) {
         return false;
       }
-      // Scan cost: the deduplicated region span is an upper bound on
-      // the child walk (ForEachChild skips subtrees, so the true cost
-      // is the child count; the gate errs toward probing only when the
-      // postings are small relative to the regions).
-      int64_t span = 0;
-      PreId scanned_to = -1;
-      for (PreId c : ctx) {
-        if (store_.KindAt(c) != NodeKind::kElement) continue;
-        PreId end = c + store_.SizeAt(c);
-        if (end <= scanned_to) continue;
-        span += end - std::max(c, scanned_to);
-        scanned_to = end;
-      }
-      auto pres = index_->ElementsByQname(store_, qn, span);
+      // Scan cost: the region span is an upper bound on the child walk
+      // (ForEachChild skips subtrees, so the true cost is the child
+      // count; the gate errs toward probing only when the postings are
+      // small relative to the regions).
+      auto pres = index_->ElementsByQname(store_, qn, RegionSpan(ctx));
       if (!pres) return false;
-      std::vector<PreId> res = KeepChildrenOf(*pres, ctx);
+      std::vector<PreId> res = KeepDescendantsAtDepth(*pres, ctx, 1);
       index_->NoteChildStepHit();
       if (CrossChecking()) {
         PXQ_RETURN_IF_ERROR(
@@ -952,13 +924,8 @@ class Executor {
       }
       *out = std::move(res);
       return true;
-    } else {
-      (void)step;
-      (void)ctx;
-      (void)qn;
-      (void)out;
-      return false;
     }
+    return false;
   }
 
   /// Index path for a gate op's compile-time predicate shape. Returns
@@ -1048,12 +1015,8 @@ class Executor {
       }
       *nodes = std::move(*kept);
       return true;
-    } else {
-      (void)plan;
-      (void)op;
-      (void)nodes;
-      return false;
     }
+    return false;
   }
 
   static std::vector<PreId> IntersectSorted(const std::vector<PreId>& a,
@@ -1085,11 +1048,18 @@ class Executor {
     return kept;
   }
 
-  /// Candidates (sorted pres) that are a DIRECT child of some parent in
-  /// `parents`: inside a parent's region, exactly one level below it.
-  std::vector<PreId> KeepChildrenOf(const std::vector<PreId>& cand,
-                                    const std::vector<PreId>& parents) const {
-    return KeepDescendantsAtDepth(cand, parents, 1);
+  /// The deduplicated span of the context regions: the tuples a
+  /// staircase scan over them would walk (the gate's scan cost).
+  int64_t RegionSpan(const std::vector<PreId>& ctx) const {
+    int64_t span = 0;
+    PreId scanned_to = -1;
+    for (PreId c : ctx) {
+      const PreId end = c + store_.SizeAt(c);
+      if (end <= scanned_to) continue;
+      span += end - std::max(c, scanned_to);
+      scanned_to = end;
+    }
+    return span;
   }
 
   /// Candidates (sorted pres) lying in some ancestor's region exactly
@@ -1114,6 +1084,36 @@ class Executor {
     }
     Normalize(&out);
     return out;
+  }
+
+  /// The entry of a sorted pair bucket that is `c`'s ancestor(-or-self)
+  /// at `level`, else -1. Same-level regions are disjoint, so only the
+  /// nearest `level` entry before `c` can contain it; an entry above
+  /// `level` ends the walk (the wanted ancestor would come after it).
+  PreId AncestorIn(const std::vector<PreId>& bucket, PreId c,
+                   int32_t level) const {
+    for (auto it = std::upper_bound(bucket.begin(), bucket.end(), c);
+         it != bucket.begin();) {
+      const PreId e = *--it;
+      const int32_t l = store_.LevelAt(e);
+      if (l < level) break;
+      if (l == level) return c <= e + store_.SizeAt(e) ? e : -1;
+    }
+    return -1;
+  }
+
+  /// Keep the sorted `nodes` whose ancestor at `level` is in `bucket`;
+  /// only the first node of a run under one ancestor searches.
+  void KeepWithAncestorIn(std::vector<PreId>* nodes,
+                          const std::vector<PreId>& bucket,
+                          int32_t level) const {
+    PreId a = -1, end = -1;  // the last ancestor found, its region end
+    std::erase_if(*nodes, [&](PreId c) {
+      if (c > a && c <= end) return false;
+      a = AncestorIn(bucket, c, level);
+      end = a < 0 ? -1 : a + store_.SizeAt(a);
+      return a < 0;
+    });
   }
 
   const Store& store_;

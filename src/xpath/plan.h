@@ -119,10 +119,11 @@ struct PlanOp {
   /// kValueProbeGate fused into a from_root cascade (probe-order
   /// fusion): the estimator judged the value/attr posting rarer than
   /// the structural candidate set, so the executor probes the VALUE
-  /// side first and verifies structure by walking each match's
-  /// ancestor tags against `fused_anc` (nearest ancestor first, -1 =
-  /// above the document root) at `fused_level`. Scan fallback and
-  /// cross-check behave exactly like the unfused pair.
+  /// side first, keeps matches tagged `qn` at `fused_level`, and
+  /// verifies their ancestors in the pair buckets `fused_anc` names
+  /// (nearest ancestor first; the ancestor k levels up lies in the
+  /// (fused_anc[k], fused_anc[k-1]) bucket, parent -1 above the root).
+  /// Scan fallback and cross-check behave exactly like the unfused pair.
   bool fused_value_first = false;
   int32_t fused_level = -1;
   std::vector<QnameId> fused_anc;

@@ -88,6 +88,10 @@ std::vector<PreId> StaircasePreceding(const Store& store,
 
 /// Ancestor chain of one node (root..parent) by descending from the
 /// root, skipping over sibling subtrees whose region misses the target.
+/// Cost: O(preceding siblings per level), so it grows with the node's
+/// position. Only the scan axes (parent, ancestor, preceding-sibling)
+/// use it; index-side ancestor checks search the pair buckets instead
+/// (Executor::AncestorIn).
 template <typename Store>
 std::vector<PreId> DescendToAncestors(const Store& store, PreId target) {
   std::vector<PreId> chain;

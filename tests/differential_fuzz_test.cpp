@@ -136,6 +136,13 @@ const char* const kQueries[] = {
     "//person[name][@id='p3']",
     "/site/people/person[age][@id='p2']/name",
     "//item[@k][price]",
+    // Root-anchored value lookups: fused value-first probes once the
+    // structural side is 4x the value side, so renames and moves reach
+    // the ancestor lookups in the pair buckets.
+    "/site/people/person[@id='p3']/name",
+    "/site/regions/zone/area/item[@k='110']",
+    "/site/regions/zone/area/item[price='330']",
+    "/site/regions/zonex/area/item[@k='110']",
     // Nested, multi-step and positional predicate shapes: compiled
     // predicate sub-plans and per-origin positional sub-plans.
     "//area[item[@k='110']]",

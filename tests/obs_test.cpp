@@ -383,6 +383,23 @@ TEST(DatabaseObsTest, SamplingOffRecordsNothing) {
   EXPECT_EQ(db->Metrics().ValueOf("pxq_profile_spans_total"), 0);
 }
 
+TEST(DatabaseObsTest, UnsampledQueriesAreCountedAndTimed) {
+  auto db = std::move(Database::CreateFromXml(kDoc).value());
+  constexpr int kN = 12;
+  for (int i = 0; i < kN - 2; ++i) {
+    ASSERT_TRUE(db->Query("/site/people/person/name").ok());
+  }
+  ASSERT_TRUE(db->QueryStrings("/site/people/person/@id").ok());
+  EXPECT_FALSE(db->Query("/site/people/person[").ok());  // malformed
+  const auto m = db->Metrics();
+  ASSERT_NE(m.HistOf("pxq_query_latency_ns"), nullptr);
+  EXPECT_EQ(m.HistOf("pxq_query_latency_ns")->count, kN);
+  EXPECT_EQ(m.ValueOf("pxq_query_errors_total"), 1);
+  EXPECT_GT(m.HistOf("pxq_query_latency_ns")->sum, 0);
+  // Sampling stays off: the profiler saw none of them.
+  EXPECT_EQ(db->profiler().SpanCount(), 0u);
+}
+
 TEST(DatabaseObsTest, SampledQueriesFileSpans) {
   Database::Options opts;
   opts.profile_sample_n = 1;

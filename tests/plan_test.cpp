@@ -498,6 +498,107 @@ TEST(SelectivityTest, FusesRareValueProbeIntoChainPrefix) {
   EXPECT_NE(explain->find("(value-first)"), std::string::npos) << *explain;
 }
 
+// The fused probe finds a match's ancestors by AncestorIn searches in
+// the prefix's pair buckets. Each case runs `q` through the index, the
+// reference evaluator and the no-index fallback of the same plan, and
+// requires a fused plan that the index answered.
+void ExpectFusedLookup(const std::string& xml, const char* q, size_t want) {
+  SCOPED_TRACE(q);
+  auto store = BuildStore(xml);
+  index::IndexManager idx(index::IndexConfig{});
+  idx.Rebuild(*store);
+  auto plan = xpath::CompileText(q, store->pools(), &idx);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_FALSE(plan->ops.empty());
+  ASSERT_EQ(plan->ops[0].kind, OpKind::kFusedProbe) << plan->Describe();
+  xpath::ReferenceEvaluator<storage::PagedStore> rev(*store);
+  auto ref = rev.Eval(xpath::ParsePath(q).value());
+  ASSERT_TRUE(ref.ok());
+  EXPECT_EQ(ref->size(), want);
+  xpath::Evaluator<storage::PagedStore> ev(*store, &idx);
+  auto res = ev.Eval(q);
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  EXPECT_EQ(res.value(), ref.value());
+  xpath::Executor<storage::PagedStore> noidx(*store, nullptr);
+  auto fb = noidx.RunOps(plan.value(), {});
+  ASSERT_TRUE(fb.ok());
+  EXPECT_EQ(fb.value(), ref.value());
+  auto explain = ev.Explain(q);
+  ASSERT_TRUE(explain.ok());
+  EXPECT_NE(explain->find("-> fused value probe"), std::string::npos)
+      << *explain;
+}
+
+TEST(SelectivityTest, FusedLookupRejectsWrongAncestorChain) {
+  // Right tag and level, wrong parent: <vendors> before and after
+  // <people>, so the nearest (site, people) entry exists but does not
+  // contain the match.
+  std::string xml = "<site><vendors><person id='x'/></vendors><people>";
+  for (int i = 0; i < 32; ++i) {
+    xml += "<person id='p" + std::to_string(i) + "'/>";
+  }
+  xml += "</people><vendors><person id='y'/></vendors></site>";
+  ExpectFusedLookup(xml, "/site/people/person[@id='x']", 0);
+  ExpectFusedLookup(xml, "/site/people/person[@id='y']", 0);
+  ExpectFusedLookup(xml, "/site/people/person[@id='p3']", 1);
+
+  // Right parent tag, wrong grandparent: items under zonex/area.
+  xml = "<site><regions><zone><area>";
+  for (int i = 0; i < 20; ++i) {
+    xml += "<item k='" + std::to_string(i) + "'/>";
+  }
+  xml += "</area></zone><zonex><area><item k='w'/></area></zonex>"
+         "</regions></site>";
+  ExpectFusedLookup(xml, "/site/regions/zone/area/item[@k='w']", 0);
+  ExpectFusedLookup(xml, "/site/regions/zone/area/item[@k='19']", 1);
+}
+
+TEST(SelectivityTest, FusedLookupFindsLastOfManySiblings) {
+  ExpectFusedLookup(SitePersons(500), "/site/people/person[@id='p499']", 1);
+  std::string xml = "<site><people>";
+  for (int i = 0; i < 300; ++i) {
+    xml += "<person><name>n" + std::to_string(i) + "</name></person>";
+  }
+  xml += "</people></site>";
+  ExpectFusedLookup(xml, "/site/people/person[name='n299']", 1);
+  ExpectFusedLookup(xml, "/site/people/person[name='n0']", 1);
+}
+
+TEST(SelectivityTest, FusedLookupStepsBackOverNestedBucketLevels) {
+  // (parlist, listitem) holds entries at levels 3 and 5. A level-3
+  // owner's <name> follows its nested level-5 listitems, so the
+  // owner search steps back over them; a <name> under an <other> at
+  // level 5 meets a level-3 entry first and has no owner.
+  std::string xml = "<site><d><parlist>";
+  for (int i = 0; i < 20; ++i) {
+    const std::string n = std::to_string(i);
+    xml += "<listitem><parlist><other><name>v" + n +
+           "</name></other><listitem><name>in" + n +
+           "</name></listitem><listitem/></parlist><name>v" + n +
+           "</name></listitem>";
+  }
+  xml += "</parlist></d></site>";
+  ExpectFusedLookup(xml, "/site/d/parlist/listitem[name='v7']", 1);
+  ExpectFusedLookup(xml, "/site/d/parlist/listitem[name='in7']", 0);
+  ExpectFusedLookup(
+      xml, "/site/d/parlist/listitem/parlist/listitem[name='in7']", 1);
+  ExpectFusedLookup(
+      xml, "/site/d/parlist/listitem/parlist/listitem[name='v7']", 0);
+}
+
+TEST(SelectivityTest, FusedLookupSearchesBucketsOverHalfTheDocument) {
+  // The (a, b) bucket holds 1,020 of the document's 1,041 elements:
+  // gated like a scan it would decline, yet it is only searched.
+  std::string xml = "<a>";
+  for (int i = 0; i < 1000; ++i) xml += "<b/>";
+  for (int i = 0; i < 20; ++i) {
+    xml += "<b><c id='c" + std::to_string(i) + "'/></b>";
+  }
+  xml += "</a>";
+  ExpectFusedLookup(xml, "/a/b/c[@id='c19']", 1);
+  ExpectFusedLookup(xml, "/a/b/c[@id='c0']", 1);
+}
+
 TEST(SelectivityTest, CascadeSeedsFromRarestPair) {
   // 21 <regions> each hold a <zone>; only one zone has the (zone, area)
   // continuation. Cost order seeds from that rare pair and verifies
