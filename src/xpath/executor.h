@@ -188,8 +188,7 @@ class Executor {
     }
   }
 
-  /// Budget for a pair bucket that is only searched (AncestorIn): any
-  /// bucket beats the scan fallback, so the gate never declines it.
+  /// Budget for a bucket only searched (AncestorIn): the gate accepts.
   static constexpr int64_t kNoBudget = std::numeric_limits<int64_t>::max();
 
   StatusOr<std::vector<PreId>> RunOp(const Plan& plan, const PlanOp& op,
@@ -471,9 +470,8 @@ class Executor {
                                                pred.value, doc_span, &kids,
                                                &complex_rest);
           }
-          // A child's owner is its ancestor at `level` in the step's own
-          // bucket; that lookup also checks the owner's and its parent's
-          // tags.
+          // A child's owner: its ancestor at `level` in the step's own
+          // bucket, which checks the owner's and its parent's tags.
           if (answered && (!kids.empty() || !complex_rest.empty())) {
             const std::vector<PreId>* self = bucket(0);
             answered = self != nullptr;
@@ -909,10 +907,9 @@ class Executor {
       if (index_ == nullptr || step.test.kind != NodeTest::Kind::kName) {
         return false;
       }
-      // Scan cost: the region span is an upper bound on the child walk
-      // (ForEachChild skips subtrees, so the true cost is the child
-      // count; the gate errs toward probing only when the postings are
-      // small relative to the regions).
+      // Scan cost: the region span bounds the child walk from above
+      // (ForEachChild skips subtrees; the gate errs toward probing only
+      // when the postings are small relative to the regions).
       auto pres = index_->ElementsByQname(store_, qn, RegionSpan(ctx));
       if (!pres) return false;
       std::vector<PreId> res = KeepDescendantsAtDepth(*pres, ctx, 1);
@@ -1107,13 +1104,16 @@ class Executor {
   void KeepWithAncestorIn(std::vector<PreId>* nodes,
                           const std::vector<PreId>& bucket,
                           int32_t level) const {
+    size_t kept = 0;
     PreId a = -1, end = -1;  // the last ancestor found, its region end
-    std::erase_if(*nodes, [&](PreId c) {
-      if (c > a && c <= end) return false;
-      a = AncestorIn(bucket, c, level);
-      end = a < 0 ? -1 : a + store_.SizeAt(a);
-      return a < 0;
-    });
+    for (PreId c : *nodes) {
+      if (c <= a || c > end) {
+        a = AncestorIn(bucket, c, level);
+        end = a < 0 ? -1 : a + store_.SizeAt(a);
+      }
+      if (a >= 0) (*nodes)[kept++] = c;
+    }
+    nodes->resize(kept);
   }
 
   const Store& store_;
