@@ -206,8 +206,9 @@ StatusOr<std::vector<PreId>> Database::QueryProfiled(
     span.result_count = static_cast<int64_t>(tr.nodes.size());
     span.ops.reserve(tr.trace.size());
     for (const xpath::OpTrace& t : tr.trace) {
-      span.ops.push_back({t.op, tr.plan->DescribeOp(t.op), t.strategy,
-                          t.in, t.out, t.wall_ns, t.index_probes});
+      span.ops.push_back({t.op, tr.plan->DescribeOp(t.op, tr.literals),
+                          t.strategy, t.in, t.out, t.wall_ns,
+                          t.index_probes});
     }
   } else {
     span.ok = false;

@@ -39,10 +39,12 @@ void PutStr(std::string* b, const std::string& s) {
   b->append(s);
 }
 
-// Tuples [lo, hi) of a column as one byte run.
+// Tuples [lo, hi) of a column as one byte run. An empty range copies
+// nothing: an empty column's data() may be null.
 template <typename T>
 void PutColumn(std::string* b, const std::vector<T>& v, size_t lo,
                size_t hi) {
+  if (hi == lo) return;
   b->append(reinterpret_cast<const char*>(v.data() + lo),
             (hi - lo) * sizeof(T));
 }
@@ -78,11 +80,13 @@ class Reader {
     pos_ += n;
     return true;
   }
-  // Inverse of PutColumn: fills all of `v`.
+  // Inverse of PutColumn: fills all of `v`. An empty column (an empty
+  // tuple range) reads nothing; its data() may be null.
   template <typename T>
   bool Column(std::vector<T>* v) {
     const size_t n = v->size() * sizeof(T);
     if (n > size_ - pos_) return false;
+    if (n == 0) return true;
     std::memcpy(v->data(), data_ + pos_, n);
     pos_ += n;
     return true;

@@ -48,7 +48,7 @@ const char* OpName(CmpOp op) {
 
 }  // namespace
 
-std::string ToString(const Step& step) {
+std::string ToString(const Step& step, Literals bound) {
   std::string out = AxisName(step.axis);
   out += "::";
   out += TestName(step.test);
@@ -65,12 +65,12 @@ std::string ToString(const Step& step) {
       case Predicate::Kind::kCompare: {
         for (size_t i = 0; i < p.rel.size(); ++i) {
           if (i) out += '/';
-          out += ToString(p.rel[i]);
+          out += ToString(p.rel[i], bound);
         }
         if (p.kind == Predicate::Kind::kCompare) {
           out += OpName(p.op);
           out += '\'';
-          out += p.value;
+          out += LiteralOf(p, bound);
           out += '\'';
         }
         break;
@@ -81,12 +81,12 @@ std::string ToString(const Step& step) {
   return out;
 }
 
-std::string ToString(const Path& path) {
+std::string ToString(const Path& path, Literals bound) {
   std::string out;
   if (path.absolute) out += '/';
   for (size_t i = 0; i < path.steps.size(); ++i) {
     if (i) out += '/';
-    out += ToString(path.steps[i]);
+    out += ToString(path.steps[i], bound);
   }
   return out;
 }

@@ -4,6 +4,7 @@
 #define PXQ_XPATH_AST_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -54,6 +55,10 @@ struct Predicate {
   std::vector<struct Step> rel;     // kExists / kCompare: relative steps
   CmpOp op = CmpOp::kEq;            // kCompare
   std::string value;                // kCompare literal
+  /// kCompare with a quoted literal: its parameter slot, the literal's
+  /// index among the text's quoted literals in textual order (-1: an
+  /// unquoted numeric literal, which is part of the query's shape).
+  int32_t param = -1;
 };
 
 struct Step {
@@ -68,9 +73,22 @@ struct Path {
   std::vector<Step> steps;
 };
 
-/// Render back to XPath syntax (diagnostics, test output).
-std::string ToString(const Path& path);
-std::string ToString(const Step& step);
+/// The literals bound to a query shape's parameter slots for one
+/// execution, in slot order. Empty: every predicate tests its own
+/// `value`, the literal of the text it was parsed from.
+using Literals = std::span<const std::string>;
+
+/// The literal a compare predicate tests against under `bound`.
+inline const std::string& LiteralOf(const Predicate& p, Literals bound) {
+  return p.param >= 0 && !bound.empty()
+             ? bound[static_cast<size_t>(p.param)]
+             : p.value;
+}
+
+/// Render back to XPath syntax (diagnostics, test output), with the
+/// `bound` literals in the parameter slots.
+std::string ToString(const Path& path, Literals bound = {});
+std::string ToString(const Step& step, Literals bound = {});
 
 }  // namespace pxq::xpath
 

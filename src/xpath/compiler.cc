@@ -26,6 +26,94 @@ bool PlainName(const Step& s, Axis axis) {
          s.predicates.empty();
 }
 
+const Predicate& PredicateOf(const Plan& plan, const PlanOp& op) {
+  return plan.path.steps[static_cast<size_t>(op.step)]
+      .predicates[static_cast<size_t>(op.pred)];
+}
+
+/// A conjunctive predicate filter: a member of a reorderable run.
+bool IsPredOp(const PlanOp& o) {
+  return o.kind == OpKind::kValueProbeGate || o.kind == OpKind::kExistsFilter;
+}
+
+/// An index-shaped predicate op whose estimate reads a quoted literal.
+bool ReadsLiteral(const Plan& plan, const PlanOp& op) {
+  return (op.kind == OpKind::kValueProbeGate ||
+          op.kind == OpKind::kFusedProbe) &&
+         PredicateOf(plan, op).param >= 0;
+}
+
+/// Estimated candidate count of one index-shaped predicate op, for the
+/// `bound` literals (empty: the literals the plan was compiled from).
+index::CardEstimate EstimateGate(const Plan& plan, const PlanOp& op,
+                                 const index::CardinalityEstimator& est,
+                                 Literals bound) {
+  const Predicate& p = PredicateOf(plan, op);
+  const bool exists = p.kind == Predicate::Kind::kExists;
+  const std::string& literal = LiteralOf(p, bound);
+  switch (op.shape) {
+    case PredShape::kAttr:
+      return est.Attr(op.attr_qn, /*any_value=*/exists, p.op, literal);
+    case PredShape::kChildValue:
+      return exists ? est.ChildExists(op.child_qn)
+                    : est.ChildValue(op.child_qn, p.op, literal);
+    case PredShape::kChildAttr: {
+      // Candidates own a child_qn child bearing the attribute, so
+      // both counts bound the set; keep the smaller known one.
+      index::CardEstimate a =
+          est.Attr(op.attr_qn, /*any_value=*/exists, p.op, literal);
+      index::CardEstimate c = est.ChildExists(op.child_qn);
+      if (!a.known) return c;
+      if (!c.known) return a;
+      return a.upper <= c.upper ? a : c;
+    }
+    case PredShape::kNone:
+      break;
+  }
+  return {};
+}
+
+/// Sort key of a predicate run: rarest-known first, unknown estimates
+/// keep syntactic order at the back (never guess).
+int64_t RunKey(int64_t est) {
+  return est >= 0 ? est : std::numeric_limits<int64_t>::max();
+}
+
+/// End of the predicate run that starts at ops[b]: the maximal
+/// contiguous stretch of `member` ops for one step.
+template <typename Member>
+size_t RunEnd(const std::vector<PlanOp>& ops, size_t b, Member member) {
+  size_t e = b;
+  while (e < ops.size() && member(ops[e]) && ops[e].step == ops[b].step) ++e;
+  return e;
+}
+
+/// [ChainProbe from_root][ChildStep m][gate] at ops[i..i+2] in the
+/// shape value-first fusion takes; the estimates decide whether it
+/// does (Fuses).
+bool FusionShape(const Plan& plan, size_t i) {
+  if (i + 2 >= plan.ops.size()) return false;
+  const PlanOp& chain = plan.ops[i];
+  const PlanOp& child = plan.ops[i + 1];
+  const PlanOp& gate = plan.ops[i + 2];
+  return chain.kind == OpKind::kChainProbe && chain.from_root &&
+         !chain.missing_name && child.kind == OpKind::kChildStep &&
+         child.qn >= 0 &&
+         child.step == static_cast<int32_t>(chain.consumed) &&
+         gate.kind == OpKind::kValueProbeGate && gate.step == child.step &&
+         (gate.shape == PredShape::kAttr ||
+          gate.shape == PredShape::kChildValue);
+}
+
+/// Fuse when the gate's posting is clearly rarer than the structural
+/// candidate set: 4x, and a floor on the structural side that keeps
+/// tiny documents on the plain cascade, where fusion cannot pay for
+/// its extra bucket fetches.
+bool Fuses(int64_t gate_est, const index::CardEstimate& structural) {
+  return gate_est >= 0 && structural.known && structural.upper >= 16 &&
+         gate_est * 4 <= structural.upper;
+}
+
 class Compiler {
  public:
   Compiler(const storage::ContentPools& pools,
@@ -273,34 +361,6 @@ class Compiler {
     }
   }
 
-  /// Estimated candidate count of one index-shaped predicate op.
-  index::CardEstimate EstimateGate(const Plan& plan, const PlanOp& op,
-                                   const index::CardinalityEstimator& est) {
-    const Predicate& p = plan.path.steps[static_cast<size_t>(op.step)]
-                             .predicates[static_cast<size_t>(op.pred)];
-    const bool exists = p.kind == Predicate::Kind::kExists;
-    switch (op.shape) {
-      case PredShape::kAttr:
-        return est.Attr(op.attr_qn, /*any_value=*/exists, p.op, p.value);
-      case PredShape::kChildValue:
-        return exists ? est.ChildExists(op.child_qn)
-                      : est.ChildValue(op.child_qn, p.op, p.value);
-      case PredShape::kChildAttr: {
-        // Candidates own a child_qn child bearing the attribute, so
-        // both counts bound the set; keep the smaller known one.
-        index::CardEstimate a =
-            est.Attr(op.attr_qn, /*any_value=*/exists, p.op, p.value);
-        index::CardEstimate c = est.ChildExists(op.child_qn);
-        if (!a.known) return c;
-        if (!c.known) return a;
-        return a.upper <= c.upper ? a : c;
-      }
-      case PredShape::kNone:
-        break;
-    }
-    return {};
-  }
-
   /// The cost-based pass (DESIGN.md §9): stamp estimates into the plan,
   /// reorder conjunctive predicates rarest-first, pick the cascade
   /// probe order by estimated bucket size, and fuse a from_root prefix
@@ -310,7 +370,10 @@ class Compiler {
   /// ancestor is unique, so cascade joins compose in any order) and
   /// every shape keeps its scan fallback. A plan whose shape the
   /// estimates actually changed is stamped with the stats epoch so the
-  /// PlanCache recompiles it when the stats move.
+  /// PlanCache recompiles it when the stats move; a plan whose choices
+  /// read a quoted literal's estimate is marked literal_choices, so a
+  /// cache hit for other literals re-derives them (SameLiteralChoices
+  /// mirrors the two literal-reading decisions below).
   void ApplySelectivity(Plan* plan) {
     index::CardinalityEstimator est(index_);
     if (!est.active() || !plan->invalid_reason.empty()) return;
@@ -318,41 +381,30 @@ class Compiler {
 
     // Predicate runs: maximal contiguous stretches of non-positional
     // predicate ops for one step. Stamp each gate's estimate, then
-    // stable-sort the run rarest-known first (unknown estimates keep
-    // syntactic order at the back — never guess). Positional filters
-    // are barriers: list-position semantics depend on the nodes that
+    // stable-sort the run rarest-known first. Positional filters are
+    // barriers: list-position semantics depend on the nodes that
     // reached them, so nothing may cross one.
-    auto is_pred = [](const PlanOp& o) {
-      return o.kind == OpKind::kValueProbeGate ||
-             o.kind == OpKind::kExistsFilter;
-    };
     for (size_t b = 0; b < plan->ops.size();) {
-      if (!is_pred(plan->ops[b])) {
+      if (!IsPredOp(plan->ops[b])) {
         ++b;
         continue;
       }
-      size_t e = b;
-      while (e < plan->ops.size() && is_pred(plan->ops[e]) &&
-             plan->ops[e].step == plan->ops[b].step) {
-        ++e;
-      }
+      const size_t e = RunEnd(plan->ops, b, IsPredOp);
       for (size_t i = b; i < e; ++i) {
         PlanOp& op = plan->ops[i];
         if (op.kind != OpKind::kValueProbeGate) continue;
-        index::CardEstimate ce = EstimateGate(*plan, op, est);
+        index::CardEstimate ce = EstimateGate(*plan, op, est, {});
         if (ce.known) op.est = ce.upper;
+        if (e - b >= 2 && ReadsLiteral(*plan, op)) {
+          plan->literal_choices = true;
+        }
       }
       if (e - b >= 2) {
-        auto key = [](const PlanOp& o) {
-          return o.kind == OpKind::kValueProbeGate && o.est >= 0
-                     ? o.est
-                     : std::numeric_limits<int64_t>::max();
-        };
         std::vector<PlanOp> run(plan->ops.begin() + static_cast<long>(b),
                                 plan->ops.begin() + static_cast<long>(e));
         std::stable_sort(run.begin(), run.end(),
-                         [&](const PlanOp& x, const PlanOp& y) {
-                           return key(x) < key(y);
+                         [](const PlanOp& x, const PlanOp& y) {
+                           return RunKey(x.est) < RunKey(y.est);
                          });
         for (size_t i = b; i < e; ++i) {
           if (plan->ops[i].pred != run[i - b].pred) reshaped = true;
@@ -367,32 +419,17 @@ class Compiler {
 
     // Probe-order fusion: [ChainProbe from_root][ChildStep m][gate] —
     // when the gate's posting is clearly rarer than the structural
-    // candidate set, probe the value side FIRST and verify structure by
-    // searching each match's ancestors in the prefix's pair buckets
-    // (O(depth * log bucket) per match). The margin (4x, and a floor on
-    // the structural side) keeps tiny documents on the plain cascade,
-    // where fusion cannot pay for its extra bucket fetches.
+    // candidate set (Fuses), probe the value side FIRST and verify
+    // structure by searching each match's ancestors in the prefix's
+    // pair buckets (O(depth * log bucket) per match).
     for (size_t i = 0; i + 2 < plan->ops.size(); ++i) {
+      if (!FusionShape(*plan, i)) continue;
       PlanOp& chain = plan->ops[i];
       PlanOp& child = plan->ops[i + 1];
       PlanOp& gate = plan->ops[i + 2];
-      if (chain.kind != OpKind::kChainProbe || !chain.from_root ||
-          chain.missing_name || child.kind != OpKind::kChildStep ||
-          child.qn < 0 ||
-          child.step != static_cast<int32_t>(chain.consumed) ||
-          gate.kind != OpKind::kValueProbeGate ||
-          gate.step != child.step ||
-          (gate.shape != PredShape::kAttr &&
-           gate.shape != PredShape::kChildValue) ||
-          gate.est < 0) {
-        continue;
-      }
+      if (ReadsLiteral(*plan, gate)) plan->literal_choices = true;
       const QnameId parent_qn = chain.probes.back().self_qn;
-      index::CardEstimate structural = est.Pair(parent_qn, child.qn);
-      if (!structural.known || structural.upper < 16 ||
-          gate.est * 4 > structural.upper) {
-        continue;
-      }
+      if (!Fuses(gate.est, est.Pair(parent_qn, child.qn))) continue;
       PlanOp fop;
       fop.kind = OpKind::kFusedProbe;
       fop.step = child.step;
@@ -472,9 +509,68 @@ StatusOr<Plan> CompileText(std::string_view text,
                            const storage::ContentPools& pools,
                            const index::IndexManager* index) {
   PXQ_ASSIGN_OR_RETURN(Path path, ParsePath(text));
-  Plan plan = Compile(std::move(path), pools, index);
-  plan.text = std::string(text);
-  return plan;
+  return Compile(std::move(path), pools, index);
+}
+
+bool SameLiteralChoices(const Plan& plan, Literals bound,
+                        const index::IndexManager* index) {
+  index::CardinalityEstimator est(index);
+  if (!plan.literal_choices || !est.active()) return true;
+  const std::vector<PlanOp>& ops = plan.ops;
+  auto estimate = [&](const PlanOp& op) -> int64_t {
+    if (op.kind != OpKind::kValueProbeGate &&
+        op.kind != OpKind::kFusedProbe) {
+      return -1;
+    }
+    const index::CardEstimate ce = EstimateGate(plan, op, est, bound);
+    return ce.known ? ce.upper : -1;
+  };
+  // Predicate runs, the fused gate counted first in its step's run (it
+  // was the run's rarest when fusion took it): the syntactic order,
+  // stable-sorted by these literals' estimates, must be the compiled
+  // order.
+  auto member = [](const PlanOp& o) {
+    return IsPredOp(o) || o.kind == OpKind::kFusedProbe;
+  };
+  for (size_t b = 0; b < ops.size();) {
+    if (!member(ops[b])) {
+      ++b;
+      continue;
+    }
+    const size_t e = RunEnd(ops, b, member);
+    const bool literal = std::any_of(
+        ops.begin() + static_cast<long>(b), ops.begin() + static_cast<long>(e),
+        [&](const PlanOp& o) { return ReadsLiteral(plan, o); });
+    if (e - b >= 2 && literal) {
+      std::vector<std::pair<int32_t, int64_t>> run;  // (pred, key)
+      for (size_t i = b; i < e; ++i) {
+        run.emplace_back(ops[i].pred, RunKey(estimate(ops[i])));
+      }
+      std::sort(run.begin(), run.end());
+      std::stable_sort(run.begin(), run.end(),
+                       [](const auto& x, const auto& y) {
+                         return x.second < y.second;
+                       });
+      for (size_t i = b; i < e; ++i) {
+        if (run[i - b].first != ops[i].pred) return false;
+      }
+    }
+    b = e;
+  }
+  // Value-first fusion: a fused literal gate must still fuse, and an
+  // unfused one in fusion's shape must still not.
+  for (size_t i = 0; i < ops.size(); ++i) {
+    if (ops[i].kind == OpKind::kFusedProbe && ReadsLiteral(plan, ops[i]) &&
+        !Fuses(estimate(ops[i]), est.Pair(ops[i].fused_anc[0], ops[i].qn))) {
+      return false;
+    }
+    if (FusionShape(plan, i) && ReadsLiteral(plan, ops[i + 2]) &&
+        Fuses(estimate(ops[i + 2]),
+              est.Pair(ops[i].probes.back().self_qn, ops[i + 1].qn))) {
+      return false;
+    }
+  }
+  return true;
 }
 
 uint64_t PlanEnvFingerprint(const index::IndexManager* index) {

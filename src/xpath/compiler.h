@@ -35,6 +35,16 @@ StatusOr<Plan> CompileText(std::string_view text,
                            const storage::ContentPools& pools,
                            const index::IndexManager* index);
 
+/// The per-literal re-check of a plan shared by its shape: re-derives,
+/// for the `bound` literals, the choices its compile took from a
+/// literal's estimate (Plan::literal_choices) — the order of each
+/// predicate run and value-first fusion. True when every choice comes
+/// out as compiled, so the plan serves these literals; false when the
+/// caller must compile for them. Reads the estimator only: no parse,
+/// no compile.
+bool SameLiteralChoices(const Plan& plan, Literals bound,
+                        const index::IndexManager* index);
+
 /// Fingerprint of the compile environment: plans are only reusable
 /// under the environment they were compiled for (index present or not,
 /// and enabled or not — the pair cascade and estimate-driven reshaping

@@ -6,10 +6,12 @@
 //
 // Evaluator is a thin wrapper that compiles a query (or fetches the
 // compiled Plan from a PlanCache when one is attached — the Database
-// layer shares one cache across all reader threads and transactions)
-// and hands it to the Executor. Every entry point — Database queries,
-// transaction queries, XUpdate select expressions, tools and benches —
-// rides the same compiled path, and inside a plan the predicate paths
+// layer shares one cache across all reader threads and transactions,
+// keyed by query shape) and hands it to the Executor with the text's
+// own literals bound to the plan's parameter slots. Every entry point —
+// Database queries, transaction queries, XUpdate select expressions,
+// tools and benches — rides the same compiled path, and inside a plan
+// the predicate paths
 // and per-origin positional steps are compiled sub-plans run by the
 // same Executor::RunOps loop: there is exactly one evaluation engine.
 // (ReferenceEvaluator, reference_eval.h, is a separate brute-force
@@ -18,7 +20,7 @@
 // Index-awareness, the cost gate, per-operator cross-checking, and the
 // scan fallbacks live in the Executor; strategy selection (cascade
 // decomposition, qname resolution, predicate shape detection) lives in
-// the Compiler and is baked into the Plan once per query text instead
+// the Compiler and is baked into the Plan once per query shape instead
 // of being re-derived per call. The index describes ONE specific store
 // — only pass it together with that store (the committed base, under
 // the shared lock); a transaction clone evaluates without it (a cached
@@ -71,24 +73,26 @@ class Evaluator {
     return Eval(path, {store().Root()});
   }
   StatusOr<std::vector<PreId>> Eval(std::string_view path_text) const {
+    std::vector<std::string> literals;
     PXQ_ASSIGN_OR_RETURN(std::shared_ptr<const Plan> plan,
-                         PlanForText(path_text, nullptr));
-    return RunNodes(*plan, SeedFor(*plan));
+                         PlanForText(path_text, &literals, nullptr));
+    return RunNodes(*plan, SeedFor(*plan), literals);
   }
 
   /// Evaluate a path from an explicit (sorted, deduped) context.
   StatusOr<std::vector<PreId>> Eval(const Path& path,
                                     std::vector<PreId> ctx) const {
     Plan plan = Compile(path, store().pools(), env_);
-    return RunNodes(plan, std::move(ctx));
+    return RunNodes(plan, std::move(ctx), {});
   }
-  /// Same, from query text: compiled once per text when a PlanCache is
+  /// Same, from query text: compiled once per shape when a PlanCache is
   /// attached (per-node loops over a relative path).
   StatusOr<std::vector<PreId>> Eval(std::string_view path_text,
                                     std::vector<PreId> ctx) const {
+    std::vector<std::string> literals;
     PXQ_ASSIGN_OR_RETURN(std::shared_ptr<const Plan> plan,
-                         PlanForText(path_text, nullptr));
-    return RunNodes(*plan, std::move(ctx));
+                         PlanForText(path_text, &literals, nullptr));
+    return RunNodes(*plan, std::move(ctx), literals);
   }
 
   /// Evaluate a path whose final step may be an attribute step; returns
@@ -99,13 +103,14 @@ class Evaluator {
   StatusOr<std::vector<std::string>> EvalStrings(
       const Path& path, std::vector<PreId> ctx) const {
     Plan plan = Compile(path, store().pools(), env_);
-    return RunStrings(plan, std::move(ctx));
+    return RunStrings(plan, std::move(ctx), {});
   }
   StatusOr<std::vector<std::string>> EvalStrings(
       std::string_view path_text) const {
+    std::vector<std::string> literals;
     PXQ_ASSIGN_OR_RETURN(std::shared_ptr<const Plan> plan,
-                         PlanForText(path_text, nullptr));
-    return RunStrings(*plan, SeedFor(*plan));
+                         PlanForText(path_text, &literals, nullptr));
+    return RunStrings(*plan, SeedFor(*plan), literals);
   }
 
   /// One traced evaluation, end to end: the plan (for DescribeOp), the
@@ -115,6 +120,9 @@ class Evaluator {
   /// disagree about the operator list.
   struct TracedResult {
     std::shared_ptr<const Plan> plan;
+    /// The text's literals, bound to the plan's parameter slots (pass
+    /// them to DescribeOp).
+    std::vector<std::string> literals;
     bool cache_hit = false;
     int64_t compile_ns = 0;  // 0 on a cache hit
     std::vector<OpTrace> trace;
@@ -123,7 +131,8 @@ class Evaluator {
   StatusOr<TracedResult> EvalTraced(std::string_view path_text) const {
     TracedResult r;
     const auto t0 = std::chrono::steady_clock::now();
-    PXQ_ASSIGN_OR_RETURN(r.plan, PlanForText(path_text, &r.cache_hit));
+    PXQ_ASSIGN_OR_RETURN(r.plan,
+                         PlanForText(path_text, &r.literals, &r.cache_hit));
     if (!r.cache_hit) {
       r.compile_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                          std::chrono::steady_clock::now() - t0)
@@ -133,19 +142,21 @@ class Evaluator {
       return Status::Unsupported(
           "attribute axis yields no nodes; use EvalStrings");
     }
-    PXQ_ASSIGN_OR_RETURN(r.nodes,
-                         exec_.RunOps(*r.plan, SeedFor(*r.plan), &r.trace));
+    PXQ_ASSIGN_OR_RETURN(r.nodes, exec_.RunOps(*r.plan, SeedFor(*r.plan),
+                                               &r.trace, r.literals));
     return r;
   }
 
   /// Compiled-plan observability: the operator list with the strategy
   /// the executor ACTUALLY took per operator (the plan is executed with
   /// tracing), plus whether the plan came from the cache. The printed
-  /// operators match the executed ones by construction.
+  /// operators match the executed ones by construction, and print the
+  /// caller's literals, whichever text filled the cache entry.
   StatusOr<std::string> Explain(std::string_view path_text) const {
     bool cache_hit = false;
+    std::vector<std::string> literals;
     PXQ_ASSIGN_OR_RETURN(std::shared_ptr<const Plan> plan,
-                         PlanForText(path_text, &cache_hit));
+                         PlanForText(path_text, &literals, &cache_hit));
     std::string out = "plan for " + std::string(path_text) + "\n";
     out += std::string("  cache: ") +
            (cache_ == nullptr ? "detached" : (cache_hit ? "hit" : "miss")) +
@@ -154,10 +165,10 @@ class Evaluator {
       return out + "  invalid: " + plan->invalid_reason + "\n";
     }
     std::vector<OpTrace> trace;
-    auto res = exec_.RunOps(*plan, {store().Root()}, &trace);
+    auto res = exec_.RunOps(*plan, {store().Root()}, &trace, literals);
     for (const OpTrace& t : trace) {
       out += "  " + std::to_string(t.op + 1) + ". " +
-             plan->DescribeOp(t.op) + " -> " + t.strategy + ", " +
+             plan->DescribeOp(t.op, literals) + " -> " + t.strategy + ", " +
              std::to_string(t.out) + " nodes";
       // Estimate column: compile-time cardinality estimate vs what the
       // operator actually produced (only operators the estimator saw).
@@ -208,51 +219,83 @@ class Evaluator {
     return {store().Root()};
   }
 
-  /// Cached compile of a query text. `cache_hit` (optional) reports
-  /// whether the plan was served from the cache.
-  StatusOr<std::shared_ptr<const Plan>> PlanForText(std::string_view text,
-                                                    bool* cache_hit) const {
+  /// Cached compile of a query text, looked up by its shape (ShapeKey).
+  /// `literals` receives the text's literals, to bind to the plan's
+  /// parameter slots (left empty when the plan was compiled for this
+  /// very text). `cache_hit` (optional) reports whether the plan was
+  /// served from the cache. A hit on a plan whose choices read a
+  /// literal's estimate re-derives them for this text's literals; when
+  /// one differs, this text compiles for its own literals and counts a
+  /// miss, and the shared entry stays.
+  StatusOr<std::shared_ptr<const Plan>> PlanForText(
+      std::string_view text, std::vector<std::string>* literals,
+      bool* cache_hit) const {
     if (cache_hit != nullptr) *cache_hit = false;
+    if (cache_ == nullptr) return CompileFor(text);
+    std::string_view key = text;
+    if (HasQuote(text)) {
+      // One key buffer per thread: a warm lookup allocates no key.
+      thread_local std::string key_buf;
+      const std::optional<std::string_view> shape =
+          ShapeKey(text, &key_buf, literals);
+      if (!shape) return CompileFor(text);  // reports the parse error
+      key = *shape;
+    }
     const auto pool_gen =
         static_cast<uint64_t>(store().pools().qname_count());
     const uint64_t env_fp = PlanEnvFingerprint(env_);
     // Estimate-steered plans are epoch-stamped; pass the index's
     // current publish epoch so the cache can invalidate exactly those.
     const uint64_t stats_epoch = env_ != nullptr ? env_->stats_epoch() : 0;
-    if (cache_ != nullptr) {
-      if (auto plan = cache_->Lookup(text, pool_gen, env_fp, stats_epoch)) {
+    if (auto plan = cache_->Lookup(key, pool_gen, env_fp, stats_epoch)) {
+      // Re-checked against the executing index: the choices steer its
+      // probes, and an executor without one (a transaction clone) takes
+      // every scan fallback whichever way they went.
+      if (!plan->literal_choices ||
+          SameLiteralChoices(*plan, *literals, exec_.index())) {
         if (cache_hit != nullptr) *cache_hit = true;
         return plan;
       }
+      cache_->NoteRecompile();
+      return CompileFor(text);
     }
-    // Compile timing feeds the cache's pxq_plan_compile_ns histogram;
-    // misses only, so the warm path never reads a clock.
+    PXQ_ASSIGN_OR_RETURN(std::shared_ptr<const Plan> plan, CompileFor(text));
+    cache_->Insert(key, plan);
+    return plan;
+  }
+
+  /// Compile `text` for its own literals. Compile timing feeds the
+  /// cache's pxq_plan_compile_ns histogram; compiles only, so the warm
+  /// path never reads a clock.
+  StatusOr<std::shared_ptr<const Plan>> CompileFor(
+      std::string_view text) const {
     const auto t0 = std::chrono::steady_clock::now();
     PXQ_ASSIGN_OR_RETURN(Plan compiled,
                          CompileText(text, store().pools(), env_));
-    auto plan = std::make_shared<const Plan>(std::move(compiled));
     if (cache_ != nullptr) {
       cache_->RecordCompile(
           std::chrono::duration_cast<std::chrono::nanoseconds>(
               std::chrono::steady_clock::now() - t0)
               .count());
-      cache_->Insert(text, plan);
     }
-    return plan;
+    return std::make_shared<const Plan>(std::move(compiled));
   }
 
   StatusOr<std::vector<PreId>> RunNodes(const Plan& plan,
-                                        std::vector<PreId> ctx) const {
+                                        std::vector<PreId> ctx,
+                                        Literals bound) const {
     if (plan.trailing_attr) {
       return Status::Unsupported(
           "attribute axis yields no nodes; use EvalStrings");
     }
-    return exec_.RunOps(plan, std::move(ctx));
+    return exec_.RunOps(plan, std::move(ctx), nullptr, bound);
   }
 
   StatusOr<std::vector<std::string>> RunStrings(const Plan& plan,
-                                                std::vector<PreId> ctx) const {
-    PXQ_ASSIGN_OR_RETURN(ctx, exec_.RunOps(plan, std::move(ctx)));
+                                                std::vector<PreId> ctx,
+                                                Literals bound) const {
+    PXQ_ASSIGN_OR_RETURN(ctx,
+                         exec_.RunOps(plan, std::move(ctx), nullptr, bound));
     std::vector<std::string> out;
     for (PreId p : ctx) {
       if (plan.trailing_attr) {

@@ -53,15 +53,18 @@ class Executor {
       : store_(store), index_(index) {}
 
   const Store& store() const { return store_; }
+  const index::IndexManager* index() const { return index_; }
 
   /// Execute a plan's operators. For absolute plans the incoming
   /// context is ignored (the leading operator seeds from the root);
   /// relative plans start from `ctx`. With `trace` set, one OpTrace per
-  /// executed operator records the strategy actually taken.
+  /// executed operator records the strategy actually taken. `bound`
+  /// holds the literals of the caller's text for a plan shared by its
+  /// shape (PlanCache); its sub-plans read the same list.
   StatusOr<std::vector<PreId>> RunOps(const Plan& plan,
                                       std::vector<PreId> ctx,
-                                      std::vector<OpTrace>* trace =
-                                          nullptr) const {
+                                      std::vector<OpTrace>* trace = nullptr,
+                                      Literals bound = {}) const {
     if (!plan.invalid_reason.empty()) {
       return Status::Unsupported(plan.invalid_reason);
     }
@@ -84,26 +87,28 @@ class Executor {
         }
         if (ctx.empty()) break;
       }
+      const int64_t est = BoundEstimate(plan, op, bound);
       if (trace == nullptr) {
         // Hot path: no timing, no strategy strings, no probe reads.
-        PXQ_ASSIGN_OR_RETURN(ctx, RunOp(plan, op, std::move(ctx), nullptr));
-        RecordEstError(op.est, static_cast<int64_t>(ctx.size()));
+        PXQ_ASSIGN_OR_RETURN(ctx,
+                             RunOp(plan, op, std::move(ctx), nullptr, bound));
+        RecordEstError(est, static_cast<int64_t>(ctx.size()));
         continue;
       }
       OpTrace t;
       t.op = oi;
       t.in = static_cast<int64_t>(ctx.size());
-      t.est = op.est;
+      t.est = est;
       const int64_t probes_before = ProbesIssued();
       const auto t0 = std::chrono::steady_clock::now();
       PXQ_ASSIGN_OR_RETURN(ctx, RunOp(plan, op, std::move(ctx),
-                                      &t.strategy));
+                                      &t.strategy, bound));
       t.wall_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                       std::chrono::steady_clock::now() - t0)
                       .count();
       t.index_probes = ProbesIssued() - probes_before;
       t.out = static_cast<int64_t>(ctx.size());
-      RecordEstError(op.est, t.out);
+      RecordEstError(est, t.out);
       trace->push_back(std::move(t));
     }
     return ctx;
@@ -188,12 +193,26 @@ class Executor {
     }
   }
 
+  /// The compiler's estimate for `op`, or -1 when it was made for a
+  /// literal other than the bound one (a plan shared by its shape).
+  static int64_t BoundEstimate(const Plan& plan, const PlanOp& op,
+                               Literals bound) {
+    if (op.est < 0 || bound.empty() ||
+        (op.kind != OpKind::kValueProbeGate &&
+         op.kind != OpKind::kFusedProbe)) {
+      return op.est;
+    }
+    const Predicate& p = PredicateOf(plan, op);
+    return p.param < 0 || LiteralOf(p, bound) == p.value ? op.est : -1;
+  }
+
   /// Budget for a bucket only searched (AncestorIn): the gate accepts.
   static constexpr int64_t kNoBudget = std::numeric_limits<int64_t>::max();
 
   StatusOr<std::vector<PreId>> RunOp(const Plan& plan, const PlanOp& op,
                                      std::vector<PreId> ctx,
-                                     std::string* strategy) const {
+                                     std::string* strategy,
+                                     Literals bound) const {
     const auto& steps = plan.path.steps;
     switch (op.kind) {
       case OpKind::kRootSeed: {
@@ -235,27 +254,27 @@ class Executor {
       case OpKind::kValueProbeGate: {
         const int64_t scan_cost = static_cast<int64_t>(ctx.size());
         PXQ_ASSIGN_OR_RETURN(bool answered,
-                             ApplyIndexPredicate(plan, op, &ctx));
+                             ApplyIndexPredicate(plan, op, &ctx, bound));
         if (answered) {
           Note(strategy, "index value probe [gate accepted vs scan=" +
                              std::to_string(scan_cost) + "]");
           return ctx;
         }
         Note(strategy, "predicate scan [" + GateDeclineWhy(scan_cost) + "]");
-        return ScanFilterOne(plan, op, ctx);
+        return ScanFilterOne(plan, op, ctx, bound);
       }
       case OpKind::kFusedProbe:
-        return RunFusedProbe(plan, op, strategy);
+        return RunFusedProbe(plan, op, strategy, bound);
       case OpKind::kPositionFilter: {
         if (!op.per_origin) {
           Note(strategy, "position filter");
-          return ScanFilterOne(plan, op, ctx);
+          return ScanFilterOne(plan, op, ctx, bound);
         }
         Note(strategy, "per-origin axis + predicates");
         std::vector<PreId> out;
         for (PreId c : ctx) {
           PXQ_ASSIGN_OR_RETURN(std::vector<PreId> r,
-                               RunOps(SubOf(plan, op), {c}));
+                               RunOps(SubOf(plan, op), {c}, nullptr, bound));
           out.insert(out.end(), r.begin(), r.end());
         }
         Normalize(&out);
@@ -263,7 +282,7 @@ class Executor {
       }
       case OpKind::kExistsFilter:
         Note(strategy, "predicate scan");
-        return ScanFilterOne(plan, op, ctx);
+        return ScanFilterOne(plan, op, ctx, bound);
     }
     return Status::Unsupported("unknown plan operator");
   }
@@ -426,8 +445,10 @@ class Executor {
   /// operator trio) when no index is attached or a gate declines.
   StatusOr<std::vector<PreId>> RunFusedProbe(const Plan& plan,
                                              const PlanOp& op,
-                                             std::string* strategy) const {
+                                             std::string* strategy,
+                                             Literals bound) const {
     const Predicate& pred = PredicateOf(plan, op);
+    const std::string& literal = LiteralOf(pred, bound);
     if constexpr (kIndexable) {
       if (index_ != nullptr) {
         const int64_t doc_span = store_.SizeAt(store_.Root()) + 1;
@@ -451,7 +472,7 @@ class Executor {
                 pred.kind == Predicate::Kind::kExists
                     ? index_->AttrOwners(store_, op.attr_qn, doc_span)
                     : index_->AttrValueProbe(store_, op.attr_qn, pred.op,
-                                             pred.value, doc_span);
+                                             literal, doc_span);
             answered = cand.has_value();
             if (cand) owners = std::move(*cand);
             std::erase_if(owners, [&](PreId p) {
@@ -467,7 +488,7 @@ class Executor {
             if (cand != nullptr) kids = *cand;
           } else {
             answered = index_->ChildValueProbe(store_, op.child_qn, pred.op,
-                                               pred.value, doc_span, &kids,
+                                               literal, doc_span, &kids,
                                                &complex_rest);
           }
           // A child's owner: its ancestor at `level` in the step's own
@@ -489,7 +510,8 @@ class Executor {
             for (size_t i = 0; answered && i < complex_rest.size(); ++i) {
               const PreId o = owner_of(complex_rest[i]);
               if (o < 0) continue;
-              PXQ_ASSIGN_OR_RETURN(bool ok, EvalValuePredicate(plan, op, o));
+              PXQ_ASSIGN_OR_RETURN(bool ok,
+                                   EvalValuePredicate(plan, op, o, bound));
               if (ok) owners.push_back(o);
             }
             Normalize(&owners);
@@ -507,11 +529,11 @@ class Executor {
           if (CrossChecking()) {
             PXQ_ASSIGN_OR_RETURN(std::vector<PreId> scan,
                                  ChildNamePrefix(plan, op, /*scan=*/true));
-            PXQ_ASSIGN_OR_RETURN(scan, ScanFilterOne(plan, op, scan));
+            PXQ_ASSIGN_OR_RETURN(scan, ScanFilterOne(plan, op, scan, bound));
             PXQ_RETURN_IF_ERROR(VerifyCrossCheck(
                 scan, owners,
-                "fused value-first probe (step " +
-                    std::to_string(op.step) + ")"));
+                "fused value-first probe " + PredicateText(pred, bound) +
+                    " (step " + std::to_string(op.step) + ")"));
           }
           Note(strategy, "fused value probe (value-first) [gate accepted "
                          "vs scan=" + std::to_string(doc_span) + "]");
@@ -527,7 +549,7 @@ class Executor {
              GateDeclineWhy(store_.SizeAt(store_.Root()) + 1) + "]");
     PXQ_ASSIGN_OR_RETURN(std::vector<PreId> ctx,
                          ChildNamePrefix(plan, op, /*scan=*/false));
-    return ScanFilterOne(plan, op, ctx);
+    return ScanFilterOne(plan, op, ctx, bound);
   }
 
   /// Child step: the qname postings with a region/level filter when the
@@ -678,8 +700,8 @@ class Executor {
   /// A predicate op over a candidate list, scan path (also the
   /// cross-check oracle for the index path).
   StatusOr<std::vector<PreId>> ScanFilterOne(
-      const Plan& plan, const PlanOp& op,
-      const std::vector<PreId>& nodes) const {
+      const Plan& plan, const PlanOp& op, const std::vector<PreId>& nodes,
+      Literals bound) const {
     const Predicate& pred = PredicateOf(plan, op);
     std::vector<PreId> kept;
     const auto last = static_cast<int64_t>(nodes.size());
@@ -695,7 +717,7 @@ class Executor {
           break;
         case Predicate::Kind::kExists:
         case Predicate::Kind::kCompare: {
-          PXQ_ASSIGN_OR_RETURN(bool r, EvalValuePredicate(plan, op, p));
+          PXQ_ASSIGN_OR_RETURN(bool r, EvalValuePredicate(plan, op, p, bound));
           ok = r;
           break;
         }
@@ -708,11 +730,12 @@ class Executor {
   /// An exists/compare predicate on one node: its sub-plan from
   /// {node}, then the split-off attribute step, if any.
   StatusOr<bool> EvalValuePredicate(const Plan& plan, const PlanOp& op,
-                                    PreId node) const {
+                                    PreId node, Literals bound) const {
     const Predicate& pred = PredicateOf(plan, op);
     const Plan& sub = SubOf(plan, op);
     const std::optional<Step>& attr_step = sub.trailing_attr;
-    PXQ_ASSIGN_OR_RETURN(std::vector<PreId> nodes, RunOps(sub, {node}));
+    PXQ_ASSIGN_OR_RETURN(std::vector<PreId> nodes,
+                         RunOps(sub, {node}, nullptr, bound));
     if (pred.kind == Predicate::Kind::kExists) {
       if (!attr_step) return !nodes.empty();
       for (PreId p : nodes) {
@@ -730,7 +753,9 @@ class Executor {
       } else {
         v = StringValue(p);
       }
-      if (detail::CompareValues(v, pred.op, pred.value)) return true;
+      if (detail::CompareValues(v, pred.op, LiteralOf(pred, bound))) {
+        return true;
+      }
     }
     return false;
   }
@@ -929,10 +954,12 @@ class Executor {
   /// true (and replaces *nodes) when the index answered; false defers
   /// to the scan.
   StatusOr<bool> ApplyIndexPredicate(const Plan& plan, const PlanOp& op,
-                                     std::vector<PreId>* nodes) const {
+                                     std::vector<PreId>* nodes,
+                                     Literals bound) const {
     if constexpr (kIndexable) {
       if (index_ == nullptr || nodes->empty()) return false;
       const Predicate& pred = PredicateOf(plan, op);
+      const std::string& literal = LiteralOf(pred, bound);
       const PredShape shape = op.shape;
       const QnameId child_qn = op.child_qn;
       const QnameId attr_qn = op.attr_qn;
@@ -946,7 +973,7 @@ class Executor {
           auto cand = pred.kind == Predicate::Kind::kExists
                           ? index_->AttrOwners(store_, attr_qn, scan_cost)
                           : index_->AttrValueProbe(store_, attr_qn, pred.op,
-                                                   pred.value, scan_cost);
+                                                   literal, scan_cost);
           if (!cand) return false;
           kept = IntersectSorted(*nodes, *cand);
         }
@@ -965,7 +992,7 @@ class Executor {
           } else {
             std::vector<PreId> simple, complex_rest;
             if (!index_->ChildValueProbe(store_, child_qn, pred.op,
-                                         pred.value, scan_cost, &simple,
+                                         literal, scan_cost, &simple,
                                          &complex_rest)) {
               return false;
             }
@@ -976,7 +1003,8 @@ class Executor {
               } else if (HasChildIn(c, complex_rest)) {
                 // Value not covered by the index (element has element
                 // children): evaluate this candidate exactly.
-                PXQ_ASSIGN_OR_RETURN(bool ok, EvalValuePredicate(plan, op, c));
+                PXQ_ASSIGN_OR_RETURN(bool ok,
+                                     EvalValuePredicate(plan, op, c, bound));
                 if (ok) k.push_back(c);
               }
             }
@@ -994,7 +1022,7 @@ class Executor {
           auto cand = pred.kind == Predicate::Kind::kExists
                           ? index_->AttrOwners(store_, attr_qn, scan_cost)
                           : index_->AttrValueProbe(store_, attr_qn, pred.op,
-                                                   pred.value, scan_cost);
+                                                   literal, scan_cost);
           if (!cand) return false;
           std::vector<PreId> named;
           for (PreId p : *cand) {
@@ -1006,9 +1034,9 @@ class Executor {
 
       if (CrossChecking()) {
         PXQ_ASSIGN_OR_RETURN(std::vector<PreId> scan,
-                             ScanFilterOne(plan, op, *nodes));
-        PXQ_RETURN_IF_ERROR(
-            VerifyCrossCheck(scan, *kept, "predicate " + PredicateText(pred)));
+                             ScanFilterOne(plan, op, *nodes, bound));
+        PXQ_RETURN_IF_ERROR(VerifyCrossCheck(
+            scan, *kept, "predicate " + PredicateText(pred, bound)));
       }
       *nodes = std::move(*kept);
       return true;

@@ -247,6 +247,7 @@ class Parser {
             "unterminated string literal starting at offset %zu", open));
       }
       p.value = std::string(in_.substr(start, pos_ - start));
+      p.param = next_param_++;
       ++pos_;
     } else {
       size_t start = pos_;
@@ -283,6 +284,7 @@ class Parser {
 
   std::string_view in_;
   size_t pos_ = 0;
+  int32_t next_param_ = 0;  // slot of the next quoted literal
 };
 
 }  // namespace

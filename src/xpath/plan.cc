@@ -20,7 +20,7 @@ const char* OpKindName(OpKind k) {
   return "?";
 }
 
-std::string PredicateText(const Predicate& p) {
+std::string PredicateText(const Predicate& p, Literals bound) {
   switch (p.kind) {
     case Predicate::Kind::kPosition:
       return StrFormat("[%lld]", static_cast<long long>(p.position));
@@ -31,16 +31,18 @@ std::string PredicateText(const Predicate& p) {
       std::string s = "[";
       for (size_t i = 0; i < p.rel.size(); ++i) {
         if (i > 0) s += "/";
-        s += ToString(p.rel[i]);
+        s += ToString(p.rel[i], bound);
       }
-      if (p.kind == Predicate::Kind::kCompare) s += " op '" + p.value + "'";
+      if (p.kind == Predicate::Kind::kCompare) {
+        s += " op '" + LiteralOf(p, bound) + "'";
+      }
       return s + "]";
     }
   }
   return "[?]";
 }
 
-std::string Plan::DescribeOp(size_t i) const {
+std::string Plan::DescribeOp(size_t i, Literals bound) const {
   if (i >= ops.size()) return "?";
   const PlanOp& op = ops[i];
   std::string out = OpKindName(op.kind);
@@ -68,14 +70,15 @@ std::string Plan::DescribeOp(size_t i) const {
         out += path.steps[s].test.name;
       }
       out += PredicateText(path.steps[static_cast<size_t>(op.step)]
-                               .predicates[static_cast<size_t>(op.pred)]);
+                               .predicates[static_cast<size_t>(op.pred)],
+                           bound);
       out += " (value-first)";
       break;
     }
     case OpKind::kRootSeed:
       if (op.step >= 0) {
         out += ' ';
-        out += ToString(path.steps[static_cast<size_t>(op.step)]);
+        out += ToString(path.steps[static_cast<size_t>(op.step)], bound);
       }
       break;
     case OpKind::kQnamePostings:
@@ -83,40 +86,42 @@ std::string Plan::DescribeOp(size_t i) const {
     case OpKind::kDescendantStaircase:
     case OpKind::kAxisScan:
       out += ' ';
-      out += ToString(path.steps[static_cast<size_t>(op.step)]);
+      out += ToString(path.steps[static_cast<size_t>(op.step)], bound);
       if (op.from_root) out += " (from root)";
       break;
     case OpKind::kPositionFilter:
       if (op.per_origin) {
         out += ' ';
-        out += ToString(path.steps[static_cast<size_t>(op.step)]);
+        out += ToString(path.steps[static_cast<size_t>(op.step)], bound);
         out += " (per-origin)";
       } else {
         out += ' ';
         out += PredicateText(path.steps[static_cast<size_t>(op.step)]
-                                 .predicates[static_cast<size_t>(op.pred)]);
+                                 .predicates[static_cast<size_t>(op.pred)],
+                             bound);
       }
       break;
     case OpKind::kValueProbeGate:
     case OpKind::kExistsFilter:
       out += ' ';
       out += PredicateText(path.steps[static_cast<size_t>(op.step)]
-                               .predicates[static_cast<size_t>(op.pred)]);
+                               .predicates[static_cast<size_t>(op.pred)],
+                           bound);
       break;
   }
   return out;
 }
 
-std::string Plan::Describe() const {
+std::string Plan::Describe(Literals bound) const {
   std::string out;
   if (!invalid_reason.empty()) {
     return "invalid plan: " + invalid_reason + "\n";
   }
   for (size_t i = 0; i < ops.size(); ++i) {
-    out += StrFormat("%2zu. ", i + 1) + DescribeOp(i) + "\n";
+    out += StrFormat("%2zu. ", i + 1) + DescribeOp(i, bound) + "\n";
   }
   if (trailing_attr) {
-    out += "    (trailing " + ToString(*trailing_attr) + ")\n";
+    out += "    (trailing " + ToString(*trailing_attr, bound) + ")\n";
   }
   return out;
 }

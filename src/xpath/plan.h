@@ -12,7 +12,11 @@
 // once, so a cached plan re-executes without touching the parser or
 // the qname pool. Predicate paths and per-origin positional steps are
 // compiled the same way, into relative sub-plans owned by the plan
-// (`Plan::subs`) and run by the same executor loop.
+// (`Plan::subs`) and run by the same executor loop. A plan serves every
+// text of its shape (PlanCache): each quoted literal is a parameter
+// slot (`Predicate::param`) that the executor binds per run, so a
+// shared plan runs on the caller's literal, not on the one it was
+// compiled from.
 //
 // Validity: a plan embeds the qname-pool generation (`pool_gen` — the
 // pool is append-only, so its size is a monotone generation counter)
@@ -174,17 +178,23 @@ struct Plan {
   /// ordering honest. Plans whose shape is estimate-free stay 0 and
   /// never invalidate on stats movement.
   uint64_t stats_epoch = 0;
-  std::string text;      // source text when compiled from text
+  /// The cost-based pass read a quoted literal's estimate to take a
+  /// choice: the order of a predicate run holding a literal gate, or
+  /// whether to fuse a literal gate value-first. A cache hit for other
+  /// literals re-derives those choices (SameLiteralChoices) before it
+  /// runs this plan.
+  bool literal_choices = false;
 
-  /// Operator list without execution (static shape).
-  std::string Describe() const;
+  /// Operator list without execution (static shape), with the `bound`
+  /// literals in the parameter slots.
+  std::string Describe(Literals bound = {}) const;
   /// One operator line, e.g. "ChainProbe /site/people/person".
-  std::string DescribeOp(size_t i) const;
+  std::string DescribeOp(size_t i, Literals bound = {}) const;
 };
 
 /// A predicate as explain and cross-check reports print it, e.g.
-/// "[child::price op '5']".
-std::string PredicateText(const Predicate& p);
+/// "[child::price op '5']", with its literal taken from `bound`.
+std::string PredicateText(const Predicate& p, Literals bound = {});
 
 }  // namespace pxq::xpath
 

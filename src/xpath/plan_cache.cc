@@ -2,6 +2,37 @@
 
 namespace pxq::xpath {
 
+namespace {
+
+size_t NextQuote(std::string_view text, size_t from) {
+  for (size_t i = from; i < text.size(); ++i) {
+    if (text[i] == '\'' || text[i] == '"') return i;
+  }
+  return std::string_view::npos;
+}
+
+}  // namespace
+
+std::optional<std::string_view> ShapeKey(std::string_view text,
+                                         std::string* buf,
+                                         std::vector<std::string>* literals) {
+  literals->clear();
+  size_t q = NextQuote(text, 0);
+  if (q == std::string_view::npos) return text;
+  buf->clear();
+  size_t from = 0;
+  while (q != std::string_view::npos) {
+    const size_t close = text.find(text[q], q + 1);
+    if (close == std::string_view::npos) return std::nullopt;
+    buf->append(text.substr(from, q - from)).append("''");
+    literals->emplace_back(text.substr(q + 1, close - q - 1));
+    from = close + 1;
+    q = NextQuote(text, from);
+  }
+  buf->append(text.substr(from));
+  return std::string_view(*buf);
+}
+
 std::shared_ptr<const Plan> PlanCache::Lookup(std::string_view text,
                                               uint64_t pool_gen,
                                               uint64_t env_fp,
@@ -27,6 +58,13 @@ std::shared_ptr<const Plan> PlanCache::Lookup(std::string_view text,
   lru_.splice(lru_.begin(), lru_, it->second.lru_it);
   ++stats_.hits;
   return it->second.plan;
+}
+
+void PlanCache::NoteRecompile() {
+  MutexLock lock(&mu_);
+  --stats_.hits;
+  ++stats_.misses;
+  ++stats_.recompiles;
 }
 
 void PlanCache::Insert(std::string_view text,
@@ -71,6 +109,7 @@ void PlanCache::RegisterMetrics(obs::MetricsRegistry* reg) const {
     o->emplace_back("pxq_plan_cache_hits", s.hits);
     o->emplace_back("pxq_plan_cache_misses", s.misses);
     o->emplace_back("pxq_plan_cache_evictions", s.evictions);
+    o->emplace_back("pxq_plan_cache_recompiles", s.recompiles);
     o->emplace_back("pxq_plan_cache_size", static_cast<int64_t>(size()));
   });
 }

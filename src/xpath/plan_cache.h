@@ -1,6 +1,13 @@
-// Process-wide compiled-plan cache: query text -> shared immutable
+// Process-wide compiled-plan cache: query shape -> shared immutable
 // Plan, shared across every reader thread and every transaction of a
-// database. Entries are epoch-validated like the index's probe memos:
+// database. A shape is the query text with its quoted literals replaced
+// by a placeholder (ShapeKey), so `person[@id='person17']` and
+// `person[@id='person4567']` share one plan; each execution binds its
+// own literals to the plan's parameter slots (Predicate::param), and a
+// plan whose choices read a literal's estimate is re-checked per
+// literal by the caller (SameLiteralChoices, compiler.h). Unquoted
+// numbers and positions stay in the key: they are part of the shape.
+// Entries are epoch-validated like the index's probe memos:
 // a hit requires the compile-environment fingerprint to match and the
 // plan to be either fully resolved (baked QnameIds are immutable, so
 // such a plan never goes stale) or compiled at the current qname-pool
@@ -15,6 +22,7 @@
 #include <cstdint>
 #include <list>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -28,12 +36,37 @@
 
 namespace pxq::xpath {
 
+/// The cache key of a query text, in one pass: the text with the
+/// contents of every quoted literal ('...' or "..."; the parser has no
+/// escapes) replaced by one placeholder, ''. `literals` receives the
+/// contents in textual order, which is the parser's slot order. Returns
+/// `text` itself when it holds no quote, else a view of `*buf` (reused
+/// across calls, so a warm lookup allocates no key). nullopt for an
+/// unterminated quote: that text is no shape, and its compile reports
+/// the parse error.
+std::optional<std::string_view> ShapeKey(std::string_view text,
+                                         std::string* buf,
+                                         std::vector<std::string>* literals);
+
+/// True when `text` holds a quote: only then does its shape differ from
+/// the text. Inline, so that a literal-free lookup (the per-node
+/// relative paths) pays one short scan and nothing else.
+inline bool HasQuote(std::string_view text) {
+  for (char c : text) {
+    if (c == '\'' || c == '"') return true;
+  }
+  return false;
+}
+
 class PlanCache {
  public:
   struct Stats {
     int64_t hits = 0;
     int64_t misses = 0;     // cold lookups AND stale-entry recompiles
     int64_t evictions = 0;  // capacity (LRU) evictions
+    /// Lookups whose per-literal re-check chose differently and
+    /// compiled for their literals; counted as misses, not hits.
+    int64_t recompiles = 0;
   };
 
   explicit PlanCache(size_t capacity = 512) : capacity_(capacity) {}
@@ -47,11 +80,15 @@ class PlanCache {
   /// additionally requires its stamped epoch to match, so stats
   /// movement recompiles exactly the plans whose ordering decisions it
   /// could change — estimate-free plans never invalidate on commits.
-  std::shared_ptr<const Plan> Lookup(std::string_view text,
+  std::shared_ptr<const Plan> Lookup(std::string_view key,
                                      uint64_t pool_gen, uint64_t env_fp,
                                      uint64_t stats_epoch = 0);
 
-  void Insert(std::string_view text, std::shared_ptr<const Plan> plan);
+  void Insert(std::string_view key, std::shared_ptr<const Plan> plan);
+
+  /// The plan the last Lookup returned failed its per-literal re-check:
+  /// recount that lookup as a miss. The entry stays.
+  void NoteRecompile();
 
   Stats stats() const;
   size_t size() const;

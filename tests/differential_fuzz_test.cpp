@@ -31,8 +31,11 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <mutex>
+#include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -69,18 +72,26 @@ std::vector<uint64_t> SeedList() {
 
 /// Depth-5 seed document: /site/regions/zone/area/item/price paths
 /// exercise multi-probe cascades; people carry attrs + simple values.
-std::string SeedDoc() {
+/// `commons` more persons and items share one value per field, so a
+/// literal can be rare (one owner) or common (most owners).
+std::string SeedDoc(int commons = 0) {
   std::string xml = "<site><people>";
   for (int i = 0; i < 6; ++i) {
     xml += "<person id=\"p" + std::to_string(i) + "\"><name>n" +
            std::to_string(i) + "</name><age>" + std::to_string(20 + i * 7) +
            "</age></person>";
   }
+  for (int i = 0; i < commons; ++i) {
+    xml += "<person id=\"pc\"><name>nc</name><age>33</age></person>";
+  }
   xml += "</people><regions>";
   for (int z = 0; z < 2; ++z) {
     xml += "<zone>";
     for (int a = 0; a < 2; ++a) {
       xml += "<area>";
+      for (int i = 0; z + a == 0 && i < commons; ++i) {
+        xml += "<item k=\"7\"><price>21</price></item>";
+      }
       for (int i = 0; i < 4; ++i) {
         const int v = z * 100 + a * 10 + i;
         xml += "<item k=\"" + std::to_string(v) + "\"><price>" +
@@ -154,15 +165,24 @@ const char* const kQueries[] = {
 
 class Fuzzer {
  public:
-  Fuzzer(uint64_t seed, int64_t ops)
-      : seed_(seed), ops_(ops), rng_(seed) {}
+  /// `redraw_literals`: the query steps run the quoted shapes of
+  /// kQueries with their literals redrawn (RedrawLiterals), on a seed
+  /// document holding common values too.
+  Fuzzer(uint64_t seed, int64_t ops, bool redraw_literals = false)
+      : seed_(seed), ops_(ops), redraw_(redraw_literals), rng_(seed) {
+    for (const char* q : kQueries) {
+      if (std::string_view(q).find('\'') != std::string_view::npos) {
+        quoted_.push_back(q);
+      }
+    }
+  }
 
   void Run() {
     Database::Options opt;
     opt.store.page_tuples = 64;
     opt.store.shred_fill = 0.8;
     opt.index.cross_check = true;  // oracle 1: probe-level scan replay
-    auto db_or = Database::CreateFromXml(SeedDoc(), opt);
+    auto db_or = Database::CreateFromXml(SeedDoc(redraw_ ? 24 : 0), opt);
     ASSERT_TRUE(db_or.ok()) << db_or.status().ToString();
     db_ = std::move(db_or).value();
 
@@ -203,6 +223,15 @@ class Fuzzer {
     // generation recompiles of the tainted plans along the way.
     EXPECT_GT(stats.plan_hits, 0);
     EXPECT_GT(stats.plan_misses, 0);
+    if (redraw_) {
+      // Many texts, few shapes: one plan per shape (plus the value-pool
+      // queries), and some redrawn literal chose differently from the
+      // plan its shape's entry holds and compiled for itself.
+      const auto cache = db_->plan_cache().stats();
+      EXPECT_GT(redrawn_texts_.size(), 4 * db_->plan_cache().size());
+      EXPECT_LE(db_->plan_cache().size(), std::size(kQueries) + 8);
+      EXPECT_GT(cache.recompiles, 0);
+    }
   }
 
  private:
@@ -302,6 +331,7 @@ class Fuzzer {
     bool renames = false;
     auto stats = db_->Update(MakeDoc(&renames));
     ASSERT_TRUE(stats.ok()) << Where("commit: " + stats.status().ToString());
+    value_pools_.clear();
     live_nodes_ += stats.value().nodes_inserted - stats.value().nodes_deleted;
     // Oracle sweep after EVERY commit: the full pool after renames
     // (the rename re-key fan-out is the riskiest maintenance path) and
@@ -322,7 +352,91 @@ class Fuzzer {
   }
 
   void RunOneQuery() {
+    if (redraw_) {
+      const std::string q =
+          RedrawLiterals(quoted_[rng_.Uniform(quoted_.size())]);
+      redrawn_texts_.insert(q);
+      VerifyOne(q, "redrawn query");
+      return;
+    }
     VerifyOne(kQueries[rng_.Uniform(std::size(kQueries))], "query");
+  }
+
+  /// The values the document holds for one compared name (`@a` for an
+  /// attribute), with their owner counts.
+  const std::map<std::string, int>& ValuePool(const std::string& name) {
+    auto [it, fresh] = value_pools_.try_emplace(name);
+    if (fresh) {
+      auto values = db_->QueryStrings("//" + name);
+      EXPECT_TRUE(values.ok()) << Where("value pool of " + name);
+      if (values.ok()) {
+        for (const std::string& v : values.value()) ++it->second[v];
+      }
+    }
+    return it->second;
+  }
+
+  /// `q` with each quoted literal redrawn from the values its predicate
+  /// compares against: present and rare (one owner), present and
+  /// common (the most owners), or absent. The reference evaluates the
+  /// redrawn text itself, so a plan that ran on its compile literal
+  /// instead of the bound one diverges.
+  std::string RedrawLiterals(const char* q) {
+    auto path = xpath::ParsePath(q);
+    EXPECT_TRUE(path.ok()) << q;
+    std::vector<std::string> slot_names;  // compared name per slot
+    auto visit = [&](auto& self, const std::vector<xpath::Step>& steps)
+        -> void {
+      for (const xpath::Step& st : steps) {
+        for (const xpath::Predicate& p : st.predicates) {
+          self(self, p.rel);
+          if (p.param < 0) continue;
+          const xpath::Step& last = p.rel.back();
+          if (slot_names.size() <= static_cast<size_t>(p.param)) {
+            slot_names.resize(static_cast<size_t>(p.param) + 1);
+          }
+          slot_names[static_cast<size_t>(p.param)] =
+              (last.axis == xpath::Axis::kAttribute ? "@" : "") +
+              last.test.name;
+        }
+      }
+    };
+    if (path.ok()) visit(visit, path->steps);
+    std::string out;
+    const std::string_view text(q);
+    size_t from = 0, slot = 0;
+    for (size_t open = text.find('\''); open != std::string_view::npos;
+         open = text.find('\'', from), ++slot) {
+      const size_t close = text.find('\'', open + 1);
+      out.append(text.substr(from, open + 1 - from));
+      out += DrawValue(slot < slot_names.size() ? slot_names[slot] : "");
+      out += '\'';
+      from = close + 1;
+    }
+    out.append(text.substr(from));
+    return out;
+  }
+
+  std::string DrawValue(const std::string& name) {
+    const auto& pool = name.empty() ? value_pools_[""] : ValuePool(name);
+    std::vector<const std::string*> rare;
+    const std::string* common = nullptr;
+    int most = 0;
+    for (const auto& [v, n] : pool) {
+      if (v.find('\'') != std::string::npos) continue;
+      if (n == 1) rare.push_back(&v);
+      if (n > most) most = n, common = &v;
+    }
+    switch (rng_.Uniform(3)) {
+      case 0:
+        if (!rare.empty()) return *rare[rng_.Uniform(rare.size())];
+        [[fallthrough]];
+      case 1:
+        if (common != nullptr) return *common;
+        [[fallthrough]];
+      default:
+        return "absent" + std::to_string(rng_.Uniform(1000));
+    }
   }
 
   void VerifyPool(const std::string& when, bool full) {
@@ -340,7 +454,7 @@ class Fuzzer {
 
   /// One differential check: indexed evaluation (with its internal
   /// probe-vs-scan cross-check) against the brute-force reference.
-  void VerifyOne(const char* q, const std::string& when) {
+  void VerifyOne(const std::string& q, const std::string& when) {
     if (HasFatalFailure()) return;
     auto indexed = db_->Query(q);
     ASSERT_TRUE(indexed.ok())
@@ -392,10 +506,15 @@ class Fuzzer {
 
   const uint64_t seed_;
   const int64_t ops_;
+  const bool redraw_;
   Random rng_;
   std::unique_ptr<Database> db_;
   int64_t step_ = 0;
   int64_t live_nodes_ = 0;
+  std::vector<const char*> quoted_;  // kQueries entries with a literal
+  /// Per compared name: value -> owner count; cleared by every commit.
+  std::map<std::string, std::map<std::string, int>> value_pools_;
+  std::set<std::string> redrawn_texts_;
 };
 
 TEST(DifferentialFuzzTest, IndexedMatchesReferenceUnderChurn) {
@@ -403,6 +522,22 @@ TEST(DifferentialFuzzTest, IndexedMatchesReferenceUnderChurn) {
   for (uint64_t seed : SeedList()) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Fuzzer fuzzer(seed, ops);
+    fuzzer.Run();
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+// The quoted shapes of kQueries with their literals redrawn on every
+// query — present and rare, present and common, or absent — through one
+// Database plan cache keyed by shape, cross-check armed, every answer
+// against the reference. Rare and common literals of one shape take
+// different fusion and reorder choices, so the per-literal re-check's
+// compile path runs too. A plan that executes a stale literal diverges.
+TEST(DifferentialFuzzTest, RedrawnLiteralsShareShapePlans) {
+  const int64_t ops = EnvInt("PXQ_FUZZ_OPS", 10000) / 2;
+  for (uint64_t seed : SeedList()) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Fuzzer fuzzer(seed, ops, /*redraw_literals=*/true);
     fuzzer.Run();
     if (::testing::Test::HasFatalFailure()) return;
   }

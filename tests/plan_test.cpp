@@ -364,6 +364,204 @@ TEST(PlanCacheTest, CapacityEvictionIsLru) {
 }
 
 // ---------------------------------------------------------------------------
+// Plan cache keyed by query shape: literals bound per execution
+// ---------------------------------------------------------------------------
+
+// An indexed evaluator over one plan cache, checked against the
+// reference evaluator on every query.
+struct ShapeCacheFixture {
+  explicit ShapeCacheFixture(const std::string& xml)
+      : store(BuildStore(xml)), idx(index::IndexConfig{}) {
+    idx.Rebuild(*store);
+  }
+  std::vector<PreId> Eval(const std::string& q) {
+    xpath::Evaluator<storage::PagedStore> ev(*store, &idx, &cache);
+    auto got = ev.Eval(q);
+    EXPECT_TRUE(got.ok()) << q << ": " << got.status().ToString();
+    xpath::ReferenceEvaluator<storage::PagedStore> ref(*store);
+    auto want = ref.Eval(xpath::ParsePath(q).value());
+    EXPECT_TRUE(want.ok()) << q;
+    if (!got.ok() || !want.ok()) return {};
+    EXPECT_EQ(got.value(), want.value()) << q;
+    return got.value();
+  }
+  std::string Explain(const std::string& q) {
+    xpath::Evaluator<storage::PagedStore> ev(*store, &idx, &cache);
+    auto e = ev.Explain(q);
+    EXPECT_TRUE(e.ok()) << q;
+    return e.ok() ? e.value() : "";
+  }
+  std::unique_ptr<storage::PagedStore> store;
+  index::IndexManager idx;
+  xpath::PlanCache cache;
+};
+
+TEST(PlanCacheTest, ShapeKeyReplacesQuotedLiterals) {
+  std::string buf;
+  std::vector<std::string> lits;
+  auto key = xpath::ShapeKey("//a[b='x y'][@c=\"q']\"][2][d>=40]", &buf,
+                             &lits);
+  ASSERT_TRUE(key.has_value());
+  EXPECT_EQ(*key, "//a[b=''][@c=''][2][d>=40]");
+  EXPECT_EQ(lits, (std::vector<std::string>{"x y", "q']"}));
+  // No quote: the text is its own key, no copy.
+  const std::string plain = "/site/people/person";
+  key = xpath::ShapeKey(plain, &buf, &lits);
+  ASSERT_TRUE(key.has_value());
+  EXPECT_EQ(key->data(), plain.data());
+  EXPECT_TRUE(lits.empty());
+  EXPECT_FALSE(xpath::ShapeKey("//a[b='x]", &buf, &lits).has_value());
+}
+
+TEST(PlanCacheTest, IdsOfOneShapeShareOneEntry) {
+  ShapeCacheFixture f(kDoc);
+  EXPECT_EQ(f.Eval("/site/people/person[@id='p0']/name").size(), 1u);
+  EXPECT_EQ(f.Eval("/site/people/person[@id='p2']/name").size(), 1u);
+  EXPECT_EQ(f.cache.size(), 1u);
+  EXPECT_EQ(f.cache.stats().misses, 1);
+  EXPECT_EQ(f.cache.stats().hits, 1);
+  // The bound literal decides the answer, not the compiled one.
+  EXPECT_NE(f.Eval("/site/people/person[@id='p0']/name"),
+            f.Eval("/site/people/person[@id='p2']/name"));
+  // Positions and unquoted numbers are part of the shape.
+  f.Eval("//person[age>40]");
+  f.Eval("//person[age>50]");
+  f.Eval("//person[1]");
+  f.Eval("//person[2]");
+  EXPECT_EQ(f.cache.size(), 5u);
+}
+
+TEST(PlanCacheTest, QuoteStylesShareOneEntry) {
+  ShapeCacheFixture f(kDoc);
+  EXPECT_EQ(f.Eval("//person[@id='p1']").size(), 1u);
+  EXPECT_EQ(f.Eval("//person[@id=\"p1\"]").size(), 1u);
+  EXPECT_EQ(f.cache.size(), 1u);
+  EXPECT_EQ(f.cache.stats().hits, 1);
+}
+
+TEST(PlanCacheTest, LiteralsHoldPathCharactersAndTheOtherQuote) {
+  ShapeCacheFixture f(
+      "<site><item k=\"a]b/c[d\">1</item><item k=\"it's\">2</item>"
+      "<item k='say \"hi\"'>3</item><item k='plain'>4</item></site>");
+  EXPECT_EQ(f.Eval("//item[@k='plain']").size(), 1u);
+  EXPECT_EQ(f.Eval("//item[@k='a]b/c[d']").size(), 1u);
+  EXPECT_EQ(f.Eval("//item[@k=\"it's\"]").size(), 1u);
+  EXPECT_EQ(f.Eval("//item[@k='say \"hi\"']").size(), 1u);
+  EXPECT_EQ(f.Eval("//item[.='3']").size(), 1u);
+  EXPECT_EQ(f.cache.size(), 2u);
+  EXPECT_EQ(f.cache.stats().hits, 3);
+}
+
+TEST(PlanCacheTest, AbsentLiteralMatchesNothing) {
+  ShapeCacheFixture f(kDoc);
+  EXPECT_EQ(f.Eval("/site/people/person[@id='p1']/name").size(), 1u);
+  EXPECT_TRUE(f.Eval("/site/people/person[@id='nobody']/name").empty());
+  EXPECT_TRUE(f.Eval("//person[name='n9']").empty());
+  EXPECT_EQ(f.Eval("//person[name='n2']").size(), 1u);
+  EXPECT_EQ(f.cache.stats().hits, 2);
+}
+
+TEST(PlanCacheTest, UnterminatedQuoteReportsTheParseError) {
+  ShapeCacheFixture f(kDoc);
+  const std::string q = "//person[@id='p0]";
+  const Status want = xpath::ParsePath(q).status();
+  ASSERT_FALSE(want.ok());
+  xpath::Evaluator<storage::PagedStore> ev(*f.store, &f.idx, &f.cache);
+  auto got = ev.Eval(q);
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().ToString(), want.ToString());
+  EXPECT_NE(want.ToString().find("unterminated string literal"),
+            std::string::npos);
+  EXPECT_EQ(f.cache.size(), 0u);
+}
+
+TEST(PlanCacheTest, ExplainPrintsTheCallersLiteral) {
+  ShapeCacheFixture f(kDoc);
+  const std::string first = f.Explain("//person[@id='p0']");
+  EXPECT_NE(first.find("cache: miss"), std::string::npos) << first;
+  EXPECT_NE(first.find("'p0'"), std::string::npos) << first;
+  const std::string second = f.Explain("//person[@id='p2']");
+  EXPECT_NE(second.find("cache: hit"), std::string::npos) << second;
+  EXPECT_NE(second.find("'p2'"), std::string::npos) << second;
+  EXPECT_EQ(second.find("p0"), std::string::npos) << second;
+  EXPECT_NE(second.find("result: 1 nodes"), std::string::npos) << second;
+}
+
+// 40 persons under /site/people: `k='c'` on 39 of them, `k='r'` on one,
+// a <tag> child on every fourth. Fusion takes the rare value
+// (1 * 4 <= 40) and not the common one (39 * 4 > 40), so one shape
+// needs two plans.
+std::string RareAndCommonPersons() {
+  std::string xml = "<site><people>";
+  for (int i = 0; i < 40; ++i) {
+    xml += std::string("<person k='") + (i == 16 ? "r" : "c") + "'><name>n" +
+           std::to_string(i) + "</name>" + (i % 4 == 0 ? "<tag/>" : "") +
+           "</person>";
+  }
+  return xml + "</people></site>";
+}
+
+TEST(PlanCacheTest, RecheckCompilesWhenTheFusionChoiceDiffers) {
+  const std::string rare = "/site/people/person[@k='r']/name";
+  const std::string common = "/site/people/person[@k='c']/name";
+  for (bool rare_first : {true, false}) {
+    SCOPED_TRACE(rare_first ? "rare first" : "common first");
+    ShapeCacheFixture f(RareAndCommonPersons());
+    const std::string& a = rare_first ? rare : common;
+    const std::string& b = rare_first ? common : rare;
+    EXPECT_EQ(f.Eval(a).size(), rare_first ? 1u : 39u);
+    // The other literal's re-check chooses differently: it compiles for
+    // its own literal, counts a miss, and the shared entry stays.
+    EXPECT_EQ(f.Eval(b).size(), rare_first ? 39u : 1u);
+    EXPECT_EQ(f.cache.size(), 1u);
+    EXPECT_EQ(f.cache.stats().recompiles, 1);
+    EXPECT_EQ(f.cache.stats().misses, 2);
+    EXPECT_EQ(f.cache.stats().hits, 0);
+    // The entry's own choice still serves its literal.
+    f.Eval(a);
+    EXPECT_EQ(f.cache.stats().hits, 1);
+    EXPECT_NE(f.Explain(rare).find("FusedProbe"), std::string::npos);
+    EXPECT_EQ(f.Explain(common).find("FusedProbe"), std::string::npos);
+    // An absent literal is as rare as can be: it fuses too.
+    EXPECT_TRUE(f.Eval("/site/people/person[@k='zz']/name").empty());
+  }
+}
+
+TEST(PlanCacheTest, TransactionHitsSkipTheRecheck) {
+  // A transaction clone runs without the index, so the fused plan the
+  // base compiled for the rare literal serves the common one through
+  // its scan fallback: a hit, no recompile, the exact answer.
+  auto db_or = Database::CreateFromXml(RareAndCommonPersons());
+  ASSERT_TRUE(db_or.ok());
+  auto db = std::move(db_or).value();
+  auto rare = db->Query("/site/people/person[@k='r']/name");
+  ASSERT_TRUE(rare.ok());
+  EXPECT_EQ(rare->size(), 1u);
+  auto txn = db->Begin();
+  ASSERT_TRUE(txn.ok());
+  auto common = txn.value()->Query("/site/people/person[@k='c']/name");
+  ASSERT_TRUE(common.ok()) << common.status().ToString();
+  EXPECT_EQ(common->size(), 39u);
+  EXPECT_EQ(db->plan_cache().stats().hits, 1);
+  EXPECT_EQ(db->plan_cache().stats().recompiles, 0);
+  ASSERT_TRUE(txn.value()->Abort().ok());
+}
+
+TEST(PlanCacheTest, RecheckRederivesPredicateRunOrder) {
+  // [tag][@k=..]: the rare literal (1 owner) probes ahead of the
+  // 10-owner [tag] gate, the common one (39) stays behind it.
+  ShapeCacheFixture f(RareAndCommonPersons());
+  const std::string rare = "//person[tag][@k='r']";
+  const std::string common = "//person[tag][@k='c']";
+  EXPECT_EQ(f.Eval(rare).size(), 1u);
+  EXPECT_EQ(f.Eval(rare).size(), 1u);
+  EXPECT_EQ(f.cache.stats().hits, 1);
+  EXPECT_EQ(f.Eval(common).size(), 9u);
+  EXPECT_EQ(f.cache.size(), 1u);
+  EXPECT_EQ(f.cache.stats().recompiles, 1);
+}
+
+// ---------------------------------------------------------------------------
 // Explain: the printed operators are the executed ones
 // ---------------------------------------------------------------------------
 

@@ -399,6 +399,39 @@ TEST(WalFormatTest, RecordRoundTrip) {
   std::remove(path.c_str());
 }
 
+TEST(WalFormatTest, EmptyTupleRangeRoundTrips) {
+  // An imaged page whose tuples all match the page the transaction
+  // found (only `used` moved) logs the empty range [lo, lo): its
+  // columns encode and decode as nothing.
+  std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("pxq_unit_wal_empty.bin_" + std::to_string(::getpid())))
+          .string();
+  std::remove(path.c_str());
+  storage::OpLog log;
+  auto pre = std::make_shared<storage::Page>(8);
+  auto post = std::make_shared<storage::Page>(*pre);
+  post->used = 3;
+  log.page_images.push_back({1, post, pre});
+  log.SealRanges();
+  ASSERT_EQ(log.page_images[0].lo, log.page_images[0].hi);
+  {
+    auto wal = std::move(txn::Wal::Open(path).value());
+    ASSERT_TRUE(wal->AppendCommit(5, 0, 1, log, {}).ok());
+  }
+  auto recs_or = txn::Wal::ReadAll(path, 8);
+  ASSERT_TRUE(recs_or.ok()) << recs_or.status().ToString();
+  ASSERT_EQ(recs_or->size(), 1u);
+  const auto& rec = (*recs_or)[0];
+  ASSERT_EQ(rec.page_ranges.size(), 1u);
+  EXPECT_EQ(rec.page_ranges[0].phys, 1);
+  EXPECT_EQ(rec.page_ranges[0].used, 3);
+  EXPECT_EQ(rec.page_ranges[0].lo, 8);
+  EXPECT_TRUE(rec.page_ranges[0].tuples.size.empty());
+  EXPECT_TRUE(rec.page_ranges[0].tuples.node.empty());
+  std::remove(path.c_str());
+}
+
 TEST(WalFormatTest, MissingFileIsEmpty) {
   auto recs = txn::Wal::ReadAll("/nonexistent/pxq.wal", 8);
   ASSERT_TRUE(recs.ok());
