@@ -11,9 +11,9 @@
 // own literals bound to the plan's parameter slots. Every entry point —
 // Database queries, transaction queries, XUpdate select expressions,
 // tools and benches — rides the same compiled path, and inside a plan
-// the predicate paths
-// and per-origin positional steps are compiled sub-plans run by the
-// same Executor::RunOps loop: there is exactly one evaluation engine.
+// the predicate paths and per-origin positional steps are compiled
+// sub-plans run by the same Executor::RunOps loop: there is exactly one
+// evaluation engine.
 // (ReferenceEvaluator, reference_eval.h, is a separate brute-force
 // oracle for tests.)
 //
