@@ -632,14 +632,14 @@ void BM_PredicateReorderCostBased(benchmark::State& state) {
 }
 BENCHMARK(BM_PredicateReorderCostBased);
 
-// Cascade seed choice on a path whose deep pair is the selective one:
-// the (people, person) and (person, profile) pairs hold every person
-// (or most), the (profile, gender) pair only ~22% of them. The
-// rarest-bucket rule seeds from the one-entry (site, people) pair
-// instead (explain: [cost order: 0 3 2 1]), which filters nothing, so
-// the downward joins walk every person. This bench measures that plan
-// as it is, not the rare-pair seed a cost rule judging a seed by the
-// work it saves would pick.
+// Pair cascade on a path whose deep pair is the selective one: the
+// (people, person) and (person, profile) pairs hold every person (or
+// most), the (profile, gender) pair only ~22% of them. The cascade
+// seeds from the one-entry (site, people) pair and joins down level by
+// level, so the downward joins walk every person. This bench measures
+// that plan as it is, not a rare-pair seed that a cost rule judging a
+// seed by the work it saves might pick. (The name is kept: the bench
+// trajectory tracks it.)
 const char* kCascadeQuery = "/site/people/person/profile/gender";
 
 void BM_CascadeOrderCostBased(benchmark::State& state) {

@@ -27,7 +27,6 @@ class VoidColumn {
 
   int64_t seqbase() const { return seqbase_; }
   int64_t count() const { return count_; }
-  void set_count(int64_t count) { count_ = count; }
 
   /// Value at position i (the whole point: no memory access).
   int64_t operator[](int64_t i) const {
@@ -71,7 +70,6 @@ class TypedColumn {
   }
 
   const T* data() const { return data_.data(); }
-  T* mutable_data() { return data_.data(); }
 
   /// Bytes of payload held (for the E7 footprint experiment).
   int64_t ByteSize() const { return size() * static_cast<int64_t>(sizeof(T)); }

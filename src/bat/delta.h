@@ -122,10 +122,6 @@ class PagedOverlay {
     }
   }
 
-  const std::unordered_map<int64_t, std::vector<T>>& private_pages() const {
-    return private_pages_;
-  }
-
  private:
   std::vector<T>& EnsurePrivate(int64_t pg) {
     auto it = private_pages_.find(pg);

@@ -30,7 +30,6 @@ class PXQ_CAPABILITY("mutex") Mutex {
 
   void Lock() PXQ_ACQUIRE() { mu_.lock(); }
   void Unlock() PXQ_RELEASE() { mu_.unlock(); }
-  bool TryLock() PXQ_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
   friend class MutexLock;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 
 #include "xpath/value_compare.h"
 
@@ -97,114 +96,29 @@ IndexManager::IndexManager(IndexConfig config) : config_(config) {}
 // Writer side: in-place maintenance inside the exclusive window
 // ---------------------------------------------------------------------------
 
-void IndexManager::AddValueEntry(ValueBucket* vb,
-                                 const storage::PagedStore& store,
-                                 NodeId node, PreId pre, NodeState* st) {
-  Derived d = DeriveValue(store, pre);
-  const uint64_t g = ++next_gen_;
-  if (d.simple) {
-    st->simple = true;
-    st->value = std::move(d.value);
-    st->numeric = xpath::detail::ParseNumber(st->value, &st->num);
-    ValueEntry& e = vb->by_string[st->value];
-    e.numeric = st->numeric;
-    SortedInsert(&e.nodes, node);
-    e.gen = g;
-    vb->range_gen = g;
-    if (st->numeric) {
-      vb->by_number.emplace(st->num, node);
-      vb->num_gen = g;
-      HistInsert(&vb->hist, st->num, vb->by_number);
-    }
-  } else {
-    st->simple = false;
-    st->value.clear();
-    st->numeric = false;
-    SortedInsert(&vb->complex_elems, node);
-    vb->complex_gen = g;
+template <typename Bucket>
+void IndexManager::DictInsert(Bucket* b, const std::string& value,
+                              bool numeric, double num, NodeId node) {
+  ValueEntry& e = b->by_string[value];
+  e.numeric = numeric;
+  SortedInsert(&e.nodes, node);
+  if (numeric) {
+    b->by_number.emplace(num, node);
+    HistInsert(&b->hist, num, b->by_number);
   }
 }
 
-void IndexManager::RemoveValueEntry(ValueBucket* vb, NodeId node,
-                                    const NodeState& st) {
-  const uint64_t g = ++next_gen_;
-  if (st.simple) {
-    auto eit = vb->by_string.find(st.value);
-    if (eit != vb->by_string.end()) {
-      SortedErase(&eit->second.nodes, node);
-      if (eit->second.nodes.empty()) {
-        vb->by_string.erase(eit);  // memo sees gen 0 for the vanished key
-      } else {
-        eit->second.gen = g;
-      }
-      vb->range_gen = g;
-    }
-    if (st.numeric) {
-      SidecarErase(&vb->by_number, st.num, node);
-      vb->num_gen = g;
-      vb->range_gen = g;
-      HistRemove(&vb->hist, st.num);
-    }
-  } else {
-    SortedErase(&vb->complex_elems, node);
-    vb->complex_gen = g;
+template <typename Bucket>
+void IndexManager::DictErase(Bucket* b, const std::string& value,
+                             bool numeric, double num, NodeId node) {
+  auto eit = b->by_string.find(value);
+  if (eit != b->by_string.end()) {
+    SortedErase(&eit->second.nodes, node);
+    if (eit->second.nodes.empty()) b->by_string.erase(eit);
   }
-}
-
-void IndexManager::AddAttrEntries(const storage::PagedStore& store,
-                                  NodeId node, NodeState* st) {
-  std::vector<int32_t> rows;
-  store.attrs().Lookup(node, &rows);
-  for (int32_t r : rows) {
-    const storage::AttrRow& row = store.attrs().row(r);
-    AttrState as;
-    as.qn = row.qname;
-    as.value = store.pools().Prop(row.prop);
-    as.numeric = xpath::detail::ParseNumber(as.value, &as.num);
-    AttrBucket* ab = &data_.attrs[as.qn];
-    const uint64_t g = ++next_gen_;
-    SortedInsert(&ab->owners, node);
-    ab->owners_gen = g;
-    ValueEntry& e = ab->by_string[as.value];
-    e.numeric = as.numeric;
-    SortedInsert(&e.nodes, node);
-    e.gen = g;
-    ab->range_gen = g;
-    if (as.numeric) {
-      ab->by_number.emplace(as.num, node);
-      ab->num_gen = g;
-      HistInsert(&ab->hist, as.num, ab->by_number);
-    }
-    st->attrs.push_back(std::move(as));
-  }
-}
-
-void IndexManager::RemoveAttrEntries(NodeId node, const NodeState& st) {
-  for (const AttrState& as : st.attrs) {
-    auto& attrs = data_.attrs;
-    auto ait = attrs.find(as.qn);
-    if (ait == attrs.end()) continue;
-    AttrBucket* ab = &ait->second;
-    const uint64_t g = ++next_gen_;
-    SortedErase(&ab->owners, node);
-    ab->owners_gen = g;
-    auto eit = ab->by_string.find(as.value);
-    if (eit != ab->by_string.end()) {
-      SortedErase(&eit->second.nodes, node);
-      if (eit->second.nodes.empty()) {
-        ab->by_string.erase(eit);
-      } else {
-        eit->second.gen = g;
-      }
-      ab->range_gen = g;
-    }
-    if (as.numeric) {
-      SidecarErase(&ab->by_number, as.num, node);
-      ab->num_gen = g;
-      ab->range_gen = g;
-      HistRemove(&ab->hist, as.num);
-    }
-    if (ab->empty()) attrs.erase(ait);
+  if (numeric) {
+    SidecarErase(&b->by_number, num, node);
+    HistRemove(&b->hist, num);
   }
 }
 
@@ -253,8 +167,31 @@ void IndexManager::AddNode(const storage::PagedStore& store, NodeId node,
   PostingsInsert(&data_.postings, st.qn, node, ++next_gen_);
   PostingsInsert(&data_.paths, PairKey(st.parent_qn, st.qn), node,
                  ++next_gen_);
-  AddValueEntry(&data_.values[st.qn], store, node, pre, &st);
-  AddAttrEntries(store, node, &st);
+  ValueBucket& vb = data_.values[st.qn];
+  vb.gen = ++next_gen_;
+  Derived d = DeriveValue(store, pre);
+  st.simple = d.simple;
+  if (d.simple) {
+    st.value = std::move(d.value);
+    st.numeric = xpath::detail::ParseNumber(st.value, &st.num);
+    DictInsert(&vb, st.value, st.numeric, st.num, node);
+  } else {
+    SortedInsert(&vb.complex_elems, node);
+  }
+  std::vector<int32_t> rows;
+  store.attrs().Lookup(node, &rows);
+  for (int32_t r : rows) {
+    const storage::AttrRow& row = store.attrs().row(r);
+    AttrState as;
+    as.qn = row.qname;
+    as.value = store.pools().Prop(row.prop);
+    as.numeric = xpath::detail::ParseNumber(as.value, &as.num);
+    AttrBucket& ab = data_.attrs[as.qn];
+    ab.gen = ++next_gen_;
+    SortedInsert(&ab.owners, node);
+    DictInsert(&ab, as.value, as.numeric, as.num, node);
+    st.attrs.push_back(std::move(as));
+  }
   node_state_[node] = std::move(st);
 }
 
@@ -267,10 +204,24 @@ void IndexManager::RemoveNode(NodeId node) {
   PostingsErase(&data_.paths, PairKey(st.parent_qn, st.qn), node,
                 ++next_gen_);
   if (auto vit = data_.values.find(st.qn); vit != data_.values.end()) {
-    RemoveValueEntry(&vit->second, node, st);
-    if (vit->second.empty()) data_.values.erase(vit);
+    ValueBucket& vb = vit->second;
+    vb.gen = ++next_gen_;
+    if (st.simple) {
+      DictErase(&vb, st.value, st.numeric, st.num, node);
+    } else {
+      SortedErase(&vb.complex_elems, node);
+    }
+    if (vb.empty()) data_.values.erase(vit);
   }
-  RemoveAttrEntries(node, st);
+  for (const AttrState& as : st.attrs) {
+    auto ait = data_.attrs.find(as.qn);
+    if (ait == data_.attrs.end()) continue;
+    AttrBucket& ab = ait->second;
+    ab.gen = ++next_gen_;
+    SortedErase(&ab.owners, node);
+    DictErase(&ab, as.value, as.numeric, as.num, node);
+    if (ab.empty()) data_.attrs.erase(ait);
+  }
   node_state_.erase(it);
 }
 
@@ -332,110 +283,32 @@ void IndexManager::ApplyDirty(const storage::PagedStore& store,
   const auto t0 = std::chrono::steady_clock::now();
   MutexLock lock(&writer_mu_);
   std::vector<NodeId> work = delta.dirty();
-  std::vector<uint8_t> kinds;
-  kinds.reserve(work.size());
-  for (NodeId n : work) kinds.push_back(delta.KindOf(n));
   for (size_t i = 0; i < work.size(); ++i) {
     const NodeId n = work[i];
-    const uint8_t kind = kinds[i];
-    auto st = node_state_.find(n);
-    const bool known = st != node_state_.end();
-
-    // Granular path for value-/attr-/path-only dirt: the node's qname
-    // postings membership is provably unchanged, so leave that bucket
-    // (and every warm memo entry sourced from it) alone and refresh
-    // just the sides the kind mask names. Falls through to the full
-    // path on any surprise (unknown node, vanished node, rival
-    // rename) — the full re-derive is always correct, just coarser.
-    if ((kind & DeltaIndex::kEntry) == 0 && known &&
-        store.PosOfNode(n) != kNullPos) {
-      auto gpre = store.PreOfNode(n);
-      if (gpre.ok() && store.KindAt(gpre.value()) == NodeKind::kElement &&
-          store.RefAt(gpre.value()) == st->second.qn) {
-        if ((kind & DeltaIndex::kPath) != 0) {
-          // The parent was renamed: re-key the pair entry from the
-          // merged base. Skipped when the recomputed parent tag matches
-          // the reverse map — a duplicate expansion must not bump the
-          // bucket generation and shoot down a warm path memo for
-          // nothing.
-          NodeState& ns = st->second;
-          const QnameId parent_qn = ParentTagOf(store, gpre.value());
-          if (parent_qn != ns.parent_qn) {
-            PostingsErase(&data_.paths, PairKey(ns.parent_qn, ns.qn), n,
-                          ++next_gen_);
-            ns.parent_qn = parent_qn;
-            PostingsInsert(&data_.paths, PairKey(ns.parent_qn, ns.qn), n,
-                           ++next_gen_);
-          }
-        }
-        if ((kind & DeltaIndex::kValue) != 0) {
-          ValueBucket* vb = &data_.values[st->second.qn];
-          RemoveValueEntry(vb, n, st->second);
-          AddValueEntry(vb, store, n, gpre.value(), &st->second);
-        }
-        if ((kind & DeltaIndex::kAttrs) != 0) {
-          // Old keys from the reverse map, new keys from the merged
-          // base: a replaced attribute value moves BOTH dictionary
-          // keys' generations, so memoized probes of either value
-          // invalidate while sibling keys stay warm.
-          std::vector<std::pair<QnameId, uint64_t>> prior_owner_gens;
-          prior_owner_gens.reserve(st->second.attrs.size());
-          for (const AttrState& as : st->second.attrs) {
-            prior_owner_gens.emplace_back(as.qn,
-                                          data_.attrs[as.qn].owners_gen);
-          }
-          RemoveAttrEntries(n, st->second);
-          st->second.attrs.clear();
-          AddAttrEntries(store, n, &st->second);
-          // An attribute the node owns both before and after (a value
-          // replacement, not an add/remove) leaves the owner LIST
-          // byte-identical — the remove/re-insert pair cancels out.
-          // Restore its pre-commit generation so warm AttrOwners memo
-          // entries stay valid; identical content under the same stamp
-          // cannot alias anything else (no ABA).
-          for (const auto& [qn, gen] : prior_owner_gens) {
-            for (const AttrState& na : st->second.attrs) {
-              if (na.qn == qn) {
-                data_.attrs[qn].owners_gen = gen;
-                break;
-              }
-            }
-          }
-        }
-        continue;
-      }
-    }
-
     // Detect renames against the reverse map BEFORE removal: the
     // transaction marks only the renamed node, but the pair keys of its
     // element children changed with it. Enumerating the children from
     // the MERGED base (not the transaction's clone) keeps concurrent
     // commits convergent — a child inserted by a rival commit is
     // re-keyed here even though the renamer's clone never saw it.
-    QnameId old_qn = -1;
-    if (known) old_qn = st->second.qn;
+    auto st = node_state_.find(n);
+    const QnameId old_qn = st == node_state_.end() ? -1 : st->second.qn;
     RemoveNode(n);
     if (store.PosOfNode(n) == kNullPos) continue;  // deleted (or aborted id)
     auto pre = store.PreOfNode(n);
     if (!pre.ok()) continue;
     if (store.KindAt(pre.value()) != NodeKind::kElement) continue;
-    if (known && old_qn != store.RefAt(pre.value())) {
-      // Re-enqueue the element children with kPath-only dirt: exactly
-      // their pair entries mention the renamed tag, so their postings/
-      // value/attr buckets (and their warm memos) must survive the
-      // re-key. Works regardless of a child's own marks or processing
-      // order — a kPath pass is idempotent (it re-derives the parent
-      // tag from the merged base and no-ops when it already matches the
-      // reverse map), and a child the same transaction also
-      // value-edited or renamed keeps its other kind bits on its own
-      // work item.
+    if (old_qn >= 0 && old_qn != store.RefAt(pre.value())) {
+      // Re-enqueue the direct element children: exactly their pair
+      // entries mention the renamed tag. A child that is dirty anyway
+      // is re-derived twice, which is harmless (a full re-derive is
+      // idempotent).
       const PreId self = pre.value();
       const PreId end = self + store.SizeAt(self);
       for (PreId c = store.SkipHoles(self + 1); c <= end;
            c = store.SkipHoles(c + store.SizeAt(c) + 1)) {
         if (store.KindAt(c) == NodeKind::kElement) {
           work.push_back(store.NodeAt(c));
-          kinds.push_back(DeltaIndex::kPath);
         }
       }
     }
@@ -473,13 +346,10 @@ std::vector<PreId> IndexManager::ToPres(const storage::PagedStore& store,
 }
 
 const IndexManager::MemoEntry* IndexManager::FindMemo(
-    const MemoKey& key, uint64_t src_gen, uint64_t aux_gen) const {
+    const MemoKey& key, uint64_t src_gen) const {
   MutexLock lock(&memo_mu_);
   auto it = memo_.find(key);
-  if (it == memo_.end() || it->second.src_gen != src_gen ||
-      it->second.aux_gen != aux_gen) {
-    return nullptr;
-  }
+  if (it == memo_.end() || it->second.src_gen != src_gen) return nullptr;
   return &it->second;
 }
 
@@ -489,13 +359,11 @@ const IndexManager::MemoEntry* IndexManager::StoreMemo(
   auto it = memo_.find(key);
   if (it != memo_.end()) {
     MemoEntry& cur = it->second;
-    // A racing filler got here first with the same generations: serve
+    // A racing filler got here first with the same generation: serve
     // its entry, which another probe may already hold. Otherwise the
     // entry is stale (its source moved in a commit), so no probe holds
     // it, and it is refilled in place.
-    if (cur.src_gen != entry.src_gen || cur.aux_gen != entry.aux_gen) {
-      cur = std::move(entry);
-    }
+    if (cur.src_gen != entry.src_gen) cur = std::move(entry);
     return &cur;
   }
   // Value/attr keys carry user-controlled operands: a full memo
@@ -510,7 +378,7 @@ const IndexManager::MemoEntry* IndexManager::StoreMemo(
 const std::vector<PreId>* IndexManager::MemoizedPres(
     const storage::PagedStore& store, const MemoKey& mk,
     const Postings& src) const {
-  if (const MemoEntry* e = FindMemo(mk, src.gen, 0)) {
+  if (const MemoEntry* e = FindMemo(mk, src.gen)) {
     memo_hits_.Inc();
     return &e->pres;
   }
@@ -529,33 +397,8 @@ IndexManager::MemoKey IndexManager::ValueMemoKey(MemoNs ns, QnameId qn,
   mk.ns = ns;
   mk.op = static_cast<uint8_t>(op);
   mk.key = static_cast<uint64_t>(static_cast<uint32_t>(qn));
-  double x = 0;
-  if (op == xpath::CmpOp::kEq &&
-      xpath::detail::ParseNumber(literal, &x)) {
-    // Numeric equality reads only the sidecar, so the operand
-    // canonicalizes to the parsed value: "17" and "17.0" share one
-    // entry. Normalize -0 to +0 (they hit the same sidecar range).
-    mk.cls = OperandClass::kNumeric;
-    if (x == 0) x = 0;
-    static_assert(sizeof(x) == sizeof(mk.num_bits));
-    std::memcpy(&mk.num_bits, &x, sizeof(x));
-  } else {
-    // Ordered operators take lexicographic dictionary bounds from the
-    // literal's spelling, so the raw string is the operand.
-    mk.cls = OperandClass::kString;
-    mk.operand = literal;
-  }
+  mk.operand = literal;
   return mk;
-}
-
-template <typename Bucket>
-uint64_t IndexManager::SourceGenFor(const Bucket& b, const MemoKey& key) {
-  if (static_cast<xpath::CmpOp>(key.op) == xpath::CmpOp::kEq) {
-    if (key.cls == OperandClass::kNumeric) return b.num_gen;
-    auto it = b.by_string.find(key.operand);
-    return it == b.by_string.end() ? 0 : it->second.gen;
-  }
-  return b.range_gen;
 }
 
 const std::vector<PreId>* IndexManager::ElementsByQname(
@@ -692,8 +535,7 @@ bool IndexManager::ChildValueProbe(const storage::PagedStore& store,
   }
   const ValueBucket& vb = vit->second;
   const MemoKey mk = ValueMemoKey(MemoNs::kValue, qn, op, literal);
-  const uint64_t src_gen = SourceGenFor(vb, mk);
-  if (const MemoEntry* e = FindMemo(mk, src_gen, vb.complex_gen)) {
+  if (const MemoEntry* e = FindMemo(mk, vb.gen)) {
     // Warm: the gate re-runs off the cached count, so a decline costs
     // no dictionary walk either.
     if (!Gate(e->candidates, scan_cost)) {
@@ -717,8 +559,7 @@ bool IndexManager::ChildValueProbe(const storage::PagedStore& store,
   *complex_rest = ToPres(store, vb.complex_elems);
   memo_value_misses_.Inc();
   MemoEntry entry;
-  entry.src_gen = src_gen;
-  entry.aux_gen = vb.complex_gen;
+  entry.src_gen = vb.gen;
   entry.candidates = k;
   entry.pres = *simple;
   entry.complex_pres = *complex_rest;
@@ -741,13 +582,13 @@ std::optional<std::vector<PreId>> IndexManager::AttrOwners(
   MemoKey mk;
   mk.ns = MemoNs::kAttrOwners;
   mk.key = static_cast<uint64_t>(static_cast<uint32_t>(qn));
-  if (const MemoEntry* e = FindMemo(mk, ab.owners_gen, 0)) {
+  if (const MemoEntry* e = FindMemo(mk, ab.gen)) {
     memo_value_hits_.Inc();
     return e->pres;
   }
   memo_value_misses_.Inc();
   MemoEntry entry;
-  entry.src_gen = ab.owners_gen;
+  entry.src_gen = ab.gen;
   entry.candidates = k;
   entry.pres = ToPres(store, ab.owners);
   std::vector<PreId> pres = entry.pres;
@@ -766,8 +607,7 @@ std::optional<std::vector<PreId>> IndexManager::AttrValueProbe(
   if (it == data_.attrs.end()) return std::vector<PreId>{};
   const AttrBucket& ab = it->second;
   const MemoKey mk = ValueMemoKey(MemoNs::kAttrValue, qn, op, literal);
-  const uint64_t src_gen = SourceGenFor(ab, mk);
-  if (const MemoEntry* e = FindMemo(mk, src_gen, 0)) {
+  if (const MemoEntry* e = FindMemo(mk, ab.gen)) {
     if (!Gate(e->candidates, scan_cost)) {
       probe_declines_.Inc();
       return std::nullopt;
@@ -784,7 +624,7 @@ std::optional<std::vector<PreId>> IndexManager::AttrValueProbe(
   }
   memo_value_misses_.Inc();
   MemoEntry entry;
-  entry.src_gen = src_gen;
+  entry.src_gen = ab.gen;
   entry.candidates = k;
   entry.pres = ToPres(store, matches);
   std::vector<PreId> pres = entry.pres;
@@ -845,10 +685,9 @@ IndexManager::KeyStats IndexManager::DictStats(
   if (op == CmpOp::kEq) {
     ks.known = true;
     if (lit_num) {
-      // Canonicalize exactly like ValueMemoKey: the parsed double IS
-      // the operand ("17" == "17.0"), -0 normalizes to +0 — so every
-      // spelling of one number lands in the same histogram bucket
-      // instead of splitting the estimate across spellings.
+      // Canonicalize: the parsed double IS the operand ("17" ==
+      // "17.0"), -0 normalizes to +0 — so every spelling of one number
+      // lands in the same histogram bucket.
       if (x == 0) x = 0;
       ks.count = HistEstimate(hist, CmpOp::kEq, x);
       // A bucket count is an upper bound, not a key read — except the

@@ -41,9 +41,7 @@
 //                       — see xpath::Executor::RunChainProbe. Renaming
 //                       an element re-keys the pairs of its direct
 //                       element children only; ApplyDirty expands that
-//                       commit-side with kPath-only dirty marks so the
-//                       children's value/attr entries (and their warm
-//                       memos) survive the re-key.
+//                       commit-side by re-deriving each such child.
 //
 // Postings store immutable NodeIds, not pre ranks: structural edits
 // shift pre values wholesale (within-page shifts, page stitching), but
@@ -62,12 +60,12 @@
 //   traffic, so concurrent probes never serialize on each other. That
 //   is safe because every probe runs under the database's shared
 //   (read) lock, and the only writers — Rebuild and ApplyDirty — run
-//   inside the exclusive commit window: ApplyDirty mutates exactly the
-//   buckets the dirty set touches, in place, so a commit costs
-//   O(edit), not O(bucket). Every touched postings/path bucket gets a
-//   fresh generation stamp from one monotone counter (value/attr
-//   dictionaries stamp the keys they touch), and `publish_epoch`
-//   increases monotonically with every commit.
+//   inside the exclusive commit window: ApplyDirty removes each dirty
+//   node's entries and re-derives them whole, in place, so a commit
+//   costs O(edit), not O(bucket). Every bucket it touches — qname
+//   postings, pair postings, a tag's value bucket, an attribute's
+//   bucket — gets a fresh generation stamp from one monotone counter,
+//   and `publish_epoch` increases monotonically with every commit.
 //
 //   LIFETIME CONTRACT: probes must run either under the database's
 //   shared (read) lock, or while no Rebuild/ApplyDirty can run (e.g.
@@ -76,21 +74,18 @@
 //
 //   Pre materializations are memoized in one map guarded by a leaf
 //   mutex (memo_mu_). The memo is heterogeneous — entries are keyed on
-//   (namespace, qname-or-pair key, op, operand-class, operand) and
-//   cover qname postings, path postings, child-value probes,
-//   attribute-owner probes, and attribute-value probes. An entry is
-//   valid iff the generation of its source — the postings bucket, the
-//   matching value-dictionary key for equality probes, the numeric
-//   sidecar for numeric-equality probes, or the whole dictionary for
-//   range probes — matches the current buckets (generations are never
-//   reused, so there is no pointer ABA). Pre ranks only shift in a
-//   structural commit, and the commit window clears the map then, so
-//   every entry holds ranks of the current structure. Value-only
-//   commits re-stamp just the dictionary keys they touch and leave the
-//   map alone: the memo is maintained incrementally. A probe that
-//   finds a stale entry overwrites it in place; by the lifetime
-//   contract no reader can still hold it. DESIGN.md §3 records the
-//   end-to-end measurements that keep the memo.
+//   (namespace, qname-or-pair key, op, literal as written) and cover
+//   qname postings, path postings, child-value probes, attribute-owner
+//   probes, and attribute-value probes. An entry is valid iff the
+//   generation of its source bucket matches the current one
+//   (generations are never reused, so there is no pointer ABA). Pre
+//   ranks only shift in a structural commit, and the commit window
+//   clears the map then, so every entry holds ranks of the current
+//   structure. A value-only commit re-stamps just the buckets it
+//   touches and leaves the map alone, so other tags' entries stay
+//   warm. A probe that finds a stale entry overwrites it in place; by
+//   the lifetime contract no reader can still hold it. DESIGN.md §3
+//   records the end-to-end measurements that keep the memo.
 #ifndef PXQ_INDEX_INDEX_MANAGER_H_
 #define PXQ_INDEX_INDEX_MANAGER_H_
 
@@ -191,12 +186,8 @@ class IndexManager {
 
   /// Commit-time merge of a transaction's DeltaIndex overlay: each dirty
   /// node's entries are removed and re-derived against the *merged* base
-  /// store, in place in the buckets.
-  /// Honors the overlay's per-node kind masks: kValue/kAttrs-only nodes
-  /// refresh just their value/attribute entries, leaving postings and
-  /// path buckets (and therefore their warm memo entries) untouched.
-  /// Call under the exclusive global lock, after oplog replay and size
-  /// resolution.
+  /// store, in place in the buckets. Call under the exclusive global
+  /// lock, after oplog replay and size resolution.
   void ApplyDirty(const storage::PagedStore& store, const DeltaIndex& delta);
 
   // --- probes (consulted by xpath::Evaluator) -------------------------
@@ -229,8 +220,8 @@ class IndexManager {
   /// (`op`, `literal`). Fills `simple` with exact matches and `complex`
   /// with the pre ranks of same-tag elements the value index does not
   /// cover (the caller must evaluate those individually). Declines kNe.
-  /// Repeat probes with no intervening commit touching the probed keys
-  /// are served from the memo (memo_value_hits) — warm cost
+  /// Repeat probes with no intervening commit touching the tag's value
+  /// bucket are served from the memo (memo_value_hits) — warm cost
   /// is a hash lookup + vector copy, not a re-collect + re-swizzle.
   bool ChildValueProbe(const storage::PagedStore& store, QnameId qn,
                        xpath::CmpOp op, const std::string& literal,
@@ -268,7 +259,7 @@ class IndexManager {
   /// space as PathPairProbe).
   KeyStats PairStats(QnameId parent_qn, QnameId self_qn) const;
   /// Elements tagged `qn` whose string value satisfies (op, literal).
-  /// Numeric operands are canonicalized exactly like the value memo
+  /// Numeric operands are canonicalized to the parsed double
   /// ("17" == "17.0", -0 == +0) before the histogram/sidecar lookup.
   /// Counts include the bucket's complex remainder (those elements must
   /// be evaluated per node, so they bound the candidate set).
@@ -329,15 +320,10 @@ class IndexManager {
            static_cast<uint32_t>(self_qn);
   }
 
-  /// Value-dictionary entry, generation-stamped like Postings: `gen`
-  /// moves whenever `nodes` changes (and the key vanishes when it
-  /// empties), so an equality memo entry validates against exactly its
-  /// own dictionary key — sibling keys of the same bucket keep their
-  /// stamps and their warm memo entries across a commit.
+  /// Value-dictionary entry; the key vanishes when `nodes` empties.
   struct ValueEntry {
     std::vector<NodeId> nodes;  // sorted
     bool numeric = false;       // key parses under the strict grammar
-    uint64_t gen = 0;
   };
   /// Equi-width histogram over a bucket's numeric sidecar, maintained
   /// incrementally by the writer alongside the sidecar itself. Bounds
@@ -364,13 +350,7 @@ class IndexManager {
     std::multimap<double, NodeId> by_number;          // numeric sidecar
     std::vector<NodeId> complex_elems;                // sorted
     NumericHistogram hist;                            // over by_number
-    // Aggregate generations for probes that read more than one key:
-    // numeric-equality probes validate num_gen (sidecar content),
-    // ordered probes validate range_gen (any dictionary or sidecar
-    // content), child-value probes additionally validate complex_gen.
-    uint64_t num_gen = 0;
-    uint64_t range_gen = 0;
-    uint64_t complex_gen = 0;
+    uint64_t gen = 0;  // stamped by every add and remove (memo source)
     bool empty() const {
       return by_string.empty() && by_number.empty() && complex_elems.empty();
     }
@@ -380,9 +360,7 @@ class IndexManager {
     std::map<std::string, ValueEntry> by_string;
     std::multimap<double, NodeId> by_number;
     NumericHistogram hist;                            // over by_number
-    uint64_t owners_gen = 0;  // owner-list content (AttrOwners probes)
-    uint64_t num_gen = 0;
-    uint64_t range_gen = 0;
+    uint64_t gen = 0;  // stamped by every add and remove (memo source)
     bool empty() const { return owners.empty(); }
   };
   struct AttrState {
@@ -417,13 +395,10 @@ class IndexManager {
   };
 
   /// Heterogeneous memo key: one namespace per probe family sharing the
-  /// one table. `key` is the qname (or the PairKey); value
-  /// and attr-value probes additionally carry the comparison operator
-  /// and the operand. Numeric-equality probes canonicalize the operand
-  /// to the parsed double's bit pattern, so "17" and "17.0" share one
-  /// entry; ordered probes keep the raw string (their dictionary range
-  /// is lexicographic in the literal, so two spellings of the same
-  /// number are NOT interchangeable).
+  /// one table. `key` is the qname (or the PairKey); value and
+  /// attr-value probes additionally carry the comparison operator and
+  /// the literal as written, so "17" and "17.0" take two entries, each
+  /// exact.
   enum class MemoNs : uint8_t {
     kQname = 0,      // qname postings materialization
     kPath = 1,       // (parent, self) pair postings materialization
@@ -431,41 +406,33 @@ class IndexManager {
     kAttrOwners = 3, // AttrOwners results
     kAttrValue = 4,  // AttrValueProbe results
   };
-  enum class OperandClass : uint8_t { kNone = 0, kString = 1, kNumeric = 2 };
   struct MemoKey {
     MemoNs ns = MemoNs::kQname;
     uint8_t op = 0;  // xpath::CmpOp for value namespaces, else 0
-    OperandClass cls = OperandClass::kNone;
-    uint64_t key = 0;       // qname or PairKey
-    uint64_t num_bits = 0;  // canonical numeric operand (cls == kNumeric)
-    std::string operand;    // raw string operand (cls == kString)
+    uint64_t key = 0;      // qname or PairKey
+    std::string operand;   // the literal (value namespaces)
     bool operator==(const MemoKey& o) const {
-      return ns == o.ns && op == o.op && cls == o.cls && key == o.key &&
-             num_bits == o.num_bits && operand == o.operand;
+      return ns == o.ns && op == o.op && key == o.key &&
+             operand == o.operand;
     }
   };
   struct MemoKeyHash {
     size_t operator()(const MemoKey& k) const {
       uint64_t h = k.key * 0x9e3779b97f4a7c15ULL;
-      h ^= (static_cast<uint64_t>(k.ns) << 16) |
-           (static_cast<uint64_t>(k.op) << 8) |
-           static_cast<uint64_t>(k.cls);
-      h ^= k.num_bits + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+      h ^= (static_cast<uint64_t>(k.ns) << 8) | static_cast<uint64_t>(k.op);
       h ^= std::hash<std::string>{}(k.operand) + (h << 6) + (h >> 2);
       return static_cast<size_t>(h);
     }
   };
 
-  /// Memo of pre materializations. An entry is valid iff src_gen (and
-  /// aux_gen for child-value entries) matches the generation of the
-  /// entry's source in the current buckets; which generation is "the
-  /// source" depends on the key (see SourceGenFor). `candidates` is the
-  /// gate input, cached so a warm probe can re-run the cost gate
-  /// against the caller's current scan estimate without re-collecting
-  /// matches.
+  /// Memo of pre materializations. An entry is valid iff src_gen
+  /// matches the generation of its source bucket: the qname or pair
+  /// postings, the tag's value bucket, or the attribute's bucket.
+  /// `candidates` is the gate input, cached so a warm probe can re-run
+  /// the cost gate against the caller's current scan estimate without
+  /// re-collecting matches.
   struct MemoEntry {
     uint64_t src_gen = 0;
-    uint64_t aux_gen = 0;  // complex-list generation (kValue only)
     int64_t candidates = 0;
     std::vector<PreId> pres;
     std::vector<PreId> complex_pres;  // kValue only
@@ -489,18 +456,8 @@ class IndexManager {
 
   // Writer helpers: REQUIRES(writer_mu_) — callers (Rebuild/ApplyDirty/
   // Stats) must hold the writer lock, and the analysis proves they do.
-  // Value/attr entry maintenance, shared by the full node paths and the
-  // granular kValue/kAttrs-only refreshes. Every dictionary/sidecar/
-  // owner mutation stamps the touched generations from next_gen_.
-  void AddValueEntry(ValueBucket* vb, const storage::PagedStore& store,
-                     NodeId node, PreId pre, NodeState* st)
-      PXQ_REQUIRES(writer_mu_);
-  void RemoveValueEntry(ValueBucket* vb, NodeId node, const NodeState& st)
-      PXQ_REQUIRES(writer_mu_);
-  void AddAttrEntries(const storage::PagedStore& store, NodeId node,
-                      NodeState* st) PXQ_REQUIRES(writer_mu_);
-  void RemoveAttrEntries(NodeId node, const NodeState& st)
-      PXQ_REQUIRES(writer_mu_);
+  // Every bucket a node's entries live in is stamped from next_gen_ on
+  // each add and remove.
   void RemoveNode(NodeId node) PXQ_REQUIRES(writer_mu_);
   void AddNode(const storage::PagedStore& store, NodeId node, PreId pre,
                QnameId parent_qn) PXQ_REQUIRES(writer_mu_);
@@ -522,8 +479,8 @@ class IndexManager {
   // same generations), or nullptr when the value-key cap refuses it.
   // Returned entries stay valid until the next commit (node-based map,
   // and only stale entries are ever overwritten).
-  const MemoEntry* FindMemo(const MemoKey& key, uint64_t src_gen,
-                            uint64_t aux_gen) const PXQ_EXCLUDES(memo_mu_);
+  const MemoEntry* FindMemo(const MemoKey& key, uint64_t src_gen) const
+      PXQ_EXCLUDES(memo_mu_);
   const MemoEntry* StoreMemo(const MemoKey& key, MemoEntry entry) const
       PXQ_EXCLUDES(memo_mu_);
   /// Memoized pre materialization of one postings bucket, keyed by the
@@ -531,23 +488,22 @@ class IndexManager {
   const std::vector<PreId>* MemoizedPres(const storage::PagedStore& store,
                                          const MemoKey& mk,
                                          const Postings& src) const;
-  /// Memo key for a value/attr probe over (qn, op, literal); fills the
-  /// operand class (numeric equality canonicalizes to the double's bit
-  /// pattern, everything else keeps the raw string).
+  /// Memo key for a value/attr probe over (qn, op, literal).
   static MemoKey ValueMemoKey(MemoNs ns, QnameId qn, xpath::CmpOp op,
                               const std::string& literal);
-  /// The generation a memoized probe of (op, operand) over this
-  /// dictionary/sidecar pair must match to be valid: the operand's own
-  /// dictionary-key generation for string equality (0 when absent —
-  /// the key appearing later moves it), num_gen for numeric equality,
-  /// range_gen for ordered operators.
-  template <typename Bucket>
-  static uint64_t SourceGenFor(const Bucket& b, const MemoKey& key);
   /// Collect matches of (op, literal) from a dictionary + sidecar pair.
   static void CollectMatches(const std::map<std::string, ValueEntry>& dict,
                              const std::multimap<double, NodeId>& sidecar,
                              xpath::CmpOp op, const std::string& literal,
                              std::vector<NodeId>* out);
+  // Dictionary + numeric sidecar + histogram maintenance of one value
+  // or attribute bucket for one (value, node) pair.
+  template <typename Bucket>
+  static void DictInsert(Bucket* b, const std::string& value, bool numeric,
+                         double num, NodeId node);
+  template <typename Bucket>
+  static void DictErase(Bucket* b, const std::string& value, bool numeric,
+                        double num, NodeId node);
   // Numeric-histogram maintenance (writer side, inside the exclusive
   // window). Insert AFTER the sidecar insert — out-of-bounds
   // values widen the bounds and rebuild counts from the sidecar.

@@ -486,21 +486,6 @@ Status PagedStore::RecomputeSizes(
   return Status::OK();
 }
 
-Status PagedStore::ApplySizeDeltas(const std::vector<SizeDelta>& deltas) {
-  for (const SizeDelta& d : deltas) {
-    PosId pos = PosOfNode(d.node);
-    if (pos == kNullPos) {
-      // The ancestor was itself deleted by a later committed update; its
-      // size is gone with it. Commutativity makes skipping safe.
-      continue;
-    }
-    const Page& pg = *pages_[pos >> page_bits_];
-    int64_t cur = pg.size[static_cast<size_t>(pos & page_mask_)];
-    WriteSizeRaw(pos, cur + d.delta);
-  }
-  return Status::OK();
-}
-
 }  // namespace pxq::storage
 
 namespace pxq::storage {
@@ -989,12 +974,9 @@ Status PagedStore::SetRef(PreId pre, int32_t ref) {
     // clone, would miss a child a concurrent transaction commits first.
     idx_delta_->MarkDirty(NodeAt(pre));
     if (KindAt(pre) != NodeKind::kElement) {
-      // A text/comment/pi repoint changes the parent's string value —
-      // and ONLY its value: postings/path/attr entries are untouched,
-      // so the value-only mark lets commit keep those buckets (and
-      // their warm memoized materializations) intact.
+      // A text/comment/pi repoint changes the parent's string value.
       PreId parent = ParentOf(pre);
-      if (parent != kNullPre) idx_delta_->MarkValueDirty(NodeAt(parent));
+      if (parent != kNullPre) idx_delta_->MarkDirty(NodeAt(parent));
     }
   }
   return Status::OK();
@@ -1010,7 +992,7 @@ void PagedStore::AddAttr(NodeId owner, QnameId qname, ValueId prop) {
     oplog_->attr_ops.push_back(
         {OpLog::AttrOp::Kind::kAdd, owner, qname, prop});
   }
-  if (idx_delta_ != nullptr) idx_delta_->MarkAttrsDirty(owner);
+  if (idx_delta_ != nullptr) idx_delta_->MarkDirty(owner);
 }
 
 void PagedStore::RemoveAttrsOf(NodeId owner) {
@@ -1019,7 +1001,7 @@ void PagedStore::RemoveAttrsOf(NodeId owner) {
     oplog_->attr_ops.push_back(
         {OpLog::AttrOp::Kind::kRemoveOwner, owner, -1, -1});
   }
-  if (idx_delta_ != nullptr) idx_delta_->MarkAttrsDirty(owner);
+  if (idx_delta_ != nullptr) idx_delta_->MarkDirty(owner);
 }
 
 Status PagedStore::RemoveAttrNamed(NodeId owner, QnameId qname) {
@@ -1032,7 +1014,7 @@ Status PagedStore::RemoveAttrNamed(NodeId owner, QnameId qname) {
     oplog_->attr_ops.push_back(
         {OpLog::AttrOp::Kind::kRemoveNamed, owner, qname, -1});
   }
-  if (idx_delta_ != nullptr) idx_delta_->MarkAttrsDirty(owner);
+  if (idx_delta_ != nullptr) idx_delta_->MarkDirty(owner);
   return Status::OK();
 }
 
@@ -1047,7 +1029,7 @@ void PagedStore::SetAttrNamed(NodeId owner, QnameId qname, ValueId prop) {
     oplog_->attr_ops.push_back(
         {OpLog::AttrOp::Kind::kSetNamed, owner, qname, prop});
   }
-  if (idx_delta_ != nullptr) idx_delta_->MarkAttrsDirty(owner);
+  if (idx_delta_ != nullptr) idx_delta_->MarkDirty(owner);
 }
 
 // ---------------------------------------------------------------------------

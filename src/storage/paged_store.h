@@ -277,9 +277,6 @@ class PagedStore {
   /// Value update: repoint a text/comment/pi node at a new pool value.
   Status SetRef(PreId pre, int32_t ref);
 
-  /// Apply a batch of commutative size deltas by node id (direct use).
-  Status ApplySizeDeltas(const std::vector<SizeDelta>& deltas);
-
   /// Recompute the exact region extent of each claimed node against the
   /// current structure (deepest node first so parents see corrected
   /// child sizes). Dead nodes are skipped. Commit/recovery path.
@@ -299,7 +296,6 @@ class PagedStore {
   const AttrTable& attrs() const { return attrs_; }
   ContentPools& pools() { return *pools_; }
   const ContentPools& pools() const { return *pools_; }
-  const std::shared_ptr<ContentPools>& pools_ptr() const { return pools_; }
 
   // --- transactions -----------------------------------------------------------
   /// O(#pages) snapshot: page payloads, node/pos pages and attribute

@@ -202,13 +202,6 @@ struct DenseDocument {
   int64_t node_count() const { return static_cast<int64_t>(size.size()); }
 };
 
-/// Commutative size increment for one node: the delta currency that lets
-/// concurrent transactions update shared ancestors without locking them.
-struct SizeDelta {
-  NodeId node;
-  int64_t delta;
-};
-
 }  // namespace pxq::storage
 
 #endif  // PXQ_STORAGE_STORE_COMMON_H_

@@ -161,14 +161,6 @@ class TransactionManager {
   /// slot collisions, drain wakeups).
   GlobalLock::Stats lock_stats() const { return global_.stats(); }
 
-  /// Latency of the exclusive commit window (ns from LockExclusive to
-  /// UnlockExclusive on successful commits: oplog replay + size
-  /// resolution + index maintenance; the WAL append runs before the
-  /// window). One record per BATCH under group commit.
-  const obs::Histogram& commit_window_hist() const {
-    return commit_window_ns_;
-  }
-
   /// Group-commit effectiveness: batches led (one WAL fsync each) and
   /// the distribution of commits folded into each batch.
   int64_t group_commits() const { return group_commits_.Value(); }
@@ -232,6 +224,8 @@ class TransactionManager {
 
   std::atomic<TxnId> next_txn_id_{1};
   std::atomic<uint64_t> commit_lsn_{0};
+  // ns from LockExclusive to UnlockExclusive per committed batch: oplog
+  // replay, size resolution and index maintenance.
   obs::Histogram commit_window_ns_;
   // Oplog replay + size resolution per committed member: the window's
   // share besides index maintenance.

@@ -362,15 +362,13 @@ class Compiler {
   }
 
   /// The cost-based pass (DESIGN.md §9): stamp estimates into the plan,
-  /// reorder conjunctive predicates rarest-first, pick the cascade
-  /// probe order by estimated bucket size, and fuse a from_root prefix
-  /// with a highly selective value predicate so the value side drives
-  /// the probe. Reordering is correctness-neutral (non-positional
-  /// predicates are commutative per-node filters; a fixed-level
-  /// ancestor is unique, so cascade joins compose in any order) and
-  /// every shape keeps its scan fallback. A plan whose shape the
-  /// estimates actually changed is stamped with the stats epoch so the
-  /// PlanCache recompiles it when the stats move; a plan whose choices
+  /// reorder conjunctive predicates rarest-first, and fuse a from_root
+  /// prefix with a highly selective value predicate so the value side
+  /// drives the probe. Reordering is correctness-neutral (non-positional
+  /// predicates are commutative per-node filters) and every shape keeps
+  /// its scan fallback. A plan whose shape the estimates actually
+  /// changed is stamped with the stats epoch so the PlanCache
+  /// recompiles it when the stats move; a plan whose choices
   /// read a quoted literal's estimate is marked literal_choices, so a
   /// cache hit for other literals re-derives them (SameLiteralChoices
   /// mirrors the two literal-reading decisions below).
@@ -457,35 +455,17 @@ class Compiler {
       break;  // at most one from_root prefix per plan
     }
 
-    // Cascade order: per-spec estimates; seed from the rarest bucket
-    // and join outward when that differs from syntactic left-to-right.
+    // Cascade estimate, for explain's est= column and the estimate-error
+    // histogram; the cascade itself always runs in level order.
     for (PlanOp& op : plan->ops) {
       if (op.kind != OpKind::kChainProbe || op.missing_name) continue;
-      bool all_known = true;
       std::vector<std::pair<QnameId, QnameId>> pairs;
       pairs.reserve(op.probes.size());
-      for (ChainProbeSpec& sp : op.probes) {
-        index::CardEstimate ce = est.Pair(sp.parent_qn, sp.self_qn);
-        sp.est = ce.known ? ce.upper : -1;
-        if (!ce.known) all_known = false;
+      for (const ChainProbeSpec& sp : op.probes) {
         pairs.emplace_back(sp.parent_qn, sp.self_qn);
       }
       index::CardEstimate casc = est.Cascade(pairs);
       if (casc.known) op.est = static_cast<int64_t>(casc.point + 0.5);
-      if (op.probes.size() < 2 || !all_known || !op.from_root) continue;
-      std::vector<size_t> order(op.probes.size());
-      for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-      std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-        return op.probes[a].est < op.probes[b].est;
-      });
-      bool identity = true;
-      for (size_t i = 0; i < order.size(); ++i) {
-        if (order[i] != i) identity = false;
-      }
-      if (!identity) {
-        op.exec_order = std::move(order);
-        reshaped = true;
-      }
     }
 
     if (reshaped) {

@@ -343,30 +343,25 @@ class Executor {
   /// Compiled pair cascade: one (parent, self) probe per level, each
   /// gated against the live span estimate. Any decline falls back to
   /// the consumed prefix as child steps (per-step index plans still
-  /// apply).
+  /// apply), and explain names the span the declining probe was gated
+  /// against.
   StatusOr<std::vector<PreId>> RunChainProbe(const Plan& plan,
                                              const PlanOp& op,
                                              std::string* strategy) const {
+    // The scan cost the last gated probe was judged against.
+    int64_t scan_cost = store_.SizeAt(store_.Root()) + 1;
     if constexpr (kIndexable) {
       if (index_ != nullptr) {
         bool answered = true;
         std::vector<PreId> res;
         if (!op.missing_name) {
-          // Seed from the leading pair, or — when the compiler
-          // cost-ordered the cascade — from the estimated-rarest spec
-          // (exec_order[0]); a level filter pins the seed's candidates
-          // to their absolute level, gated against the document span.
-          // Specs ABOVE the seed then verify each survivor by one
-          // AncestorIn search in their (larger) buckets, fetched with
-          // kNoBudget. The pairs tile every level above the seed, so
-          // the searches verify the whole prefix. Specs DEEPER than the
-          // seed join downward in level order, each gated against the
-          // surviving regions' span.
-          const ChainProbeSpec& s0 =
-              op.probes[op.exec_order.empty() ? 0 : op.exec_order[0]];
-          const int64_t doc_span = store_.SizeAt(store_.Root()) + 1;
+          // Seed from the leading pair: a level filter pins its
+          // candidates to their absolute level, gated against the
+          // document span. Each later pair joins downward in level
+          // order, gated against the surviving regions' span.
+          const ChainProbeSpec& s0 = op.probes[0];
           auto c0 = index_->PathPairProbe(store_, s0.parent_qn, s0.self_qn,
-                                          doc_span);
+                                          scan_cost);
           if (c0 == nullptr) {
             answered = false;
           } else {
@@ -374,28 +369,17 @@ class Executor {
             for (PreId p : *c0) {
               if (store_.LevelAt(p) == s0.abs_level) res.push_back(p);
             }
-            for (const ChainProbeSpec& sp : op.probes) {
-              if (sp.abs_level >= s0.abs_level) continue;
-              if (res.empty()) break;  // empty result is exact
-              auto ui = index_->PathPairProbe(store_, sp.parent_qn,
-                                              sp.self_qn, kNoBudget);
-              if (ui == nullptr) {
-                answered = false;
-                break;
-              }
-              KeepWithAncestorIn(&res, *ui, sp.abs_level);
-            }
             int32_t cur_level = s0.abs_level;
-            for (const ChainProbeSpec& sp : op.probes) {
-              if (!answered) break;
-              if (sp.abs_level <= s0.abs_level) continue;
+            for (size_t i = 1; i < op.probes.size(); ++i) {
               if (res.empty()) break;  // empty result is exact
+              const ChainProbeSpec& sp = op.probes[i];
               int64_t span = 0;
               for (PreId c : res) span += store_.SizeAt(c) + 1;
               auto li = index_->PathPairProbe(store_, sp.parent_qn,
                                               sp.self_qn, span);
               if (li == nullptr) {
                 answered = false;
+                scan_cost = span;
                 break;
               }
               res = KeepDescendantsAtDepth(*li, res,
@@ -422,16 +406,13 @@ class Executor {
                  op.missing_name
                      ? std::string("empty (name never interned)")
                      : "index cascade (" +
-                           std::to_string(op.probes.size()) + " probes)" +
-                           (op.exec_order.empty() ? "" : " [cost order]"));
+                           std::to_string(op.probes.size()) + " probes)");
           }
           return res;
         }
       }
     }
-    Note(strategy,
-         "stepwise fallback [" +
-             GateDeclineWhy(store_.SizeAt(store_.Root()) + 1) + "]");
+    Note(strategy, "stepwise fallback [" + GateDeclineWhy(scan_cost) + "]");
     return ChildNamePrefix(plan, op, /*scan=*/false);
   }
 

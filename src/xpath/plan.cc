@@ -55,11 +55,6 @@ std::string Plan::DescribeOp(size_t i, Literals bound) const {
       }
       out += StrFormat(" (%zu steps, %zu probes)", op.consumed,
                        op.probes.size());
-      if (!op.exec_order.empty()) {
-        out += " [cost order:";
-        for (size_t p : op.exec_order) out += StrFormat(" %zu", p);
-        out += "]";
-      }
       if (op.missing_name) out += " [name never interned]";
       break;
     }

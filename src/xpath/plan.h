@@ -63,14 +63,8 @@ const char* OpKindName(OpKind k);
 struct ChainProbeSpec {
   QnameId parent_qn = -1;
   QnameId self_qn = -1;
-  /// Absolute level of the self-tag elements — lets a cost-ordered
-  /// cascade seed from ANY spec (level filter) and join the rest
-  /// bidirectionally, since a fixed-level ancestor is unique.
+  /// Absolute level of the self-tag elements (i + 1 for probe i).
   int32_t abs_level = -1;
-  /// Estimated pair-bucket size stamped by the compiler (-1: no
-  /// estimate). Advisory: the executor re-gates every probe at run
-  /// time against live counts.
-  int64_t est = -1;
 };
 
 /// Index-supported predicate shapes (see IndexManager's value/attr
@@ -107,11 +101,6 @@ struct PlanOp {
   std::vector<ChainProbeSpec> probes;
   size_t consumed = 0;       // leading steps the cascade consumes
   bool missing_name = false; // a path tag was never interned: empty, exact
-  /// Cost-based cascade order (indexes into `probes`, rarest first).
-  /// Empty = syntactic left-to-right execution. Non-empty = the
-  /// executor seeds from exec_order[0] and joins the remaining specs
-  /// bidirectionally by absolute level.
-  std::vector<size_t> exec_order;
   // --- kValueProbeGate ------------------------------------------------
   PredShape shape = PredShape::kNone;
   QnameId child_qn = -1;

@@ -97,7 +97,6 @@ class PlanCache {
   /// Record one compilation's wall-time (misses only — hits never
   /// compile). Called by the Evaluator after CompileText.
   void RecordCompile(int64_t ns) { compile_ns_.Record(ns); }
-  const obs::Histogram& compile_hist() const { return compile_ns_; }
 
   /// Expose the cache through a registry: the compile-time histogram by
   /// reference, hit/miss/eviction/size as one mutex-coherent group (one

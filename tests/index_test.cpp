@@ -312,11 +312,11 @@ TEST(IndexManagerTest, RenameRekeysChildrenFromMergedBase) {
 }
 
 // Review regression: a transaction that renames an element AND
-// value-edits one of its element children leaves the child marked
-// kValue-only in the dirty set. The rename expansion must still
-// re-enqueue that child for a FULL refresh — a granular value pass
-// alone would leave its stale (old parent, self) path-index posting,
-// and renames never bump the structure epoch to flush it.
+// value-edits one of its element children dirties that child itself,
+// and the rename expansion re-enqueues it once more. Both re-derives
+// must leave the child under its new (parent, self) pair with its new
+// value — renames never bump the structure epoch to flush a stale
+// posting.
 TEST(IndexManagerTest, RenameRekeysValueDirtyChildren) {
   auto store = BuildStore("<r><e><c>1</c><c>2</c></e></r>");
   index::IndexManager idx(index::IndexConfig{});
@@ -328,14 +328,15 @@ TEST(IndexManagerTest, RenameRekeysValueDirtyChildren) {
 
   index::DeltaIndex delta;
   store->AttachIndexDelta(&delta);
-  // Text-edit the first <c> ("1" -> "9"): dirties it kValue-only.
+  // Text-edit the first <c> ("1" -> "9"): dirties the text and its <c>.
   auto c_pres = xpath::EvaluatePath(*store, "//c");
   ASSERT_TRUE(c_pres.ok());
   PreId text = store->SkipHoles(c_pres.value()[0] + 1);
   ASSERT_EQ(store->KindAt(text), NodeKind::kText);
   ASSERT_TRUE(store->SetRef(text, store->pools().AddText("9")).ok());
-  EXPECT_EQ(delta.KindOf(store->NodeAt(c_pres.value()[0])),
-            index::DeltaIndex::kValue);
+  EXPECT_EQ(delta.dirty(),
+            (std::vector<NodeId>{store->NodeAt(text),
+                                 store->NodeAt(c_pres.value()[0])}));
   // Rename <e> -> <f> in the same transaction.
   auto e_pre = xpath::EvaluatePath(*store, "//e");
   ASSERT_TRUE(e_pre.ok());
@@ -393,22 +394,24 @@ TEST(IndexManagerTest, DeepPathCascadeProbeCount) {
 
 // Renaming an element re-keys the pairs of exactly its direct element
 // children — from the MERGED base, with a dirty set holding only the
-// renamed node — while the children's value/attr buckets (and their
-// warm memos) survive.
-TEST(IndexManagerTest, RenameRekeysChildPairsKeepsValueMemo) {
-  auto store = BuildStore("<r><g><c>1</c><c>2</c></g></r>");
+// renamed node. The children are re-derived whole, so their own value
+// bucket re-stamps; a tag the rename does not reach keeps its warm memo.
+TEST(IndexManagerTest, RenameRekeysChildPairsKeepsOtherValueMemos) {
+  auto store = BuildStore("<r><g><c>1</c><c>2</c></g><u>5</u></r>");
   index::IndexManager idx(index::IndexConfig{});
   idx.Rebuild(*store);
   const int64_t big = 1 << 20;
   QnameId g = store->pools().FindQname("g");
   QnameId c = store->pools().FindQname("c");
+  QnameId u = store->pools().FindQname("u");
 
   ASSERT_EQ(idx.PathPairProbe(*store, g, c, big)->size(), 2u);
-  // Warm a value probe over the children: the rename below must NOT
-  // invalidate it (the kPath-only re-key leaves the value bucket
-  // untouched).
+  // Warm a value probe over the children and one over <u>.
   std::vector<PreId> simple, rest;
   ASSERT_TRUE(idx.ChildValueProbe(*store, c, CmpOp::kEq, "1", big, &simple,
+                                  &rest));
+  EXPECT_EQ(simple.size(), 1u);
+  ASSERT_TRUE(idx.ChildValueProbe(*store, u, CmpOp::kEq, "5", big, &simple,
                                   &rest));
   EXPECT_EQ(simple.size(), 1u);
   const auto warm = idx.Stats();
@@ -427,12 +430,15 @@ TEST(IndexManagerTest, RenameRekeysChildPairsKeepsValueMemo) {
   EXPECT_EQ(idx.PathPairProbe(*store, g, c, big)->size(), 0u);
   EXPECT_EQ(idx.PathPairProbe(*store, h, c, big)->size(), 2u);
 
-  // The warm value probe survived: served from memo, same result.
+  // The children's value probe re-derives exactly; <u>'s stays warm.
   ASSERT_TRUE(idx.ChildValueProbe(*store, c, CmpOp::kEq, "1", big, &simple,
                                   &rest));
   EXPECT_EQ(simple.size(), 1u);
+  ASSERT_TRUE(idx.ChildValueProbe(*store, u, CmpOp::kEq, "5", big, &simple,
+                                  &rest));
+  EXPECT_EQ(simple.size(), 1u);
   auto s = idx.Stats();
-  EXPECT_EQ(s.memo_value_misses, warm.memo_value_misses);
+  EXPECT_EQ(s.memo_value_misses, warm.memo_value_misses + 1);
   EXPECT_EQ(s.memo_value_hits, warm.memo_value_hits + 1);
   EXPECT_EQ(s.structure_epoch, warm.structure_epoch);  // rename: no shift
 
@@ -621,10 +627,10 @@ TEST(IndexManagerTest, MemoServesRepeatedProbes) {
   EXPECT_EQ(s.memo_hits, 1);
 }
 
-// Tentpole: value and attribute probes are memoized like qname/path
+// Value and attribute probes are memoized like qname/path
 // materializations. Repeats with no intervening commit are served from
-// the memo; numeric-equality operands canonicalize, so two
-// spellings of the same number share one entry.
+// the memo; the key holds the literal as written, so two spellings of
+// the same number take two entries, each exact.
 TEST(IndexManagerTest, ValueMemoServesRepeatedProbes) {
   auto store = BuildStore(kDoc);
   index::IndexManager idx(index::IndexConfig{});
@@ -638,14 +644,16 @@ TEST(IndexManagerTest, ValueMemoServesRepeatedProbes) {
   ASSERT_TRUE(idx.ChildValueProbe(*store, n, CmpOp::kEq, "17", big, &simple,
                                   &rest));
   EXPECT_EQ(simple.size(), 1u);
-  // "17.0" parses to the same number: operand-class canonicalization
-  // makes it THE SAME memo key, so this is a hit, not a second miss.
-  ASSERT_TRUE(idx.ChildValueProbe(*store, n, CmpOp::kEq, "17.0", big,
-                                  &simple, &rest));
-  EXPECT_EQ(simple.size(), 1u);
+  // "17.0" parses to the same number and matches the same element,
+  // under a memo key of its own.
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(idx.ChildValueProbe(*store, n, CmpOp::kEq, "17.0", big,
+                                    &simple, &rest));
+    EXPECT_EQ(simple.size(), 1u);
+  }
   {
     auto s = idx.Stats();
-    EXPECT_EQ(s.memo_value_misses, 1);
+    EXPECT_EQ(s.memo_value_misses, 2);
     EXPECT_EQ(s.memo_value_hits, 1);
   }
 
@@ -666,14 +674,14 @@ TEST(IndexManagerTest, ValueMemoServesRepeatedProbes) {
     EXPECT_EQ(range->size(), 2u);
   }
   auto s = idx.Stats();
-  EXPECT_EQ(s.memo_value_misses, 4);  // one per distinct probe
+  EXPECT_EQ(s.memo_value_misses, 5);  // one per distinct probe
   EXPECT_EQ(s.memo_value_hits, 4);    // one per repeat
 }
 
-// Tentpole: a value-only commit invalidates ONLY the dictionary keys it
-// touched. Untouched keys of the same tag, numeric-sidecar entries, and
-// qname postings materializations all stay warm across the commit.
-TEST(IndexManagerTest, ValueMemoInvalidatesPerTouchedKey) {
+// A value-only commit invalidates ONLY the buckets it touched: every
+// entry over the edited tag re-derives (exactly), while other tags'
+// value entries and postings materializations stay warm.
+TEST(IndexManagerTest, ValueMemoInvalidatesPerTouchedBucket) {
   auto store = BuildStore(kDoc);
   index::IndexManager idx(index::IndexConfig{});
   idx.Rebuild(*store);
@@ -710,21 +718,21 @@ TEST(IndexManagerTest, ValueMemoInvalidatesPerTouchedKey) {
   idx.ApplyDirty(*store, delta);
   store->AttachIndexDelta(nullptr);
 
-  // Untouched keys are still warm: numeric-eq under <n> (different
-  // tag), "y" under <c> (same tag, untouched dictionary key), and the
-  // <n> postings materialization (same pointer — its bucket and the
-  // structure epoch are unchanged).
+  // The other tag is still warm: numeric-eq under <n> and the <n>
+  // postings materialization (same pointer — its bucket and the
+  // structure epoch are unchanged). "y" under <c> shares the edited
+  // bucket, so it re-derives, to the same answer.
   ASSERT_TRUE(idx.ChildValueProbe(*store, n, CmpOp::kEq, "17", big, &simple,
                                   &rest));
   EXPECT_EQ(simple.size(), 1u);
+  EXPECT_EQ(idx.ElementsByQname(*store, n, big), n_pres);
   ASSERT_TRUE(idx.ChildValueProbe(*store, c, CmpOp::kEq, "y", big, &simple,
                                   &rest));
   EXPECT_EQ(simple.size(), 1u);
-  EXPECT_EQ(idx.ElementsByQname(*store, n, big), n_pres);
   {
     auto s = idx.Stats();
-    EXPECT_EQ(s.memo_value_misses, warm.memo_value_misses);
-    EXPECT_EQ(s.memo_value_hits, warm.memo_value_hits + 2);
+    EXPECT_EQ(s.memo_value_misses, warm.memo_value_misses + 1);
+    EXPECT_EQ(s.memo_value_hits, warm.memo_value_hits + 1);
     EXPECT_EQ(s.memo_misses, warm.memo_misses);
     EXPECT_EQ(s.structure_epoch, warm.structure_epoch);
   }
@@ -738,18 +746,20 @@ TEST(IndexManagerTest, ValueMemoInvalidatesPerTouchedKey) {
   EXPECT_GT(idx.Stats().memo_value_misses, warm.memo_value_misses);
 }
 
-// Satellite regression: replacing an attribute's value must invalidate
-// BOTH the old and the new value-dictionary keys — not just re-derive
-// the owner — while sibling keys of the same attribute stay warm.
-TEST(IndexManagerTest, AttrReplaceInvalidatesOldAndNewValueKeys) {
+// Replacing an attribute's value must invalidate every memo entry over
+// that attribute's bucket — the old value, the new one, sibling values
+// and the owner list all re-derive exactly — while another attribute's
+// entries stay warm.
+TEST(IndexManagerTest, AttrReplaceInvalidatesItsBucketOnly) {
   auto store = BuildStore(kDoc);
   index::IndexManager idx(index::IndexConfig{});
   idx.Rebuild(*store);
   QnameId id = store->pools().FindQname("id");
+  QnameId p = store->pools().FindQname("p");
   const int64_t big = 1 << 20;
 
-  // Warm the old value, the future value (exact empty), an unrelated
-  // sibling key, and the owner list.
+  // Warm the old value, the future value (exact empty), a sibling key,
+  // the owner list, and a range probe over another attribute.
   EXPECT_EQ(idx.AttrValueProbe(*store, id, CmpOp::kEq, "a1", big)->size(),
             1u);
   EXPECT_EQ(idx.AttrValueProbe(*store, id, CmpOp::kEq, "zz", big)->size(),
@@ -757,35 +767,36 @@ TEST(IndexManagerTest, AttrReplaceInvalidatesOldAndNewValueKeys) {
   EXPECT_EQ(idx.AttrValueProbe(*store, id, CmpOp::kEq, "a2", big)->size(),
             1u);
   EXPECT_EQ(idx.AttrOwners(*store, id, big)->size(), 2u);
+  EXPECT_EQ(idx.AttrValueProbe(*store, p, CmpOp::kGe, "2", big)->size(), 2u);
   const auto warm = idx.Stats();
 
-  // Replace @id on the first <a>: "a1" -> "zz", marked the way the
-  // store primitive marks it (attr-only dirt on the owner).
+  // Replace @id on the first <a>: "a1" -> "zz", through the store
+  // primitive, which dirties the owner.
   index::DeltaIndex delta;
   store->AttachIndexDelta(&delta);
   auto a_pres = xpath::EvaluatePath(*store, "//a");
   ASSERT_TRUE(a_pres.ok());
   NodeId owner = store->NodeAt(a_pres.value()[0]);
   store->SetAttrNamed(owner, id, store->pools().AddProp("zz"));
-  EXPECT_EQ(delta.KindOf(owner), index::DeltaIndex::kAttrs);
+  EXPECT_EQ(delta.dirty(), std::vector<NodeId>{owner});
   idx.ApplyDirty(*store, delta);
   store->AttachIndexDelta(nullptr);
 
   // Probing the OLD value after commit must see the removal, and the
-  // new value must be found — both keys' generations moved.
+  // new value must be found; the sibling key and the owner list keep
+  // their answers.
   EXPECT_EQ(idx.AttrValueProbe(*store, id, CmpOp::kEq, "a1", big)->size(),
             0u);
   EXPECT_EQ(idx.AttrValueProbe(*store, id, CmpOp::kEq, "zz", big)->size(),
             1u);
-  // The sibling key "a2" is untouched and stays warm — and so does
-  // the owner list: a value replacement leaves the owner set
-  // byte-identical, so its pre-commit generation is restored.
   EXPECT_EQ(idx.AttrValueProbe(*store, id, CmpOp::kEq, "a2", big)->size(),
             1u);
   EXPECT_EQ(idx.AttrOwners(*store, id, big)->size(), 2u);
+  // @p's bucket was not touched: its entry is still warm.
+  EXPECT_EQ(idx.AttrValueProbe(*store, p, CmpOp::kGe, "2", big)->size(), 2u);
   auto s = idx.Stats();
-  EXPECT_EQ(s.memo_value_hits, warm.memo_value_hits + 2);  // a2 + owners
-  EXPECT_EQ(s.memo_value_misses, warm.memo_value_misses + 2);
+  EXPECT_EQ(s.memo_value_hits, warm.memo_value_hits + 1);
+  EXPECT_EQ(s.memo_value_misses, warm.memo_value_misses + 4);
   EXPECT_EQ(s.structure_epoch, warm.structure_epoch);
 }
 
@@ -1324,6 +1335,11 @@ TEST_F(IndexMaintenanceTest, RandomUpdatesKeepIndexExact) {
       "/r/b/dd/n",
       "//b/c[@p>=2]",
       "//a/n",
+      // Equality on the attribute values case 5 rewrites, and two
+      // spellings of one number, which take two memo keys.
+      "//a[@id='w1']",
+      "//a[n=3]",
+      "//a[n=3.0]",
   };
 
   auto verify_all = [&](const std::string& when) {

@@ -797,11 +797,10 @@ TEST(SelectivityTest, FusedLookupSearchesBucketsOverHalfTheDocument) {
   ExpectFusedLookup(xml, "/a/b/c[@id='c0']", 1);
 }
 
-TEST(SelectivityTest, CascadeSeedsFromRarestPair) {
+TEST(SelectivityTest, CascadeOverFatLeadingPairsMatchesReference) {
   // 21 <regions> each hold a <zone>; only one zone has the (zone, area)
-  // continuation. Cost order seeds from that rare pair and verifies
-  // the survivors' ancestors by containment merge instead of joining
-  // down from the fat leading pairs.
+  // continuation. The cascade seeds from the leading pair and joins
+  // down level by level; the result must equal the reference's.
   std::string xml = "<site>";
   for (int i = 0; i < 20; ++i) {
     xml += "<regions><zone><filler>x</filler></zone></regions>";
@@ -817,14 +816,6 @@ TEST(SelectivityTest, CascadeSeedsFromRarestPair) {
   ASSERT_EQ(plan->ops.size(), 1u);
   ASSERT_EQ(plan->ops[0].kind, OpKind::kChainProbe);
   ASSERT_EQ(plan->ops[0].probes.size(), 4u);
-  EXPECT_EQ(plan->ops[0].probes[0].est, 21);
-  EXPECT_EQ(plan->ops[0].probes[1].est, 21);
-  EXPECT_EQ(plan->ops[0].probes[2].est, 1);
-  EXPECT_EQ(plan->ops[0].probes[3].est, 2);
-  ASSERT_EQ(plan->ops[0].exec_order,
-            (std::vector<size_t>{2, 3, 0, 1}));  // (zone, area) seeds
-  EXPECT_EQ(plan->ops[0].probes[2].abs_level, 3);
-  EXPECT_NE(plan->stats_epoch, 0u);
 
   xpath::Evaluator<storage::PagedStore> ev(*store, &idx);
   auto res = ev.Eval(q);
@@ -836,9 +827,44 @@ TEST(SelectivityTest, CascadeSeedsFromRarestPair) {
   ASSERT_EQ(res->size(), 2u);
   auto explain = ev.Explain(q);
   ASSERT_TRUE(explain.ok());
-  EXPECT_NE(explain->find("[cost order: 2 3 0 1]"), std::string::npos)
+  EXPECT_NE(explain->find("index cascade (4 probes)"), std::string::npos)
       << *explain;
-  EXPECT_NE(explain->find("[cost order]"), std::string::npos) << *explain;
+}
+
+TEST(SelectivityTest, CascadeDeclineNamesTheDecliningJoinsSpan) {
+  // (site, a) holds one element and passes the gate against the
+  // document span; (a, b) holds all 10 of <a>'s children, which the
+  // gate declines against <a>'s span. Explain must report that span,
+  // not the document's.
+  std::string xml = "<site><a>";
+  for (int i = 0; i < 10; ++i) xml += "<b/>";
+  xml += "</a>";
+  for (int i = 0; i < 30; ++i) xml += "<f/>";
+  xml += "</site>";
+  auto store = BuildStore(xml);
+  index::IndexManager idx(index::IndexConfig{});
+  idx.Rebuild(*store);
+  const char* q = "/site/a/b";
+  xpath::Evaluator<storage::PagedStore> ev(*store, &idx);
+  auto res = ev.Eval(q);
+  ASSERT_TRUE(res.ok());
+  EXPECT_EQ(res->size(), 10u);
+  auto explain = ev.Explain(q);
+  ASSERT_TRUE(explain.ok());
+  EXPECT_NE(explain->find("stepwise fallback [gate declined"),
+            std::string::npos)
+      << *explain;
+  auto a = xpath::EvaluatePath(*store, "/site/a");
+  ASSERT_TRUE(a.ok());
+  ASSERT_EQ(a->size(), 1u);
+  const auto scan_of = [](int64_t span) {
+    return "scan=" + std::to_string(span) + "]";
+  };
+  const int64_t a_span = store->SizeAt(a.value()[0]) + 1;
+  const int64_t doc_span = store->SizeAt(store->Root()) + 1;
+  ASSERT_NE(a_span, doc_span);
+  EXPECT_NE(explain->find(scan_of(a_span)), std::string::npos) << *explain;
+  EXPECT_EQ(explain->find(scan_of(doc_span)), std::string::npos) << *explain;
 }
 
 TEST(SelectivityTest, StatsEpochMovementRecompilesSteeredPlansOnly) {
