@@ -864,8 +864,8 @@ TEST(IndexManagerTest, CardinalityStatsExactOnBuild) {
   EXPECT_TRUE(vs.exact);
   EXPECT_EQ(vs.count, 1);
   // Numeric equality goes through the equi-width histogram, with the
-  // operand canonicalized like the value memo: "17" and "17.0" are the
-  // same bucket lookup (the PR 3 rule), yielding the same estimate.
+  // operand canonicalized to the parsed double: "17" and "17.0" are the
+  // same bucket lookup, yielding the same estimate.
   auto v17 = idx.ValueStats(n, CmpOp::kEq, "17");
   auto v170 = idx.ValueStats(n, CmpOp::kEq, "17.0");
   EXPECT_TRUE(v17.known);
