@@ -494,6 +494,56 @@ void BM_ChildStepIndexed(benchmark::State& state) {
 }
 BENCHMARK(BM_ChildStepIndexed)->DenseRange(0, 2);
 
+// Loop-lifted sub-plans, through a warm plan cache (execution only):
+// Q16's nine-step exists predicate over every closed_auction, and Q2's
+// positional bidder[1] over every open_auction. Each sub-plan runs once
+// over its whole context, its child steps joined against the pair
+// buckets (indexed) or walked by the lifted child scan (scan).
+constexpr const char* kSubPlanExists =
+    "/site/closed_auctions/closed_auction[annotation/description/parlist/"
+    "listitem/parlist/listitem/text/emph/keyword]";
+constexpr const char* kSubPlanFirstChild =
+    "/site/open_auctions/open_auction/bidder[1]/increase";
+
+void RunCachedQuery(benchmark::State& state, const char* query,
+                    bool use_index) {
+  const IndexedFixture& f = IndexedAt(static_cast<int>(state.range(0)));
+  xpath::PlanCache cache;
+  xpath::Evaluator<storage::PagedStore> ev(
+      *f.store, use_index ? f.index.get() : nullptr, &cache);
+  int64_t results = 0;
+  for (auto _ : state) {
+    auto r = ev.Eval(query);
+    if (!r.ok()) {
+      state.SkipWithError(r.status().ToString().c_str());
+      return;
+    }
+    results = static_cast<int64_t>(r.value().size());
+    benchmark::DoNotOptimize(r);
+  }
+  state.counters["results"] = static_cast<double>(results);
+}
+
+void BM_SubPlanExistsScan(benchmark::State& state) {
+  RunCachedQuery(state, kSubPlanExists, /*use_index=*/false);
+}
+BENCHMARK(BM_SubPlanExistsScan)->DenseRange(0, 2);
+
+void BM_SubPlanExistsIndexed(benchmark::State& state) {
+  RunCachedQuery(state, kSubPlanExists, /*use_index=*/true);
+}
+BENCHMARK(BM_SubPlanExistsIndexed)->DenseRange(0, 2);
+
+void BM_SubPlanFirstChildScan(benchmark::State& state) {
+  RunCachedQuery(state, kSubPlanFirstChild, /*use_index=*/false);
+}
+BENCHMARK(BM_SubPlanFirstChildScan)->DenseRange(0, 2);
+
+void BM_SubPlanFirstChildIndexed(benchmark::State& state) {
+  RunCachedQuery(state, kSubPlanFirstChild, /*use_index=*/true);
+}
+BENCHMARK(BM_SubPlanFirstChildIndexed)->DenseRange(0, 2);
+
 // Compile-once plan cache: repeated evaluation of the SAME query text.
 // "Cold" is the per-call pipeline (parse + compile + execute every
 // iteration — what every query paid before the plan cache); "warm"

@@ -9,9 +9,10 @@ reported but never fail the comparison (benches come and go).
 Warn-only by default: CI runners are noisy, so the trajectory is a
 trend line, not a hard gate — pass --fail to turn regressions beyond
 the threshold into a nonzero exit (used for the plan-cache, deep-path,
-and concurrency benches — plan-cache/deep-path costs are dominated
-by in-memory work, and BM_Concurrent.* reader-scaling regressions
-are exactly what the sharded-lock redesign must not reintroduce).
+lifted sub-plan and concurrency benches — plan-cache/deep-path/sub-plan
+costs are dominated by in-memory work, and BM_Concurrent.*
+reader-scaling regressions are exactly what the sharded-lock redesign
+must not reintroduce).
 
 Usage:
   bench_compare.py baseline.json current.json \
@@ -47,7 +48,8 @@ def main(argv=None):
     ap.add_argument("current")
     ap.add_argument(
         "--filter",
-        default=r"BM_(PlanCache|DeepPath|Concurrent|PredicateReorder|CascadeOrder)",
+        default=(r"BM_(PlanCache|DeepPath|Concurrent|PredicateReorder|"
+                 r"CascadeOrder|SubPlan)"),
         help="only compare benchmarks whose name matches this regex",
     )
     ap.add_argument(

@@ -269,5 +269,28 @@ class SelectivityBenchWatchList(unittest.TestCase):
         self.assertIn("no regressions", out)
 
 
+class SubPlanBenchWatchList(unittest.TestCase):
+    """BM_SubPlan* (bench_micro's lifted sub-plan legs: an exists
+    predicate and a positional step, each run once over its whole
+    context) are on the default --fail watch list: falling back to a
+    per-node loop is a regression, not noise."""
+
+    def test_sub_plan_regression_fails(self):
+        base = bench_json([("BM_SubPlanExistsIndexed/2", 70.0, "us")])
+        cur = bench_json([("BM_SubPlanExistsIndexed/2", 300.0, "us")])
+        with TempJson(base, cur) as (b, c):
+            rc, out = run_main([b, c, "--fail"])  # default filter
+        self.assertEqual(rc, 1)
+        self.assertIn("REGRESSED", out)
+
+    def test_sub_plan_within_threshold_passes(self):
+        base = bench_json([("BM_SubPlanFirstChildScan/1", 21.0, "us")])
+        cur = bench_json([("BM_SubPlanFirstChildScan/1", 22.0, "us")])
+        with TempJson(base, cur) as (b, c):
+            rc, out = run_main([b, c, "--fail"])
+        self.assertEqual(rc, 0)
+        self.assertIn("no regressions", out)
+
+
 if __name__ == "__main__":
     unittest.main()

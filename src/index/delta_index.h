@@ -15,8 +15,9 @@
 // Dirtying rules (enforced in storage::PagedStore):
 //   insert subtree  -> every inserted node + the insertion parent
 //   delete subtree  -> every deleted node + the parent
-//   SetRef          -> the node; for text/comment/pi also the parent
-//                      (its string value changed). An element rename
+//   SetRef          -> an element: the node; a text/comment/pi: only
+//                      the parent (its string value changed; the node
+//                      holds no index entries). An element rename
 //                      also re-keys its children's path-index entries,
 //                      but those are expanded commit-side by
 //                      IndexManager::ApplyDirty against the MERGED base

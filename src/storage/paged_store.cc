@@ -967,14 +967,17 @@ Status PagedStore::SetRef(PreId pre, int32_t ref) {
   PXQ_ASSIGN_OR_RETURN(Page * pg, MutablePage(phys));
   pg->ref[static_cast<size_t>(pre & page_mask_)] = ref;
   if (idx_delta_ != nullptr) {
-    // Element rename re-keys it. Its element children's path-index keys
-    // change too, but THEIR re-derivation is commit-side
-    // (IndexManager::ApplyDirty detects the qname change and walks the
-    // children of the *merged* base): enumerating children here, on the
-    // clone, would miss a child a concurrent transaction commits first.
-    idx_delta_->MarkDirty(NodeAt(pre));
-    if (KindAt(pre) != NodeKind::kElement) {
-      // A text/comment/pi repoint changes the parent's string value.
+    if (KindAt(pre) == NodeKind::kElement) {
+      // Element rename re-keys it. Its element children's path-index
+      // keys change too, but THEIR re-derivation is commit-side
+      // (IndexManager::ApplyDirty detects the qname change and walks the
+      // children of the *merged* base): enumerating children here, on
+      // the clone, would miss a child a concurrent transaction commits
+      // first.
+      idx_delta_->MarkDirty(NodeAt(pre));
+    } else {
+      // A text/comment/pi repoint changes the parent's string value; the
+      // node itself holds no index entries.
       PreId parent = ParentOf(pre);
       if (parent != kNullPre) idx_delta_->MarkDirty(NodeAt(parent));
     }

@@ -145,8 +145,9 @@ class Compiler {
   }
 
   /// The operators of a plan, without estimates. Relative sub-plans
-  /// stop here.
-  Plan Build(Path path) {
+  /// stop here; `outer` is the tag of their context nodes (-1: not
+  /// known).
+  Plan Build(Path path, QnameId outer = -1) {
     Plan plan = Begin(std::move(path));
     const auto& steps = plan.path.steps;
     size_t first = 0;
@@ -163,9 +164,17 @@ class Compiler {
       if (!plan.invalid_reason.empty()) return plan;
     }
     for (size_t i = first; i < steps.size(); ++i) {
-      CompileStep(&plan, i);
+      CompileStep(&plan, i, i == 0 ? outer : StepTag(steps[i - 1]));
     }
     return plan;
+  }
+
+  /// The tag every node a step yields carries: its name test's, on any
+  /// node axis (-1: not a name test, or never interned).
+  QnameId StepTag(const Step& s) const {
+    return s.axis != Axis::kAttribute && s.test.kind == NodeTest::Kind::kName
+               ? pools_.FindQname(s.test.name)
+               : -1;
   }
 
   /// Hand a compiled sub-plan to its parent and return its index. An
@@ -249,7 +258,9 @@ class Compiler {
     return 1;
   }
 
-  void CompileStep(Plan* plan, size_t i) {
+  /// Step i of a non-leading position; `ctx_qn` is its context nodes'
+  /// tag (-1: not known).
+  void CompileStep(Plan* plan, size_t i, QnameId ctx_qn) {
     const Step& s = plan->path.steps[i];
     if (s.axis == Axis::kAttribute) {
       // Mid-path attribute step: RunOps reports the attribute-axis
@@ -267,15 +278,16 @@ class Compiler {
                              p.kind == Predicate::Kind::kLast;
                     });
     if (!positional) {
-      CompileAxis(plan, i);
+      CompileAxis(plan, i, ctx_qn);
       CompilePredicates(plan, i);
       return;
     }
     // Positional predicates are relative to each origin's result list:
     // the step (axis op, then every predicate as a list filter) is a
-    // sub-plan the per-origin operator runs once per context node.
+    // sub-plan the per-origin operator runs once over all its context
+    // nodes, each origin its own iteration.
     Plan body = Begin(Path{false, {s}});
-    CompileAxis(&body, 0);
+    CompileAxis(&body, 0, ctx_qn);
     CompilePredicates(&body, 0);
     PlanOp op;
     op.kind = OpKind::kPositionFilter;
@@ -285,14 +297,16 @@ class Compiler {
     plan->ops.push_back(std::move(op));
   }
 
-  /// The axis operator of a non-leading, non-attribute step.
-  void CompileAxis(Plan* plan, size_t i) {
+  /// The axis operator of a non-leading, non-attribute step whose
+  /// context nodes are tagged `ctx_qn` (-1: not known).
+  void CompileAxis(Plan* plan, size_t i, QnameId ctx_qn) {
     const Step& s = plan->path.steps[i];
     PlanOp op;
     op.step = static_cast<int32_t>(i);
     switch (s.axis) {
       case Axis::kChild:
         op.kind = OpKind::kChildStep;
+        op.ctx_qn = ctx_qn;
         if (s.test.kind == NodeTest::Kind::kName) {
           op.qn = Resolve(pools_, s.test.name, plan);
         }
@@ -354,9 +368,10 @@ class Compiler {
       } else {
         op.kind = OpKind::kExistsFilter;
       }
-      // The relative path, compiled once; a trailing attribute step
-      // splits off like a top-level one ([a/@b]).
-      op.sub = Adopt(plan, Build(Path{false, p.rel}));
+      // The relative path, compiled once, from the step's own nodes; a
+      // trailing attribute step splits off like a top-level one
+      // ([a/@b]).
+      op.sub = Adopt(plan, Build(Path{false, p.rel}, StepTag(s)));
       plan->ops.push_back(std::move(op));
     }
   }

@@ -12,8 +12,8 @@
 // Database queries, transaction queries, XUpdate select expressions,
 // tools and benches — rides the same compiled path, and inside a plan
 // the predicate paths and per-origin positional steps are compiled
-// sub-plans run by the same Executor::RunOps loop: there is exactly one
-// evaluation engine.
+// sub-plans run by the same Executor::RunOps loop, each once over its
+// whole context (loop-lifted): there is exactly one evaluation engine.
 // (ReferenceEvaluator, reference_eval.h, is a separate brute-force
 // oracle for tests.)
 //

@@ -1,25 +1,35 @@
 // Stage 3 of the query pipeline: execute a compiled Plan (plan.h)
 // against a store + published index snapshot. Templated on the store
-// type so both schemas run identical plans (see staircase.h);
-// loop-lifted: every operator maps a sorted context sequence to a
-// sorted result sequence.
+// type so both schemas run identical plans (see staircase.h).
+//
+// Loop-lifted, after MonetDB/XQuery's iter|item: every operator maps a
+// sequence of (iter, pre) pairs sorted by (iter, pre) (`Seq`) to
+// another. A top-level plan is one iteration and carries no iter
+// column. A relative sub-plan runs ONCE over its whole context, context
+// node i as iteration i: a per-origin positional step's body, whose
+// [k] and [last()] then count within each iteration, and an
+// exists/compare predicate's path, whose candidates then keep the
+// iterations that found a (matching) node — a semi-join. Child steps
+// over the index merge the contexts against one sorted tag list
+// (ForEachChildIn), a (context tag, tag) pair bucket when the compiler
+// knows the context's tag.
 //
 // Strategy selection happened at compile time (compiler.h); what stays
 // adaptive here is exactly the run-time-stat-dependent part: each
-// index-capable operator consults the cost gate with the live scan
-// estimate and falls back to its baked scan strategy when the gate
-// declines (or when no index is attached — a plan compiled for an
-// indexed database executes correctly inside an index-less transaction
-// clone). With IndexConfig::cross_check set, every index-answered
-// operator is replayed on the scan path operator-by-operator and a
-// divergence fails the query with Corruption, reporting the diverging
-// operator and the node ids only one side found.
+// index-capable operator consults the cost gate once, with the live
+// scan estimate over its whole context, and falls back to its baked
+// scan strategy when the gate declines (or when no index is attached —
+// a plan compiled for an indexed database executes correctly inside an
+// index-less transaction clone). With IndexConfig::cross_check set,
+// every index-answered operator is replayed on the (lifted) scan path
+// operator-by-operator and a divergence fails the query with
+// Corruption, reporting the diverging operator and the node ids only
+// one side found.
 //
-// RunOps is the only evaluation loop. Predicate paths and per-origin
-// positional steps are relative sub-plans (Plan::subs) that it runs
-// recursively, untraced; a declined pair cascade falls back to the
-// compiled child-step logic. Every operator therefore passes through
-// RunOps.
+// RunOps is the only evaluation loop: sub-plans (Plan::subs) run
+// through it recursively, traced only under a traced operator (explain
+// then lists what they did), and a declined pair cascade falls back to
+// the compiled child-step logic.
 #ifndef PXQ_XPATH_EXECUTOR_H_
 #define PXQ_XPATH_EXECUTOR_H_
 
@@ -55,16 +65,69 @@ class Executor {
   const Store& store() const { return store_; }
   const index::IndexManager* index() const { return index_; }
 
-  /// Execute a plan's operators. For absolute plans the incoming
-  /// context is ignored (the leading operator seeds from the root);
-  /// relative plans start from `ctx`. With `trace` set, one OpTrace per
-  /// executed operator records the strategy actually taken. `bound`
-  /// holds the literals of the caller's text for a plan shared by its
-  /// shape (PlanCache); its sub-plans read the same list.
+  /// Execute a plan's operators as one iteration. For absolute plans
+  /// the incoming context is ignored (the leading operator seeds from
+  /// the root); relative plans start from `ctx`. With `trace` set, one
+  /// OpTrace per executed operator records the strategy actually
+  /// taken. `bound` holds the literals of the caller's text for a plan
+  /// shared by its shape (PlanCache); its sub-plans read the same list.
   StatusOr<std::vector<PreId>> RunOps(const Plan& plan,
                                       std::vector<PreId> ctx,
                                       std::vector<OpTrace>* trace = nullptr,
                                       Literals bound = {}) const {
+    PXQ_ASSIGN_OR_RETURN(Seq out,
+                         RunOps(plan, Seq{std::move(ctx), {}}, bound, trace));
+    return std::move(out.pre);
+  }
+
+  /// XPath string-value: text content for value nodes, concatenated
+  /// descendant text for elements.
+  std::string StringValue(PreId pre) const {
+    switch (store_.KindAt(pre)) {
+      case NodeKind::kText:
+      case NodeKind::kComment:
+      case NodeKind::kPi:
+        return store_.pools().ValueOf(store_.KindAt(pre),
+                                      store_.RefAt(pre));
+      case NodeKind::kElement: {
+        std::string out;
+        PreId end = pre + store_.SizeAt(pre);
+        for (PreId p = store_.SkipHoles(pre + 1); p <= end;
+             p = store_.SkipHoles(p + 1)) {
+          if (store_.KindAt(p) == NodeKind::kText) {
+            out += store_.pools().Text(store_.RefAt(p));
+          }
+        }
+        return out;
+      }
+      default:
+        return {};
+    }
+  }
+
+  /// Value of the attribute matching `test` on element `pre`.
+  std::optional<std::string> AttrValue(PreId pre,
+                                       const NodeTest& test) const {
+    if (store_.KindAt(pre) != NodeKind::kElement) return std::nullopt;
+    if (test.kind == NodeTest::Kind::kName) {
+      QnameId qn = store_.pools().FindQname(test.name);
+      if (qn < 0) return std::nullopt;
+      int32_t row = store_.attrs().FindByName(store_.AttrOwnerOf(pre), qn);
+      if (row < 0) return std::nullopt;
+      return store_.pools().Prop(store_.attrs().row(row).prop);
+    }
+    // @* : first attribute, if any.
+    std::vector<int32_t> rows;
+    store_.attrs().Lookup(store_.AttrOwnerOf(pre), &rows);
+    if (rows.empty()) return std::nullopt;
+    return store_.pools().Prop(store_.attrs().row(rows[0]).prop);
+  }
+
+ private:
+  /// The evaluation loop over a lifted sequence (parameters reordered so
+  /// that a braced context can only mean the entry point above).
+  StatusOr<Seq> RunOps(const Plan& plan, Seq ctx, Literals bound,
+                       std::vector<OpTrace>* trace) const {
     if (!plan.invalid_reason.empty()) {
       return Status::Unsupported(plan.invalid_reason);
     }
@@ -114,50 +177,6 @@ class Executor {
     return ctx;
   }
 
-  /// XPath string-value: text content for value nodes, concatenated
-  /// descendant text for elements.
-  std::string StringValue(PreId pre) const {
-    switch (store_.KindAt(pre)) {
-      case NodeKind::kText:
-      case NodeKind::kComment:
-      case NodeKind::kPi:
-        return store_.pools().ValueOf(store_.KindAt(pre),
-                                      store_.RefAt(pre));
-      case NodeKind::kElement: {
-        std::string out;
-        PreId end = pre + store_.SizeAt(pre);
-        for (PreId p = store_.SkipHoles(pre + 1); p <= end;
-             p = store_.SkipHoles(p + 1)) {
-          if (store_.KindAt(p) == NodeKind::kText) {
-            out += store_.pools().Text(store_.RefAt(p));
-          }
-        }
-        return out;
-      }
-      default:
-        return {};
-    }
-  }
-
-  /// Value of the attribute matching `test` on element `pre`.
-  std::optional<std::string> AttrValue(PreId pre,
-                                       const NodeTest& test) const {
-    if (store_.KindAt(pre) != NodeKind::kElement) return std::nullopt;
-    if (test.kind == NodeTest::Kind::kName) {
-      QnameId qn = store_.pools().FindQname(test.name);
-      if (qn < 0) return std::nullopt;
-      int32_t row = store_.attrs().FindByName(store_.AttrOwnerOf(pre), qn);
-      if (row < 0) return std::nullopt;
-      return store_.pools().Prop(store_.attrs().row(row).prop);
-    }
-    // @* : first attribute, if any.
-    std::vector<int32_t> rows;
-    store_.attrs().Lookup(store_.AttrOwnerOf(pre), &rows);
-    if (rows.empty()) return std::nullopt;
-    return store_.pools().Prop(store_.attrs().row(rows[0]).prop);
-  }
-
- private:
   // --- compiled-operator dispatch -------------------------------------
 
   /// Strategy notes are only materialized when tracing (explain):
@@ -167,6 +186,26 @@ class Executor {
   }
   static void Note(std::string* s, std::string v) {
     if (s != nullptr) *s = std::move(v);
+  }
+
+  /// " over N iterations" for a lifted sequence's note, else "".
+  static std::string Over(const Seq& s) {
+    if (!s.lifted()) return "";
+    size_t n = 1;
+    for (size_t k = 1; k < s.size(); ++k) n += s.iter[k] != s.iter[k - 1];
+    return " over " + std::to_string(n) + " iterations";
+  }
+
+  /// Explain's note on a sub-plan run lifted over `iters` iterations:
+  /// that it ran once, then what each of its operators did.
+  static std::string LiftedNote(size_t iters,
+                                const std::vector<OpTrace>& sub) {
+    std::string s = "lifted, once over " + std::to_string(iters) +
+                    " iterations";
+    for (size_t i = 0; i < sub.size(); ++i) {
+      s += (i == 0 ? " {" : "; ") + sub[i].strategy;
+    }
+    return sub.empty() ? s : s + "}";
   }
 
   /// Why the cost gate was not even consulted / declined the probe, for
@@ -209,21 +248,19 @@ class Executor {
   /// Budget for a bucket only searched (AncestorIn): the gate accepts.
   static constexpr int64_t kNoBudget = std::numeric_limits<int64_t>::max();
 
-  StatusOr<std::vector<PreId>> RunOp(const Plan& plan, const PlanOp& op,
-                                     std::vector<PreId> ctx,
-                                     std::string* strategy,
-                                     Literals bound) const {
+  StatusOr<Seq> RunOp(const Plan& plan, const PlanOp& op, Seq ctx,
+                      std::string* strategy, Literals bound) const {
     const auto& steps = plan.path.steps;
     switch (op.kind) {
       case OpKind::kRootSeed: {
-        std::vector<PreId> out;
+        Seq out;
         if (op.step < 0) {
-          out.push_back(store_.Root());
+          out.pre.push_back(store_.Root());
           Note(strategy, "seed");
         } else {
           const Step& s = steps[static_cast<size_t>(op.step)];
           if (MatchTest(s.test, store_.Root(), op.qn)) {
-            out.push_back(store_.Root());
+            out.pre.push_back(store_.Root());
           }
           Note(strategy, "root test");
         }
@@ -232,128 +269,135 @@ class Executor {
       case OpKind::kChainProbe:
         return RunChainProbe(plan, op, strategy);
       case OpKind::kQnamePostings:
-        return RunQnamePostings(steps[static_cast<size_t>(op.step)], op,
-                                std::move(ctx), strategy);
+        if (op.from_root) ctx = RootSeq();  // or_self from the document
+        return RunQnamePostings(steps[static_cast<size_t>(op.step)], op, ctx,
+                                strategy);
       case OpKind::kChildStep:
-        return ChildStep(steps[static_cast<size_t>(op.step)], op.qn, ctx,
-                         strategy);
+        return ChildStep(steps[static_cast<size_t>(op.step)], op.ctx_qn,
+                         op.qn, ctx, strategy);
       case OpKind::kDescendantStaircase: {
         const Step& s = steps[static_cast<size_t>(op.step)];
-        Note(strategy, "staircase scan");
-        if (op.from_root) {
-          return ScanDescendants(s.test, op.qn, {store_.Root()},
-                                 /*or_self=*/true);
-        }
+        if (strategy != nullptr) Note(strategy, "staircase scan" + Over(ctx));
+        if (op.from_root) ctx = RootSeq();
         return ScanDescendants(s.test, op.qn, ctx, op.or_self);
       }
       case OpKind::kAxisScan: {
-        const Step& s = steps[static_cast<size_t>(op.step)];
-        Note(strategy, "axis scan");
-        return AxisScan(s, op.qn, ctx);
+        if (strategy != nullptr) Note(strategy, "axis scan" + Over(ctx));
+        return AxisScan(steps[static_cast<size_t>(op.step)], op.qn, ctx);
       }
       case OpKind::kValueProbeGate: {
         const int64_t scan_cost = static_cast<int64_t>(ctx.size());
         PXQ_ASSIGN_OR_RETURN(bool answered,
                              ApplyIndexPredicate(plan, op, &ctx, bound));
-        if (answered) {
-          Note(strategy, "index value probe [gate accepted vs scan=" +
-                             std::to_string(scan_cost) + "]");
-          return ctx;
+        if (strategy != nullptr) {
+          Note(strategy, answered ? "index value probe [gate accepted vs "
+                                    "scan=" + std::to_string(scan_cost) + "]"
+                                  : "predicate scan [" +
+                                        GateDeclineWhy(scan_cost) + "]");
         }
-        Note(strategy, "predicate scan [" + GateDeclineWhy(scan_cost) + "]");
-        return ScanFilterOne(plan, op, ctx, bound);
+        if (answered) return ctx;
+        return ScanFilterOne(plan, op, std::move(ctx), bound, strategy);
       }
       case OpKind::kFusedProbe:
         return RunFusedProbe(plan, op, strategy, bound);
       case OpKind::kPositionFilter: {
         if (!op.per_origin) {
-          Note(strategy, "position filter");
-          return ScanFilterOne(plan, op, ctx, bound);
+          if (strategy != nullptr) {
+            Note(strategy, "position filter" + Over(ctx));
+          }
+          return ScanFilterOne(plan, op, std::move(ctx), bound, nullptr);
         }
-        Note(strategy, "per-origin axis + predicates");
-        std::vector<PreId> out;
-        for (PreId c : ctx) {
-          PXQ_ASSIGN_OR_RETURN(std::vector<PreId> r,
-                               RunOps(SubOf(plan, op), {c}, nullptr, bound));
-          out.insert(out.end(), r.begin(), r.end());
+        // The step's body (axis op, then every predicate as a list
+        // filter) runs once over the whole context, context pair j as
+        // iteration j, so [k] and [last()] count per origin. Each
+        // result pair then returns to its origin's iteration.
+        std::vector<OpTrace> sub_trace;
+        const size_t iters = ctx.size();
+        PXQ_ASSIGN_OR_RETURN(
+            Seq r, RunOps(SubOf(plan, op), Lift(std::move(ctx.pre)), bound,
+                          strategy != nullptr ? &sub_trace : nullptr));
+        if (strategy != nullptr) {
+          Note(strategy, "per-origin step, " + LiftedNote(iters, sub_trace));
         }
-        Normalize(&out);
-        return out;
+        if (!ctx.lifted()) r.iter.clear();
+        for (int32_t& i : r.iter) i = ctx.iter[static_cast<size_t>(i)];
+        Normalize(&r);
+        return r;
       }
       case OpKind::kExistsFilter:
         Note(strategy, "predicate scan");
-        return ScanFilterOne(plan, op, ctx, bound);
+        return ScanFilterOne(plan, op, std::move(ctx), bound, strategy);
     }
     return Status::Unsupported("unknown plan operator");
   }
 
-  /// Leading descendant name step (from the document node) or an
-  /// interior descendant name step, via qname postings with staircase
-  /// merge; scan fallback when the gate declines.
-  StatusOr<std::vector<PreId>> RunQnamePostings(const Step& s,
-                                                const PlanOp& op,
-                                                std::vector<PreId> ctx,
-                                                std::string* strategy) const {
-    if (op.from_root) {
-      std::vector<PreId> out;
-      if constexpr (kIndexable) {
-        if (index_ != nullptr && op.qn >= 0) {
-          auto pres =
-              index_->ElementsByQname(store_, op.qn, store_.used_count());
-          if (pres != nullptr) {
-            out = *pres;
-            Note(strategy, "index postings");
-            if (CrossChecking()) {
-              PXQ_RETURN_IF_ERROR(VerifyCrossCheck(
-                  ScanDescendants(s.test, op.qn, {store_.Root()},
-                                  /*or_self=*/true),
-                  out, "absolute step /" + DescribeStep(s)));
-            }
-            return out;
-          }
-        }
-      }
-      if (op.qn < 0) {
-        // A name test that never interned matches nothing anywhere:
-        // the empty result is exact, no scan needed.
-        Note(strategy, "empty (name never interned)");
-        return std::vector<PreId>{};
-      }
-      Note(strategy, "staircase scan");
-      return ScanDescendants(s.test, op.qn, {store_.Root()},
-                             /*or_self=*/true);
-    }
+  /// A descendant(-or-self) name step via the qname postings (one gated
+  /// fetch for the whole context), staircase-merged against each
+  /// iteration's context regions; the staircase scan when the gate
+  /// declines.
+  StatusOr<Seq> RunQnamePostings(const Step& s, const PlanOp& op,
+                                 const Seq& ctx, std::string* strategy) const {
     if (op.qn < 0) {
+      // A name test that never interned matches nothing anywhere: the
+      // empty result is exact, no scan needed.
       Note(strategy, "empty (name never interned)");
-      return std::vector<PreId>{};
+      return Seq{};
     }
-    std::vector<PreId> out;
-    PXQ_ASSIGN_OR_RETURN(bool answered,
-                         IndexDescendantStep(s, ctx, op.qn, op.or_self,
-                                             &out));
-    if (answered) {
-      Note(strategy, "index postings (staircase merge)");
-    } else {
-      out = ScanDescendants(s.test, op.qn, ctx, op.or_self);
-      Note(strategy, "staircase scan");
+    const std::vector<PreId>* pres = nullptr;
+    if constexpr (kIndexable) {
+      if (index_ != nullptr) {
+        pres = index_->ElementsByQname(store_, op.qn, RegionSpan(ctx));
+      }
+    }
+    if (strategy != nullptr) {
+      Note(strategy, (pres != nullptr ? "index postings (staircase merge)"
+                                      : "staircase scan") +
+                         Over(ctx));
+    }
+    if (pres == nullptr) {
+      return ScanDescendants(s.test, op.qn, ctx, op.or_self);
+    }
+    Seq out = PerIteration(ctx, [&](const std::vector<PreId>& group) {
+      std::vector<PreId> r;
+      PreId scanned_to = -1;
+      PrePos it = pres->begin();
+      for (PreId c : group) {
+        const PreId end = c + store_.SizeAt(c);
+        if (end <= scanned_to) continue;  // covered: staircase pruning
+        it = Seek(it, pres->end(), std::max(c, scanned_to) + 1);
+        const PrePos stop = Seek(it, pres->end(), end + 1);
+        r.insert(r.end(), it, stop);
+        it = stop;
+        scanned_to = end;
+      }
+      const size_t merged = r.size();
+      for (size_t k = 0; op.or_self && k < group.size(); ++k) {
+        if (MatchTest(s.test, group[k], op.qn)) r.push_back(group[k]);
+      }
+      if (r.size() > merged) Normalize(&r);
+      return r;
+    });
+    if (CrossChecking()) {
+      PXQ_RETURN_IF_ERROR(
+          VerifyCrossCheck(ScanDescendants(s.test, op.qn, ctx, op.or_self),
+                           out, "step " + ToString(s)));
     }
     return out;
   }
 
   /// Compiled pair cascade: one (parent, self) probe per level, each
-  /// gated against the live span estimate. Any decline falls back to
-  /// the consumed prefix as child steps (per-step index plans still
-  /// apply), and explain names the span the declining probe was gated
-  /// against.
-  StatusOr<std::vector<PreId>> RunChainProbe(const Plan& plan,
-                                             const PlanOp& op,
-                                             std::string* strategy) const {
+  /// gated against the live span estimate and joined downward by the
+  /// child join. Any decline falls back to the consumed prefix as child
+  /// steps (per-step index plans still apply), and explain names the
+  /// span the declining probe was gated against.
+  StatusOr<Seq> RunChainProbe(const Plan& plan, const PlanOp& op,
+                              std::string* strategy) const {
     // The scan cost the last gated probe was judged against.
     int64_t scan_cost = store_.SizeAt(store_.Root()) + 1;
     if constexpr (kIndexable) {
       if (index_ != nullptr) {
         bool answered = true;
-        std::vector<PreId> res;
+        Seq res;
         if (!op.missing_name) {
           // Seed from the leading pair: a level filter pins its
           // candidates to their absolute level, gated against the
@@ -365,16 +409,15 @@ class Executor {
           if (c0 == nullptr) {
             answered = false;
           } else {
-            res.reserve(c0->size());
+            res.pre.reserve(c0->size());
             for (PreId p : *c0) {
-              if (store_.LevelAt(p) == s0.abs_level) res.push_back(p);
+              if (store_.LevelAt(p) == s0.abs_level) res.pre.push_back(p);
             }
-            int32_t cur_level = s0.abs_level;
             for (size_t i = 1; i < op.probes.size(); ++i) {
               if (res.empty()) break;  // empty result is exact
               const ChainProbeSpec& sp = op.probes[i];
               int64_t span = 0;
-              for (PreId c : res) span += store_.SizeAt(c) + 1;
+              for (PreId c : res.pre) span += store_.SizeAt(c) + 1;
               auto li = index_->PathPairProbe(store_, sp.parent_qn,
                                               sp.self_qn, span);
               if (li == nullptr) {
@@ -382,9 +425,7 @@ class Executor {
                 scan_cost = span;
                 break;
               }
-              res = KeepDescendantsAtDepth(*li, res,
-                                           sp.abs_level - cur_level);
-              cur_level = sp.abs_level;
+              res = JoinChildren(*li, res);
             }
           }
         }
@@ -392,7 +433,7 @@ class Executor {
         // empty result is exact, no probe needed.
         if (answered) {
           if (CrossChecking()) {
-            PXQ_ASSIGN_OR_RETURN(std::vector<PreId> scan,
+            PXQ_ASSIGN_OR_RETURN(Seq scan,
                                  ChildNamePrefix(plan, op, /*scan=*/true));
             std::string what = "path prefix /";
             for (size_t i = 0; i < op.consumed; ++i) {
@@ -424,10 +465,8 @@ class Executor {
   /// O(depth · log bucket) per match whatever its position. Falls back
   /// to the stepwise prefix + predicate scan (exactly the unfused
   /// operator trio) when no index is attached or a gate declines.
-  StatusOr<std::vector<PreId>> RunFusedProbe(const Plan& plan,
-                                             const PlanOp& op,
-                                             std::string* strategy,
-                                             Literals bound) const {
+  StatusOr<Seq> RunFusedProbe(const Plan& plan, const PlanOp& op,
+                              std::string* strategy, Literals bound) const {
     const Predicate& pred = PredicateOf(plan, op);
     const std::string& literal = LiteralOf(pred, bound);
     if constexpr (kIndexable) {
@@ -483,17 +522,23 @@ class Executor {
                          ? AncestorIn(*self, c, level)
                          : PreId{-1};
             };
+            std::vector<PreId> rest;
             for (size_t i = 0; answered && i < kids.size(); ++i) {
               if (PreId o = owner_of(kids[i]); o >= 0) owners.push_back(o);
             }
-            // Children whose value the index does not cover (element
-            // content): evaluate those owners exactly.
             for (size_t i = 0; answered && i < complex_rest.size(); ++i) {
-              const PreId o = owner_of(complex_rest[i]);
-              if (o < 0) continue;
-              PXQ_ASSIGN_OR_RETURN(bool ok,
-                                   EvalValuePredicate(plan, op, o, bound));
-              if (ok) owners.push_back(o);
+              if (PreId o = owner_of(complex_rest[i]); o >= 0) {
+                rest.push_back(o);
+              }
+            }
+            // Owners of children whose value the index does not cover
+            // (element content): one semi-join evaluates them exactly.
+            Normalize(&rest);
+            PXQ_ASSIGN_OR_RETURN(std::vector<char> hit,
+                                 PredicateHolds(plan, op, rest, bound,
+                                                nullptr));
+            for (size_t i = 0; i < rest.size(); ++i) {
+              if (hit[i]) owners.push_back(rest[i]);
             }
             Normalize(&owners);
           }
@@ -507,18 +552,20 @@ class Executor {
           if (answered) KeepWithAncestorIn(&owners, *b, level - int32_t(k));
         }
         if (answered) {
+          Seq out{std::move(owners), {}};
           if (CrossChecking()) {
-            PXQ_ASSIGN_OR_RETURN(std::vector<PreId> scan,
+            PXQ_ASSIGN_OR_RETURN(Seq scan,
                                  ChildNamePrefix(plan, op, /*scan=*/true));
-            PXQ_ASSIGN_OR_RETURN(scan, ScanFilterOne(plan, op, scan, bound));
+            PXQ_ASSIGN_OR_RETURN(
+                scan, ScanFilterOne(plan, op, std::move(scan), bound, nullptr));
             PXQ_RETURN_IF_ERROR(VerifyCrossCheck(
-                scan, owners,
+                scan, out,
                 "fused value-first probe " + PredicateText(pred, bound) +
                     " (step " + std::to_string(op.step) + ")"));
           }
           Note(strategy, "fused value probe (value-first) [gate accepted "
                          "vs scan=" + std::to_string(doc_span) + "]");
-          return owners;
+          return out;
         }
       }
     }
@@ -528,30 +575,51 @@ class Executor {
     Note(strategy,
          "stepwise fallback [" +
              GateDeclineWhy(store_.SizeAt(store_.Root()) + 1) + "]");
-    PXQ_ASSIGN_OR_RETURN(std::vector<PreId> ctx,
-                         ChildNamePrefix(plan, op, /*scan=*/false));
-    return ScanFilterOne(plan, op, ctx, bound);
+    PXQ_ASSIGN_OR_RETURN(Seq ctx, ChildNamePrefix(plan, op, /*scan=*/false));
+    return ScanFilterOne(plan, op, std::move(ctx), bound, nullptr);
   }
 
-  /// Child step: the qname postings with a region/level filter when the
-  /// gate accepts, else the child scan. A never-interned name matches
-  /// nothing.
-  StatusOr<std::vector<PreId>> ChildStep(const Step& s, QnameId qn,
-                                         const std::vector<PreId>& ctx,
-                                         std::string* strategy) const {
-    if (s.test.kind == NodeTest::Kind::kName && qn < 0) {
+  /// Child step: the child join over the (context tag, tag) pair bucket
+  /// when the compiler knows the context's tag (`ctx_qn` >= 0), else
+  /// over the tag's qname postings, when the gate accepts the list
+  /// against the contexts' span; else the child scan. A never-interned
+  /// name matches nothing.
+  StatusOr<Seq> ChildStep(const Step& s, QnameId ctx_qn, QnameId qn,
+                          const Seq& ctx, std::string* strategy) const {
+    const bool named = s.test.kind == NodeTest::Kind::kName;
+    if (named && qn < 0) {
       Note(strategy, "empty (name never interned)");
-      return std::vector<PreId>{};
+      return Seq{};
     }
-    std::vector<PreId> out;
-    PXQ_ASSIGN_OR_RETURN(bool answered, IndexChildStep(s, ctx, qn, &out));
-    if (answered) {
-      Note(strategy, "index postings (region/level filter)");
-    } else {
-      out = ScanChildren(s.test, qn, ctx);
-      Note(strategy, "child scan");
+    int64_t span = 0;  // the gate's scan cost, read only with an index
+    if constexpr (kIndexable) {
+      if (index_ != nullptr && named) {
+        span = RegionSpan(ctx);
+        const std::vector<PreId>* list =
+            ctx_qn >= 0 ? index_->PathPairProbe(store_, ctx_qn, qn, span)
+                        : index_->ElementsByQname(store_, qn, span);
+        if (list != nullptr) {
+          Seq out = JoinChildren(*list, ctx);
+          index_->NoteChildStepHit();
+          if (CrossChecking()) {
+            PXQ_RETURN_IF_ERROR(VerifyCrossCheck(
+                ScanChildren(s.test, qn, ctx), out,
+                "step " + ToString(s)));
+          }
+          if (strategy != nullptr) {
+            *strategy = ctx_qn >= 0 ? "pair-bucket" : "qname-postings";
+            *strategy += " child join" + Over(ctx) + " [gate accepted vs " +
+                         "scan=" + std::to_string(span) + "]";
+          }
+          return out;
+        }
+      }
     }
-    return out;
+    if (strategy != nullptr) {
+      Note(strategy, "child scan" + Over(ctx) +
+                         (named ? " [" + GateDeclineWhy(span) + "]" : ""));
+    }
+    return ScanChildren(s.test, qn, ctx);
   }
 
   /// The child-name prefix a from_root cascade consumes, one child step
@@ -560,10 +628,9 @@ class Executor {
   /// fused step of a kFusedProbe). `scan` forces the child scan: the
   /// cross-check oracle. Otherwise the kChildStep logic: the stepwise
   /// fallback.
-  StatusOr<std::vector<PreId>> ChildNamePrefix(const Plan& plan,
-                                               const PlanOp& op,
-                                               bool scan) const {
-    std::vector<PreId> ctx;
+  StatusOr<Seq> ChildNamePrefix(const Plan& plan, const PlanOp& op,
+                                bool scan) const {
+    Seq ctx;
     if (op.missing_name) return ctx;  // a tag never interned: empty
     auto qn_at = [&](size_t i) {
       if (op.kind == OpKind::kFusedProbe) {
@@ -574,14 +641,14 @@ class Executor {
     };
     const auto& steps = plan.path.steps;
     if (MatchTest(steps[0].test, store_.Root(), qn_at(0))) {
-      ctx.push_back(store_.Root());
+      ctx.pre.push_back(store_.Root());
     }
     for (size_t i = 1; i < op.consumed && !ctx.empty(); ++i) {
       if (scan) {
         ctx = ScanChildren(steps[i].test, qn_at(i), ctx);
       } else {
-        PXQ_ASSIGN_OR_RETURN(ctx,
-                             ChildStep(steps[i], qn_at(i), ctx, nullptr));
+        PXQ_ASSIGN_OR_RETURN(
+            ctx, ChildStep(steps[i], qn_at(i - 1), qn_at(i), ctx, nullptr));
       }
     }
     return ctx;
@@ -606,17 +673,62 @@ class Executor {
     return false;
   }
 
-  /// The non-child, non-descendant axes: pure scans over ancestors,
-  /// siblings, and document-order staircases.
-  StatusOr<std::vector<PreId>> AxisScan(const Step& step, QnameId qn,
-                                        const std::vector<PreId>& ctx) const {
-    if (step.test.kind == NodeTest::Kind::kName && qn < 0) {
-      return std::vector<PreId>{};
+  // --- lifted sequences -------------------------------------------------
+
+  /// The root element as a one-iteration sequence.
+  Seq RootSeq() const { return Seq{{store_.Root()}, {}}; }
+
+  /// The child join, the one kernel behind every child step over the
+  /// index: emit(k, e) for each entry e of the sorted `list` (a pair
+  /// bucket or qname postings) that is a child of context `ctx[k]`.
+  /// Each context seeks from the current position (from the start when
+  /// a new iteration begins lower) and keeps the entries at its level +
+  /// 1 up to its region end: O(|ctx| · log |list| + entries in the
+  /// regions); exact when contexts nest or a pre recurs across
+  /// iterations.
+  template <typename EmitFn>
+  void ForEachChildIn(const std::vector<PreId>& list,
+                      const std::vector<PreId>& ctx, EmitFn emit) const {
+    PrePos from = list.begin();
+    PreId prev = -1;
+    for (size_t k = 0; k < ctx.size(); ++k) {
+      const PreId c = ctx[k];
+      if (c < prev) from = list.begin();
+      prev = c;
+      from = Seek(from, list.end(), c + 1);
+      const PreId end = c + store_.SizeAt(c);
+      if (from == list.end() || *from > end) continue;
+      const int32_t level = store_.LevelAt(c) + 1;
+      for (PrePos it = from; it != list.end() && *it <= end; ++it) {
+        if (store_.LevelAt(*it) == level) emit(k, *it);
+      }
     }
-    std::vector<PreId> out;
-    auto keep = [&](PreId p) {
-      if (MatchTest(step.test, p, qn)) out.push_back(p);
-    };
+  }
+
+  /// The child join as a sequence: each child in its context's
+  /// iteration (sorted again only when contexts nest).
+  Seq JoinChildren(const std::vector<PreId>& list, const Seq& ctx) const {
+    Seq out;
+    out.pre.reserve(ctx.size());
+    if (ctx.lifted()) out.iter.reserve(ctx.size());
+    ForEachChildIn(list, ctx.pre,
+                   [&](size_t k, PreId e) { Emit(&out, ctx, k, e); });
+    Normalize(&out);
+    return out;
+  }
+
+  /// hit[k] for the contexts with a child in the sorted `list`.
+  std::vector<char> WithChildIn(const Seq& ctx,
+                                const std::vector<PreId>& list) const {
+    std::vector<char> hit(ctx.size(), 0);
+    ForEachChildIn(list, ctx.pre, [&](size_t k, PreId) { hit[k] = 1; });
+    return hit;
+  }
+
+  /// The non-child, non-descendant axes: pure scans over ancestors,
+  /// siblings, and document-order staircases, one iteration at a time.
+  StatusOr<Seq> AxisScan(const Step& step, QnameId qn,
+                         const Seq& ctx) const {
     switch (step.axis) {
       case Axis::kChild:
       case Axis::kDescendant:
@@ -625,6 +737,22 @@ class Executor {
         // Compiled to their own operators; RunOps rejects attribute
         // steps before they run.
         return Status::Unsupported("axis is not an axis-scan axis");
+      default:
+        break;
+    }
+    if (step.test.kind == NodeTest::Kind::kName && qn < 0) return Seq{};
+    return PerIteration(ctx, [&](const std::vector<PreId>& group) {
+      return ScanAxis(step, qn, group);
+    });
+  }
+
+  std::vector<PreId> ScanAxis(const Step& step, QnameId qn,
+                              const std::vector<PreId>& ctx) const {
+    std::vector<PreId> out;
+    auto keep = [&](PreId p) {
+      if (MatchTest(step.test, p, qn)) out.push_back(p);
+    };
+    switch (step.axis) {
       case Axis::kSelf:
         for (PreId c : ctx) keep(c);
         break;
@@ -666,6 +794,8 @@ class Executor {
         Normalize(&out);
         break;
       }
+      default:  // AxisScan rejected the rest
+        break;
     }
     return out;
   }
@@ -678,67 +808,72 @@ class Executor {
     return plan.subs[static_cast<size_t>(op.sub)];
   }
 
-  /// A predicate op over a candidate list, scan path (also the
-  /// cross-check oracle for the index path).
-  StatusOr<std::vector<PreId>> ScanFilterOne(
-      const Plan& plan, const PlanOp& op, const std::vector<PreId>& nodes,
-      Literals bound) const {
+  /// A predicate op over a candidate sequence, scan path (also the
+  /// cross-check oracle for the index path). A positional predicate
+  /// counts within each iteration; an exists/compare predicate is a
+  /// semi-join over one lifted run of its sub-plan. `strategy` (when
+  /// tracing) gets the semi-join's note appended.
+  StatusOr<Seq> ScanFilterOne(const Plan& plan, const PlanOp& op,
+                              Seq nodes, Literals bound,
+                              std::string* strategy) const {
     const Predicate& pred = PredicateOf(plan, op);
-    std::vector<PreId> kept;
-    const auto last = static_cast<int64_t>(nodes.size());
-    for (int64_t i = 0; i < last; ++i) {
-      PreId p = nodes[static_cast<size_t>(i)];
-      bool ok = false;
-      switch (pred.kind) {
-        case Predicate::Kind::kPosition:
-          ok = (i + 1 == pred.position);
-          break;
-        case Predicate::Kind::kLast:
-          ok = (i + 1 == last);
-          break;
-        case Predicate::Kind::kExists:
-        case Predicate::Kind::kCompare: {
-          PXQ_ASSIGN_OR_RETURN(bool r, EvalValuePredicate(plan, op, p, bound));
-          ok = r;
-          break;
-        }
-      }
-      if (ok) kept.push_back(p);
+    if (pred.kind == Predicate::Kind::kExists ||
+        pred.kind == Predicate::Kind::kCompare) {
+      PXQ_ASSIGN_OR_RETURN(std::vector<char> hit,
+                           PredicateHolds(plan, op, nodes.pre, bound,
+                                          strategy));
+      KeepHits(&nodes, hit);
+      return nodes;
     }
-    return kept;
+    std::vector<char> hit(nodes.size(), 0);
+    for (size_t b = 0, e = 0; b < nodes.size(); b = e) {
+      e = nodes.IterEnd(b);
+      const auto len = static_cast<int64_t>(e - b);
+      const int64_t at =
+          pred.kind == Predicate::Kind::kLast ? len : pred.position;
+      if (at >= 1 && at <= len) hit[b + static_cast<size_t>(at) - 1] = 1;
+    }
+    KeepHits(&nodes, hit);
+    return nodes;
   }
 
-  /// An exists/compare predicate on one node: its sub-plan from
-  /// {node}, then the split-off attribute step, if any.
-  StatusOr<bool> EvalValuePredicate(const Plan& plan, const PlanOp& op,
-                                    PreId node, Literals bound) const {
+  /// An exists/compare predicate on each candidate, as one semi-join:
+  /// the sub-plan runs once, lifted, candidate i as iteration i, and
+  /// hit[i] says whether some pair (i, node) exists (owning the
+  /// split-off attribute, if any) or compares true.
+  StatusOr<std::vector<char>> PredicateHolds(const Plan& plan,
+                                             const PlanOp& op,
+                                             std::vector<PreId> cand,
+                                             Literals bound,
+                                             std::string* strategy) const {
+    std::vector<char> hit(cand.size(), 0);
+    if (cand.empty()) return hit;
     const Predicate& pred = PredicateOf(plan, op);
     const Plan& sub = SubOf(plan, op);
     const std::optional<Step>& attr_step = sub.trailing_attr;
-    PXQ_ASSIGN_OR_RETURN(std::vector<PreId> nodes,
-                         RunOps(sub, {node}, nullptr, bound));
-    if (pred.kind == Predicate::Kind::kExists) {
-      if (!attr_step) return !nodes.empty();
-      for (PreId p : nodes) {
-        if (AttrValue(p, attr_step->test)) return true;
+    std::vector<OpTrace> sub_trace;
+    const size_t iters = cand.size();
+    PXQ_ASSIGN_OR_RETURN(
+        Seq r, RunOps(sub, Lift(std::move(cand)), bound,
+                      strategy != nullptr ? &sub_trace : nullptr));
+    for (size_t k = 0; k < r.size(); ++k) {
+      char& h = hit[static_cast<size_t>(r.iter[k])];
+      if (h) continue;
+      const PreId p = r.pre[k];
+      if (pred.kind == Predicate::Kind::kExists) {
+        h = !attr_step || AttrValue(p, attr_step->test).has_value();
+        continue;
       }
-      return false;
+      // kCompare: existential comparison.
+      const std::optional<std::string> v =
+          attr_step ? AttrValue(p, attr_step->test)
+                    : std::optional<std::string>(StringValue(p));
+      h = v && detail::CompareValues(*v, pred.op, LiteralOf(pred, bound));
     }
-    // kCompare: existential comparison.
-    for (PreId p : nodes) {
-      std::string v;
-      if (attr_step) {
-        auto a = AttrValue(p, attr_step->test);
-        if (!a) continue;
-        v = *a;
-      } else {
-        v = StringValue(p);
-      }
-      if (detail::CompareValues(v, pred.op, LiteralOf(pred, bound))) {
-        return true;
-      }
+    if (strategy != nullptr) {
+      *strategy += ", semi-join " + LiftedNote(iters, sub_trace);
     }
-    return false;
+    return hit;
   }
 
   /// Scan-path descendant(-or-self) name/test matching over a context:
@@ -747,14 +882,21 @@ class Executor {
   /// `or_self` the context nodes themselves are also tested (for the
   /// leading step of an absolute path the conceptual context is the
   /// document node, so pass the root with or_self=true).
+  Seq ScanDescendants(const NodeTest& test, QnameId qn, const Seq& ctx,
+                      bool or_self) const {
+    return PerIteration(ctx, [&](const std::vector<PreId>& group) {
+      return ScanDescendants(test, qn, group, or_self);
+    });
+  }
+
+  /// One iteration's descendant scan (outside the lambda above: in its
+  /// body a top-level scan measured about 15% slower).
   std::vector<PreId> ScanDescendants(const NodeTest& test, QnameId qn,
                                      const std::vector<PreId>& ctx,
                                      bool or_self) const {
     std::vector<PreId> out;
-    if (or_self) {
-      for (PreId c : ctx) {
-        if (MatchTest(test, c, qn)) out.push_back(c);
-      }
+    for (size_t k = 0; or_self && k < ctx.size(); ++k) {
+      if (MatchTest(test, ctx[k], qn)) out.push_back(ctx[k]);
     }
     for (PreId p : StaircaseDescendant(store_, ctx)) {
       if (MatchTest(test, p, qn)) out.push_back(p);
@@ -764,16 +906,16 @@ class Executor {
   }
 
   /// Scan-path child step: the fallback when the index declines AND the
-  /// cross-check oracle for IndexChildStep.
-  std::vector<PreId> ScanChildren(const NodeTest& test, QnameId qn,
-                                  const std::vector<PreId>& ctx) const {
-    std::vector<PreId> out;
-    auto keep = [&](PreId p) {
-      if (MatchTest(test, p, qn)) out.push_back(p);
-    };
-    for (PreId c : ctx) {
-      if (store_.KindAt(c) != NodeKind::kElement) continue;
-      ForEachChild(store_, c, keep);
+  /// cross-check oracle for the child join.
+  Seq ScanChildren(const NodeTest& test, QnameId qn, const Seq& ctx) const {
+    Seq out;
+    out.pre.reserve(ctx.size());
+    if (ctx.lifted()) out.iter.reserve(ctx.size());
+    for (size_t k = 0; k < ctx.size(); ++k) {
+      const PreId c = ctx.pre[k];
+      ForEachChild(store_, c, [&](PreId p) {
+        if (MatchTest(test, p, qn)) Emit(&out, ctx, k, p);
+      });
     }
     Normalize(&out);
     return out;
@@ -797,299 +939,157 @@ class Executor {
     return 0;
   }
 
-  static std::string DescribeStep(const Step& s) {
-    const char* axis = "";
-    switch (s.axis) {
-      case Axis::kChild: axis = "child"; break;
-      case Axis::kDescendant: axis = "descendant"; break;
-      case Axis::kDescendantOrSelf: axis = "descendant-or-self"; break;
-      case Axis::kSelf: axis = "self"; break;
-      case Axis::kParent: axis = "parent"; break;
-      case Axis::kAncestor: axis = "ancestor"; break;
-      case Axis::kAncestorOrSelf: axis = "ancestor-or-self"; break;
-      case Axis::kFollowing: axis = "following"; break;
-      case Axis::kPreceding: axis = "preceding"; break;
-      case Axis::kFollowingSibling: axis = "following-sibling"; break;
-      case Axis::kPrecedingSibling: axis = "preceding-sibling"; break;
-      case Axis::kAttribute: axis = "attribute"; break;
-    }
-    std::string test;
-    switch (s.test.kind) {
-      case NodeTest::Kind::kName: test = s.test.name; break;
-      case NodeTest::Kind::kAnyName: test = "*"; break;
-      case NodeTest::Kind::kText: test = "text()"; break;
-      case NodeTest::Kind::kComment: test = "comment()"; break;
-      case NodeTest::Kind::kAnyNode: test = "node()"; break;
-    }
-    return std::string(axis) + "::" + test;
-  }
-
-  /// Cross-check failure report: which step diverged and which node ids
-  /// only one side produced, so a mismatch is debuggable from the
-  /// Status alone instead of reproducing the query under a debugger.
-  Status VerifyCrossCheck(const std::vector<PreId>& scan,
-                          const std::vector<PreId>& indexed,
+  /// Cross-check failure report: which step diverged and which (iter,
+  /// node) pairs only one side produced, so a mismatch is debuggable
+  /// from the Status alone instead of reproducing the query under a
+  /// debugger.
+  Status VerifyCrossCheck(const Seq& scan, const Seq& indexed,
                           const std::string& what) const {
     if constexpr (kIndexable) {
-      if (scan != indexed) {
+      if (scan.pre != indexed.pre || scan.iter != indexed.iter) {
         index_->NoteCrossCheckMismatch();
-        auto list_only = [&](const std::vector<PreId>& a,
-                             const std::vector<PreId>& b) {
-          std::vector<PreId> only;
+        using Pair = std::pair<int32_t, PreId>;
+        auto pairs = [](const Seq& s) {
+          std::vector<Pair> v;
+          for (size_t k = 0; k < s.size(); ++k) {
+            v.emplace_back(s.lifted() ? s.iter[k] : 0, s.pre[k]);
+          }
+          std::sort(v.begin(), v.end());
+          return v;
+        };
+        auto list_only = [&](const std::vector<Pair>& a,
+                             const std::vector<Pair>& b) {
+          std::vector<Pair> only;
           std::set_difference(a.begin(), a.end(), b.begin(), b.end(),
                               std::back_inserter(only));
           std::string s;
           const size_t show = std::min<size_t>(only.size(), 4);
           for (size_t i = 0; i < show; ++i) {
             if (i > 0) s += ", ";
-            s += "pre " + std::to_string(only[i]) + " (node " +
-                 std::to_string(store_.NodeAt(only[i])) + ")";
+            s += "pre " + std::to_string(only[i].second) + " (node " +
+                 std::to_string(store_.NodeAt(only[i].second)) + ")";
+            if (scan.lifted() || indexed.lifted()) {
+              s += " in iter " + std::to_string(only[i].first);
+            }
           }
           if (only.size() > show) {
             s += ", +" + std::to_string(only.size() - show) + " more";
           }
           return s.empty() ? std::string("none") : s;
         };
+        const std::vector<Pair> a = pairs(scan), b = pairs(indexed);
         return Status::Corruption(
             "index/scan divergence on " + what + ": scan=" +
             std::to_string(scan.size()) + " nodes, index=" +
             std::to_string(indexed.size()) + " nodes; scan-only=[" +
-            list_only(scan, indexed) + "]; index-only=[" +
-            list_only(indexed, scan) + "]");
+            list_only(a, b) + "]; index-only=[" + list_only(b, a) + "]");
       }
     }
     return Status::OK();
   }
 
-  /// descendant / descendant-or-self name step via the qname postings:
-  /// swizzle the postings into pre order, then a staircase merge against
-  /// the context regions. Returns false when the index declines.
-  StatusOr<bool> IndexDescendantStep(const Step& step,
-                                     const std::vector<PreId>& ctx,
-                                     QnameId qn, bool or_self,
-                                     std::vector<PreId>* out) const {
-    if constexpr (kIndexable) {
-      if (index_ == nullptr || step.test.kind != NodeTest::Kind::kName) {
-        return false;
-      }
-      auto pres = index_->ElementsByQname(store_, qn, RegionSpan(ctx));
-      if (!pres) return false;
-      std::vector<PreId> res;
-      PreId scanned_to = -1;
-      auto it = pres->begin();
-      for (PreId c : ctx) {
-        const PreId end = c + store_.SizeAt(c);
-        if (end <= scanned_to) continue;  // covered: staircase pruning
-        const PreId from = std::max(c + 1, scanned_to + 1);
-        it = std::lower_bound(it, pres->end(), from);
-        for (; it != pres->end() && *it <= end; ++it) res.push_back(*it);
-        scanned_to = end;
-      }
-      if (or_self) {
-        for (PreId c : ctx) {
-          if (MatchTest(step.test, c, qn)) res.push_back(c);
-        }
-        Normalize(&res);
-      }
-      if (CrossChecking()) {
-        PXQ_RETURN_IF_ERROR(VerifyCrossCheck(
-            ScanDescendants(step.test, qn, ctx, or_self), res,
-            "step " + DescribeStep(step)));
-      }
-      *out = std::move(res);
-      return true;
-    }
-    return false;
-  }
-
-  /// child name step via the qname postings: swizzle the postings into
-  /// pre order, then keep candidates lying in a context region exactly
-  /// one level below the region's root. Returns false when the index
-  /// declines.
-  StatusOr<bool> IndexChildStep(const Step& step,
-                                const std::vector<PreId>& ctx, QnameId qn,
-                                std::vector<PreId>* out) const {
-    if constexpr (kIndexable) {
-      if (index_ == nullptr || step.test.kind != NodeTest::Kind::kName) {
-        return false;
-      }
-      // Scan cost: the region span bounds the child walk from above
-      // (ForEachChild skips subtrees; the gate errs toward probing only
-      // when the postings are small relative to the regions).
-      auto pres = index_->ElementsByQname(store_, qn, RegionSpan(ctx));
-      if (!pres) return false;
-      std::vector<PreId> res = KeepDescendantsAtDepth(*pres, ctx, 1);
-      index_->NoteChildStepHit();
-      if (CrossChecking()) {
-        PXQ_RETURN_IF_ERROR(
-            VerifyCrossCheck(ScanChildren(step.test, qn, ctx), res,
-                             "step " + DescribeStep(step)));
-      }
-      *out = std::move(res);
-      return true;
-    }
-    return false;
-  }
-
-  /// Index path for a gate op's compile-time predicate shape. Returns
-  /// true (and replaces *nodes) when the index answered; false defers
-  /// to the scan.
+  /// Index path for a gate op's compile-time predicate shape: one gated
+  /// probe for the whole candidate sequence, then a merge against it
+  /// (the child join for the child shapes). Returns true (and filters
+  /// *nodes) when the index answered; false defers to the scan.
   StatusOr<bool> ApplyIndexPredicate(const Plan& plan, const PlanOp& op,
-                                     std::vector<PreId>* nodes,
-                                     Literals bound) const {
+                                     Seq* nodes, Literals bound) const {
     if constexpr (kIndexable) {
       if (index_ == nullptr || nodes->empty()) return false;
       const Predicate& pred = PredicateOf(plan, op);
       const std::string& literal = LiteralOf(pred, bound);
-      const PredShape shape = op.shape;
+      const bool exists = pred.kind == Predicate::Kind::kExists;
       const QnameId child_qn = op.child_qn;
       const QnameId attr_qn = op.attr_qn;
-      std::optional<std::vector<PreId>> kept;
-      if (shape == PredShape::kAttr) {
+      // Names never interned match nothing.
+      std::vector<char> hit(nodes->size(), 0);
+      int64_t span = 0;
+      if (op.shape != PredShape::kAttr) {
+        for (PreId c : nodes->pre) span += store_.SizeAt(c) + 1;
+      }
+      if (op.shape == PredShape::kAttr) {
         // [@a] / [@a op lit]: the context node owns the attribute.
-        if (attr_qn < 0) {
-          kept = std::vector<PreId>{};  // name never interned: no match
-        } else {
+        if (attr_qn >= 0) {
           const auto scan_cost = static_cast<int64_t>(nodes->size());
-          auto cand = pred.kind == Predicate::Kind::kExists
-                          ? index_->AttrOwners(store_, attr_qn, scan_cost)
-                          : index_->AttrValueProbe(store_, attr_qn, pred.op,
-                                                   literal, scan_cost);
+          auto cand = exists ? index_->AttrOwners(store_, attr_qn, scan_cost)
+                             : index_->AttrValueProbe(store_, attr_qn,
+                                                      pred.op, literal,
+                                                      scan_cost);
           if (!cand) return false;
-          kept = IntersectSorted(*nodes, *cand);
+          hit = Members(*nodes, *cand);
         }
-      } else if (shape == PredShape::kChildValue) {
+      } else if (op.shape == PredShape::kChildValue) {
         // [name] / [name op lit]: a child with that tag (satisfying the
         // comparison).
-        if (child_qn < 0) {
-          kept = std::vector<PreId>{};
-        } else {
-          int64_t scan_cost = 0;
-          for (PreId c : *nodes) scan_cost += store_.SizeAt(c) + 1;
-          if (pred.kind == Predicate::Kind::kExists) {
-            auto cand = index_->ElementsByQname(store_, child_qn, scan_cost);
-            if (!cand) return false;
-            kept = KeepWithChildIn(*nodes, *cand);
-          } else {
-            std::vector<PreId> simple, complex_rest;
-            if (!index_->ChildValueProbe(store_, child_qn, pred.op,
-                                         literal, scan_cost, &simple,
-                                         &complex_rest)) {
-              return false;
-            }
-            std::vector<PreId> k;
-            for (PreId c : *nodes) {
-              if (HasChildIn(c, simple)) {
-                k.push_back(c);
-              } else if (HasChildIn(c, complex_rest)) {
-                // Value not covered by the index (element has element
-                // children): evaluate this candidate exactly.
-                PXQ_ASSIGN_OR_RETURN(bool ok,
-                                     EvalValuePredicate(plan, op, c, bound));
-                if (ok) k.push_back(c);
-              }
-            }
-            kept = std::move(k);
+        if (child_qn >= 0 && exists) {
+          auto cand = index_->ElementsByQname(store_, child_qn, span);
+          if (!cand) return false;
+          hit = WithChildIn(*nodes, *cand);
+        } else if (child_qn >= 0) {
+          std::vector<PreId> simple, complex_rest;
+          if (!index_->ChildValueProbe(store_, child_qn, pred.op, literal,
+                                       span, &simple, &complex_rest)) {
+            return false;
           }
+          hit = WithChildIn(*nodes, simple);
+          // Candidates whose child's value the index does not cover
+          // (element content): one semi-join evaluates them exactly.
+          const std::vector<char> complex = WithChildIn(*nodes, complex_rest);
+          std::vector<size_t> at;
+          std::vector<PreId> rest;
+          for (size_t k = 0; k < nodes->size(); ++k) {
+            if (hit[k] || !complex[k]) continue;
+            at.push_back(k);
+            rest.push_back(nodes->pre[k]);
+          }
+          PXQ_ASSIGN_OR_RETURN(
+              std::vector<char> ok,
+              PredicateHolds(plan, op, std::move(rest), bound, nullptr));
+          for (size_t i = 0; i < at.size(); ++i) hit[at[i]] = ok[i];
         }
-      } else {
+      } else if (child_qn >= 0 && attr_qn >= 0) {
         // [name/@a] / [name/@a op lit]: a child with that tag owning a
         // (matching) attribute.
-        if (child_qn < 0 || attr_qn < 0) {
-          kept = std::vector<PreId>{};
-        } else {
-          int64_t scan_cost = 0;
-          for (PreId c : *nodes) scan_cost += store_.SizeAt(c) + 1;
-          auto cand = pred.kind == Predicate::Kind::kExists
-                          ? index_->AttrOwners(store_, attr_qn, scan_cost)
-                          : index_->AttrValueProbe(store_, attr_qn, pred.op,
-                                                   literal, scan_cost);
-          if (!cand) return false;
-          std::vector<PreId> named;
-          for (PreId p : *cand) {
-            if (store_.RefAt(p) == child_qn) named.push_back(p);
-          }
-          kept = KeepWithChildIn(*nodes, named);
+        auto cand = exists ? index_->AttrOwners(store_, attr_qn, span)
+                           : index_->AttrValueProbe(store_, attr_qn, pred.op,
+                                                    literal, span);
+        if (!cand) return false;
+        std::vector<PreId> named;
+        for (PreId p : *cand) {
+          if (store_.RefAt(p) == child_qn) named.push_back(p);
         }
+        hit = WithChildIn(*nodes, named);
       }
 
       if (CrossChecking()) {
-        PXQ_ASSIGN_OR_RETURN(std::vector<PreId> scan,
-                             ScanFilterOne(plan, op, *nodes, bound));
+        PXQ_ASSIGN_OR_RETURN(Seq scan,
+                             ScanFilterOne(plan, op, *nodes, bound, nullptr));
+        Seq kept = *nodes;
+        KeepHits(&kept, hit);
         PXQ_RETURN_IF_ERROR(VerifyCrossCheck(
-            scan, *kept, "predicate " + PredicateText(pred, bound)));
+            scan, kept, "predicate " + PredicateText(pred, bound)));
       }
-      *nodes = std::move(*kept);
+      KeepHits(nodes, hit);
       return true;
     }
     return false;
   }
 
-  static std::vector<PreId> IntersectSorted(const std::vector<PreId>& a,
-                                            const std::vector<PreId>& b) {
-    std::vector<PreId> out;
-    std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                          std::back_inserter(out));
-    return out;
-  }
-
-  /// Does `c` have a child (direct, level + 1) among the sorted
-  /// candidate pres?
-  bool HasChildIn(PreId c, const std::vector<PreId>& cand) const {
-    const PreId end = c + store_.SizeAt(c);
-    const int32_t child_level = store_.LevelAt(c) + 1;
-    for (auto it = std::upper_bound(cand.begin(), cand.end(), c);
-         it != cand.end() && *it <= end; ++it) {
-      if (store_.LevelAt(*it) == child_level) return true;
-    }
-    return false;
-  }
-
-  std::vector<PreId> KeepWithChildIn(const std::vector<PreId>& ctx,
-                                     const std::vector<PreId>& cand) const {
-    std::vector<PreId> kept;
-    for (PreId c : ctx) {
-      if (HasChildIn(c, cand)) kept.push_back(c);
-    }
-    return kept;
-  }
-
-  /// The deduplicated span of the context regions: the tuples a
-  /// staircase scan over them would walk (the gate's scan cost).
-  int64_t RegionSpan(const std::vector<PreId>& ctx) const {
+  /// The deduplicated span of each iteration's context regions: the
+  /// tuples a staircase scan over them would walk (the gate's scan
+  /// cost).
+  int64_t RegionSpan(const Seq& ctx) const {
     int64_t span = 0;
-    PreId scanned_to = -1;
-    for (PreId c : ctx) {
+    PreId scanned_to = -1, prev = -1;
+    for (PreId c : ctx.pre) {
+      if (c < prev) scanned_to = -1;  // the next iteration starts over
+      prev = c;
       const PreId end = c + store_.SizeAt(c);
       if (end <= scanned_to) continue;
       span += end - std::max(c, scanned_to);
       scanned_to = end;
     }
     return span;
-  }
-
-  /// Candidates (sorted pres) lying in some ancestor's region exactly
-  /// `depth` levels below it — the cascade generalization of the
-  /// child filter. Two distinct elements at the same level can never
-  /// contain each other, so region + level containment identifies the
-  /// candidate's distance-`depth` ancestor uniquely among `parents`.
-  std::vector<PreId> KeepDescendantsAtDepth(
-      const std::vector<PreId>& cand, const std::vector<PreId>& parents,
-      int32_t depth) const {
-    std::vector<PreId> out;
-    for (PreId c : parents) {
-      if (store_.KindAt(c) != NodeKind::kElement) continue;
-      const PreId end = c + store_.SizeAt(c);
-      const int32_t want_level = store_.LevelAt(c) + depth;
-      // Parent regions may nest (arbitrary contexts), so each region
-      // scans independently; Normalize dedups.
-      for (auto it = std::upper_bound(cand.begin(), cand.end(), c);
-           it != cand.end() && *it <= end; ++it) {
-        if (store_.LevelAt(*it) == want_level) out.push_back(*it);
-      }
-    }
-    Normalize(&out);
-    return out;
   }
 
   /// The entry of a sorted pair bucket that is `c`'s ancestor(-or-self)

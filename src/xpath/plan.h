@@ -12,11 +12,12 @@
 // once, so a cached plan re-executes without touching the parser or
 // the qname pool. Predicate paths and per-origin positional steps are
 // compiled the same way, into relative sub-plans owned by the plan
-// (`Plan::subs`) and run by the same executor loop. A plan serves every
-// text of its shape (PlanCache): each quoted literal is a parameter
-// slot (`Predicate::param`) that the executor binds per run, so a
-// shared plan runs on the caller's literal, not on the one it was
-// compiled from.
+// (`Plan::subs`) and run by the same executor loop, once per operator
+// call over all their context nodes (loop-lifted, see executor.h). A
+// plan serves every text of its shape (PlanCache): each quoted literal
+// is a parameter slot (`Predicate::param`) that the executor binds per
+// run, so a shared plan runs on the caller's literal, not on the one it
+// was compiled from.
 //
 // Validity: a plan embeds the qname-pool generation (`pool_gen` — the
 // pool is append-only, so its size is a monotone generation counter)
@@ -43,7 +44,7 @@ enum class OpKind : uint8_t {
   kRootSeed,            // seed the context with the document root element
   kChainProbe,          // maximal path-chain cascade over a child-name prefix
   kQnamePostings,       // descendant name step via qname postings
-  kChildStep,           // child step (postings + region/level filter if named)
+  kChildStep,           // child step (the child join over the index if named)
   kDescendantStaircase, // descendant step, non-name test (staircase scan)
   kAxisScan,            // the remaining axes (self/parent/siblings/...)
   kValueProbeGate,      // index-shaped predicate behind the cost gate
@@ -90,13 +91,22 @@ struct PlanOp {
   bool from_root = false;
   /// kPositionFilter: true = the whole step (axis + every predicate)
   /// evaluates per context origin (steps with positional predicates);
-  /// false = a single positional predicate filters the current list.
+  /// false = a single positional predicate filters the current list
+  /// (within each iteration of a lifted sub-plan).
   bool per_origin = false;
   /// Index into Plan::subs (-1: none). kValueProbeGate, kExistsFilter
-  /// and kFusedProbe: the predicate's relative path. Per-origin
-  /// kPositionFilter: the step's axis op plus its predicates as list
-  /// filters, run once per context node.
+  /// and kFusedProbe: the predicate's relative path, run once over the
+  /// whole candidate list, candidate i as iteration i (a semi-join).
+  /// Per-origin kPositionFilter: the step's axis op plus its predicates
+  /// as list filters, run once over the whole context, context node j
+  /// as iteration j, so positions count per origin.
   int32_t sub = -1;
+  /// kChildStep: the context nodes' tag when the compiler knows it
+  /// (after a name step, for the first step of a predicate on a named
+  /// step, after a cascade); the child join then reads the
+  /// (ctx_qn, qn) pair bucket instead of the qname postings. -1:
+  /// unknown.
+  QnameId ctx_qn = -1;
   // --- kChainProbe ----------------------------------------------------
   std::vector<ChainProbeSpec> probes;
   size_t consumed = 0;       // leading steps the cascade consumes
@@ -145,7 +155,8 @@ struct Plan {
   Path path;                         // trailing attribute step removed
   std::optional<Step> trailing_attr; // split-off final attribute step
   std::vector<PlanOp> ops;
-  /// Relative sub-plans referenced by PlanOp::sub. They carry no
+  /// Relative sub-plans referenced by PlanOp::sub, each run lifted
+  /// (once per operator call, over all its iterations). They carry no
   /// estimates and are never reordered; an unresolved name in one
   /// clears this plan's fully_resolved.
   std::vector<Plan> subs;

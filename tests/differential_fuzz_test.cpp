@@ -161,6 +161,11 @@ const char* const kQueries[] = {
     "//zone[area/item/@k]",
     "//area/item[price>50][2]",
     "/site/regions/zone/area[item][last()]",
+    // Lifted sub-plans: positional steps inside predicates and under a
+    // cascade, run once over all their origins.
+    "//area[item[2]]",
+    "/site/regions/zone/area/item[1]/price",
+    "//zone[area[last()]/item]",
 };
 
 class Fuzzer {

@@ -202,6 +202,11 @@ TEST(CompiledExecutionTest, MatchesReferenceWithAndWithoutIndex) {
       "//area/item[price>5][2]",
       "/site/people/person[age][last()]",
       "/site/people/person[2]/name",
+      // Lifted sub-plans: a positional step inside a predicate, a
+      // positional step under a cascade, a [last()] inside a path.
+      "//area[item[2]]",
+      "/site/regions/zone/area/item[1]/price",
+      "//zone[area[last()]/item]",
   };
   xpath::PlanCache cache;
   xpath::Evaluator<storage::PagedStore> indexed(*store, &idx, &cache);
@@ -223,6 +228,50 @@ TEST(CompiledExecutionTest, MatchesReferenceWithAndWithoutIndex) {
   }
   EXPECT_GT(cache.stats().hits, 0);
   EXPECT_EQ(idx.Stats().cross_check_mismatches, 0);
+}
+
+// Lifted sub-plans over contexts that contain each other: every `a` but
+// the outer one nests in another `a`, so one pre sits in several
+// iterations and a child join's regions nest.
+TEST(CompiledExecutionTest, LiftedSubPlansMatchReferenceOnNestedContexts) {
+  auto store = BuildStore(
+      "<r><a><a><b id='1'/><b/></a><b id='2'/><a><b id='3'/></a></a></r>");
+  index::IndexConfig checked_cfg;
+  checked_cfg.cross_check = true;  // the gate accepts every probe
+  index::IndexManager checked(checked_cfg);
+  checked.Rebuild(*store);
+  index::IndexManager gated{index::IndexConfig{}};
+  gated.Rebuild(*store);
+  xpath::Evaluator<storage::PagedStore> with_check(*store, &checked);
+  xpath::Evaluator<storage::PagedStore> with_gate(*store, &gated);
+  xpath::Evaluator<storage::PagedStore> scan(*store);
+  xpath::ReferenceEvaluator<storage::PagedStore> ref(*store);
+  const char* const queries[] = {
+      "//a[b[2]]",          "//a/b[1]",
+      "//a/b[last()]",      "//a[a/b]",
+      "//a[descendant::b][1]", "//b[following-sibling::b]",
+      "//a[parent::a]",     "//a[b][2]",
+      // A positional step reached by several nodes of one iteration.
+      "//a[a/b[1]]",        "//a[a/b[2]]",
+      // An attribute gate over iterations whose nodes run backwards.
+      "//a[b[@id]]",
+  };
+  for (const char* q : queries) {
+    auto want = ref.Eval(xpath::ParsePath(q).value());
+    ASSERT_TRUE(want.ok()) << q << ": " << want.status().ToString();
+    for (auto* ev : {&with_check, &with_gate, &scan}) {
+      auto got = ev->Eval(q);
+      ASSERT_TRUE(got.ok()) << q << ": " << got.status().ToString();
+      EXPECT_EQ(got.value(), want.value()) << q;
+    }
+  }
+  // The queries are not vacuous on this document.
+  EXPECT_EQ(with_check.Eval("//a[b[2]]").value().size(), 1u);
+  EXPECT_EQ(with_check.Eval("//a/b[1]").value().size(), 3u);
+  EXPECT_EQ(with_check.Eval("//a[parent::a]").value().size(), 2u);
+  EXPECT_EQ(with_check.Eval("//a[a/b[2]]").value().size(), 1u);
+  EXPECT_EQ(with_check.Eval("//a[b[@id]]").value().size(), 3u);
+  EXPECT_EQ(checked.Stats().cross_check_mismatches, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -595,6 +644,41 @@ TEST(ExplainTest, ReportsExecutedStrategiesAndCacheState) {
   EXPECT_NE(pred->find("QnamePostings"), std::string::npos) << *pred;
   EXPECT_NE(pred->find("ValueProbeGate"), std::string::npos) << *pred;
   EXPECT_NE(pred->find("result: 2 nodes"), std::string::npos) << *pred;
+}
+
+// A positional step runs its body once over all its origins: one pair
+// bucket probe for the whole operator, not one per origin.
+TEST(ExplainTest, LiftedPositionalStepProbesOncePerOperator) {
+  std::string xml = "<site><open_auctions>";
+  for (int i = 0; i < 200; ++i) {
+    xml += "<open_auction>";
+    for (int b = 0; b < 3; ++b) {
+      xml += "<bidder><increase>" + std::to_string(i + b) +
+             "</increase></bidder>";
+    }
+    xml += "</open_auction>";
+  }
+  xml += "</open_auctions></site>";
+  auto db_or = Database::CreateFromXml(xml);  // cross-check off
+  ASSERT_TRUE(db_or.ok());
+  auto db = std::move(db_or).value();
+  const char* q = "/site/open_auctions/open_auction/bidder[1]/increase";
+  auto prof = db->Profile(q);
+  ASSERT_TRUE(prof.ok());
+  const size_t line = prof->find("PositionFilter");
+  ASSERT_NE(line, std::string::npos) << *prof;
+  const std::string op =
+      prof->substr(line, prof->find('\n', line) - line);
+  EXPECT_NE(op.find("once over 200 iterations"), std::string::npos) << op;
+  EXPECT_NE(op.find("pair-bucket child join over 200 iterations [gate "
+                    "accepted"),
+            std::string::npos)
+      << op;
+  const size_t at = op.find("probes=");
+  ASSERT_NE(at, std::string::npos) << op;
+  EXPECT_LE(std::stoll(op.substr(at + 7)), 2) << op;
+  EXPECT_NE(prof->find("total: "), std::string::npos);
+  EXPECT_NE(prof->find(", 200 nodes"), std::string::npos) << *prof;
 }
 
 // ---------------------------------------------------------------------------

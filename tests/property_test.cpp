@@ -13,6 +13,7 @@
 
 #include "common/random.h"
 #include "common/strings.h"
+#include "index/index_manager.h"
 #include "storage/paged_store.h"
 #include "storage/shredder.h"
 #include "storage/store_serializer.h"
@@ -205,6 +206,57 @@ INSTANTIATE_TEST_SUITE_P(
 // paths over stores mutated by random updates.
 // --------------------------------------------------------------------------
 
+/// A random positional predicate: [1]..[3] or [last()].
+xpath::Predicate RandomPosition(Random* rng) {
+  xpath::Predicate p;
+  if (rng->Bernoulli(0.5)) {
+    p.kind = xpath::Predicate::Kind::kPosition;
+    p.position = 1 + static_cast<int64_t>(rng->Uniform(3));
+  } else {
+    p.kind = xpath::Predicate::Kind::kLast;
+  }
+  return p;
+}
+
+/// A random exists predicate: a relative path of 1-3 steps over the
+/// child, descendant, following-sibling, parent and ancestor axes, each
+/// step optionally positional or filtered by [@id]. Its sub-plan runs
+/// lifted over every candidate at once, and the random documents nest
+/// a..e, so the candidates' regions contain each other.
+xpath::Predicate RandomExists(Random* rng) {
+  static constexpr xpath::Axis kAxes[] = {
+      xpath::Axis::kChild, xpath::Axis::kDescendant,
+      xpath::Axis::kFollowingSibling, xpath::Axis::kParent,
+      xpath::Axis::kAncestor};
+  const char* names[] = {"a", "b", "c", "d", "e"};
+  xpath::Predicate p;
+  p.kind = xpath::Predicate::Kind::kExists;
+  const int steps = 1 + static_cast<int>(rng->Uniform(3));
+  for (int i = 0; i < steps; ++i) {
+    xpath::Step s;
+    s.axis = kAxes[rng->Uniform(5)];
+    if (rng->Bernoulli(0.7)) {
+      s.test.kind = xpath::NodeTest::Kind::kName;
+      s.test.name = names[rng->Uniform(5)];
+    } else {
+      s.test.kind = xpath::NodeTest::Kind::kAnyName;
+    }
+    if (rng->Bernoulli(0.3)) {
+      s.predicates.push_back(RandomPosition(rng));
+    } else if (rng->Bernoulli(0.2)) {
+      xpath::Predicate id;
+      id.kind = xpath::Predicate::Kind::kExists;
+      id.rel.resize(1);
+      id.rel[0].axis = xpath::Axis::kAttribute;
+      id.rel[0].test.kind = xpath::NodeTest::Kind::kName;
+      id.rel[0].test.name = "id";
+      s.predicates.push_back(std::move(id));
+    }
+    p.rel.push_back(std::move(s));
+  }
+  return p;
+}
+
 xpath::Path RandomPath(Random* rng) {
   xpath::Path path;
   path.absolute = true;
@@ -235,16 +287,8 @@ xpath::Path RandomPath(Random* rng) {
       case 1: s.test.kind = xpath::NodeTest::Kind::kAnyName; break;
       default: s.test.kind = xpath::NodeTest::Kind::kAnyNode; break;
     }
-    if (rng->Bernoulli(0.25)) {
-      xpath::Predicate p;
-      if (rng->Bernoulli(0.5)) {
-        p.kind = xpath::Predicate::Kind::kPosition;
-        p.position = 1 + static_cast<int64_t>(rng->Uniform(3));
-      } else {
-        p.kind = xpath::Predicate::Kind::kLast;
-      }
-      s.predicates.push_back(p);
-    }
+    if (rng->Bernoulli(0.3)) s.predicates.push_back(RandomExists(rng));
+    if (rng->Bernoulli(0.25)) s.predicates.push_back(RandomPosition(rng));
     path.steps.push_back(s);
   }
   return path;
@@ -282,16 +326,28 @@ TEST(XPathPropertyTest, StaircaseMatchesReferenceOnMutatedStores) {
     }
     ASSERT_TRUE(store.CheckInvariants().ok());
 
+    // The scan paths, and the index paths with every index answer
+    // replayed against the scan (cross-check: the gate always accepts).
+    index::IndexConfig cfg_idx;
+    cfg_idx.cross_check = true;
+    index::IndexManager idx(cfg_idx);
+    idx.Rebuild(store);
     xpath::Evaluator<storage::PagedStore> fast(store);
+    xpath::Evaluator<storage::PagedStore> indexed(store, &idx);
     xpath::ReferenceEvaluator<storage::PagedStore> slow(store);
     for (int q = 0; q < 30; ++q) {
       xpath::Path path = RandomPath(&rng);
       auto a = fast.Eval(path);
       auto b = slow.Eval(path);
+      auto c = indexed.Eval(path);
       ASSERT_EQ(a.ok(), b.ok()) << xpath::ToString(path);
+      ASSERT_EQ(c.ok(), b.ok()) << xpath::ToString(path) << ": "
+                                << c.status().ToString();
       if (a.ok()) {
         EXPECT_EQ(a.value(), b.value())
             << "seed " << seed << " path " << xpath::ToString(path);
+        EXPECT_EQ(c.value(), b.value())
+            << "seed " << seed << " indexed path " << xpath::ToString(path);
       }
     }
   }
